@@ -35,21 +35,6 @@ class EmptySideError(BookError):
     """An operation needed a populated book side and found none."""
 
 
-class DepthError(BookError):
-    """A side had fewer populated levels than requested.
-
-    Carries the available depth so callers can decide a padding policy.
-    """
-
-    def __init__(self, side: str, available: int, requested: int):
-        super().__init__(
-            f"{side} side has {available} levels, {requested} requested"
-        )
-        self.side = side
-        self.available = available
-        self.requested = requested
-
-
 @dataclass(frozen=True)
 class Order:
     """One inbound market event.
@@ -104,8 +89,9 @@ class BookState:
     """Full-depth two-sided book with price-time priority queues.
 
     Single-writer: one engine mutates one instance. `bids` and `asks` map
-    price ticks to PriceLevel; best-price retrieval uses sorted key scans
-    (books stay a few hundred levels deep in practice).
+    price ticks to PriceLevel; best-price retrieval scans the keys with
+    min/max, which is O(levels) per call (synthetic sz000858 days reach
+    700-1100 levels on a side: 872 for seed 0, 1103 for seed 1).
     """
 
     def __init__(self, tick_size: float = DEFAULT_TICK_SIZE):
@@ -126,15 +112,6 @@ class BookState:
 
     def best_ask(self) -> int | None:
         return min(self.asks) if self.asks else None
-
-    def mid_ticks(self) -> float:
-        bb, ba = self.best_bid(), self.best_ask()
-        if bb is None or ba is None:
-            raise EmptySideError("mid-price undefined on a one-sided book")
-        return (bb + ba) / 2.0
-
-    def depth(self, side: str) -> int:
-        return len(self.side_levels(side))
 
     def check_invariants(self):
         """Raise BookError on any structural violation. O(levels)."""

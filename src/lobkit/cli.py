@@ -18,7 +18,14 @@ import numpy as np
 
 from . import io as lio
 from .book import BookError, BookState
-from .metrics import LossConfig, MetricError, WeightProfile, cross_entropy, report
+from .metrics import (
+    LossConfig,
+    MetricError,
+    WeightProfile,
+    cross_entropy,
+    masked_mse,
+    report,
+)
 from .models import (
     IMPUTATION,
     PREDICTION,
@@ -29,7 +36,9 @@ from .models import (
     TrainConfig,
     evaluate_classification,
     finetune_frozen,
+    logit_classes,
     predict_labels,
+    predict_logits,
     train,
 )
 from .preprocess import (
@@ -313,17 +322,14 @@ def cmd_evaluate(args) -> int:
     windows, meta = _load_split(data_dir, args.split, T, args.step)
     cfg = _loss_config(args)
 
-    lines = []
     if head is not None and head.kind == PREDICTION:
         usable = [w for w in windows if w.label is not None]
-        preds = predict_labels(model, head, usable)
-        labels = np.array([w.label for w in usable])
-        stats = evaluate_classification(preds, labels)
-        X = np.stack([w.data.ravel() for w in usable])
-        logits = np.atleast_2d(head.forward(model.encode(X)))
+        logits = predict_logits(model, head, usable)
+        stats = evaluate_classification(
+            logit_classes(logits), np.array([w.label for w in usable])
+        )
         ce = float(np.mean([
-            cross_entropy(logits[i], usable[i].label)
-            for i in range(len(usable))
+            cross_entropy(logits[i], w.label) for i, w in enumerate(usable)
         ]))
         parts = [f"count={len(usable)}", f"ce={ce!r}",
                  f"accuracy={stats['accuracy']!r}",
@@ -332,32 +338,26 @@ def cmd_evaluate(args) -> int:
         for c in (-1, 0, 1):
             parts.append(f"precision[{c}]={stats['precision'][c]!r}")
             parts.append(f"recall[{c}]={stats['recall'][c]!r}")
-        lines.append(" ".join(parts))
+        line = " ".join(parts)
     else:
-        masked_vals = None
-        if head is not None and head.kind == IMPUTATION:
-            data = _prepare_task_data(windows, IMPUTATION, args.seed,
-                                      args.mask_ratio)
-            X = np.stack([w.masked_input().ravel() for w in data])
-            Y = np.atleast_2d(head.forward(model.encode(X)))
-            from .metrics import masked_mse
-            masked_vals = [
-                masked_mse(w.data, Y[i].reshape(T, -1), w.mask)
-                for i, w in enumerate(data)
-            ]
-            xs = [w.data for w in data]
-            xhs = [Y[i].reshape(T, -1) for i in range(len(data))]
-        else:
-            X = np.stack([w.data.ravel() for w in windows])
-            Y = np.atleast_2d(model.decode(model.encode(X)))
-            xs = [w.data for w in windows]
-            xhs = [Y[i].reshape(T, -1) for i in range(len(windows))]
+        imputing = head is not None and head.kind == IMPUTATION
+        data = (_prepare_task_data(windows, IMPUTATION, args.seed,
+                                   args.mask_ratio) if imputing else windows)
+        X = np.stack([(w.masked_input() if imputing else w.data).ravel()
+                      for w in data])
+        R = model.encode(X)
+        Y = np.atleast_2d(head.forward(R) if imputing else model.decode(R))
+        xs = [w.data for w in data]
+        xhs = [y.reshape(T, -1) for y in Y]
+        masked_vals = ([masked_mse(x, xh, w.mask)
+                        for x, xh, w in zip(xs, xhs, data)]
+                       if imputing else None)
         rep = report(xs, xhs, cfg, levels, masked=masked_vals)
-        lines.append(" ".join(f"{k}={v!r}" for k, v in rep.as_items()))
+        line = " ".join(f"{k}={v!r}" for k, v in rep.as_items())
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    Path(out / "report.txt").write_text("\n".join(lines) + "\n")
+    Path(out / "report.txt").write_text(line + "\n")
     lio.write_kv(out / "config.txt", {"evaluate": {
         "checkpoint": Path(args.checkpoint).name,
         "checkpoint_sha256": lio.file_sha256(_out_path(args.checkpoint)),

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .book import (
     ASK,
     BID,
@@ -20,11 +18,8 @@ from .book import (
     MARKET,
     BookError,
     BookState,
-    DepthError,
-    EmptySideError,
     Order,
     PriceLevel,
-    Snapshot,
 )
 
 
@@ -77,11 +72,17 @@ def _match(book: BookState, o: Order, events: list[EngineEvent]) -> int:
 
 
 def submit(book: BookState, o: Order) -> tuple[BookState, list[EngineEvent]]:
-    """Apply one order; mutates and returns the book plus its events."""
+    """Apply one order; mutates and returns the book plus its events.
+
+    Rejects, before touching the book, a stale timestamp and a limit order
+    whose id is still resting (it would orphan the first order's volume).
+    """
     if book.clock is not None and o.timestamp < book.clock:
         raise BookError(
             f"stale timestamp {o.timestamp} < book clock {book.clock}"
         )
+    if o.kind == LIMIT and o.id in book.live:
+        raise BookError(f"limit order id {o.id} is already live")
     book.clock = o.timestamp
     events: list[EngineEvent] = []
 
@@ -122,37 +123,3 @@ def submit(book: BookState, o: Order) -> tuple[BookState, list[EngineEvent]]:
                 EngineEvent("rest", o.id, price=o.price, volume=remaining)
             )
     return book, events
-
-
-def step(
-    book: BookState, batch: list[Order]
-) -> tuple[BookState, list[EngineEvent]]:
-    """Fold submit over a timestamp-sorted batch."""
-    events: list[EngineEvent] = []
-    for o in batch:
-        _, ev = submit(book, o)
-        events.extend(ev)
-    return book, events
-
-
-def top_levels(book: BookState, l: int) -> Snapshot:
-    """Best l levels per side as a Snapshot in real currency units.
-
-    Raises DepthError (carrying the available depth) when a side is thinner
-    than l; the sampling pipeline owns the padding policy.
-    """
-    if not book.bids or not book.asks:
-        raise EmptySideError("cannot snapshot a one-sided book")
-    if len(book.bids) < l:
-        raise DepthError(BID, len(book.bids), l)
-    if len(book.asks) < l:
-        raise DepthError(ASK, len(book.asks), l)
-    bid_prices = sorted(book.bids, reverse=True)[:l]
-    ask_prices = sorted(book.asks)[:l]
-    lv = np.empty((l, 4), dtype=float)
-    for i in range(l):
-        lv[i, 0] = bid_prices[i] * book.tick_size
-        lv[i, 1] = book.bids[bid_prices[i]].total_volume
-        lv[i, 2] = ask_prices[i] * book.tick_size
-        lv[i, 3] = book.asks[ask_prices[i]].total_volume
-    return Snapshot(levels=lv, time=book.clock or 0)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .book import Order
+from .book import BookError, Order
 from .preprocess import FEATURE_WISE, GLOBAL, NormStats
 from .synth import FlowStream
 
@@ -97,7 +97,7 @@ def read_flow(path) -> FlowStream:
                 volume=int(parts[5]) if parts[5] else None,
                 target_id=int(parts[6]) if parts[6] else None,
             ))
-        except ValueError as exc:
+        except (ValueError, BookError) as exc:
             raise FormatError(str(exc), offset=offset) from exc
         offset += len(line) + 1
     return FlowStream(profile=profile, seed=seed, orders=orders,
@@ -105,6 +105,15 @@ def read_flow(path) -> FlowStream:
 
 
 # ------------------------------------------------------------------- tensors
+
+def _unpack(fmt: str, raw: bytes, pos: int, field: str) -> tuple:
+    """struct.unpack_from that reports a short buffer as a FormatError."""
+    try:
+        return struct.unpack_from(fmt, raw, pos)
+    except struct.error as exc:
+        raise FormatError(f"unreadable header: {exc}", offset=pos,
+                          field=field) from None
+
 
 def save_tensor(path, array: np.ndarray):
     array = np.ascontiguousarray(array, dtype="<f8")
@@ -119,11 +128,11 @@ def load_tensor(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != TENSOR_MAGIC:
         raise FormatError("bad tensor magic", offset=0, field="magic")
-    version, ndim = struct.unpack_from("<II", raw, 4)
+    version, ndim = _unpack("<II", raw, 4, "version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4,
                           field="version")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 12)
+    dims = _unpack(f"<{ndim}I", raw, 12, "dims")
     start = 12 + 4 * ndim
     expected = int(np.prod(dims)) * 8
     if len(raw) - start != expected:
@@ -220,22 +229,27 @@ def load_checkpoint(path) -> dict:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0, field="magic")
-    version, count = struct.unpack_from("<II", raw, 4)
+    version, count = _unpack("<II", raw, 4, "version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4,
                           field="version")
     pos = 12
     arrays = {}
     for _ in range(count):
-        (namelen,) = struct.unpack_from("<H", raw, pos)
+        (namelen,) = _unpack("<H", raw, pos, "name")
         pos += 2
         name = raw[pos : pos + namelen].decode("utf-8")
         pos += namelen
-        (ndim,) = struct.unpack_from("<B", raw, pos)
+        (ndim,) = _unpack("<B", raw, pos, "ndim")
         pos += 1
-        dims = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
+        dims = _unpack(f"<{ndim}I", raw, pos, "dims")
         pos += 4 * ndim
-        n = int(np.prod(dims)) if ndim else 1
+        n = int(np.prod(dims))
+        if pos + 8 * n > len(raw):
+            raise FormatError(
+                f"payload of {name!r} is {len(raw) - pos} bytes, "
+                f"expected {8 * n}", offset=pos, field="data",
+            )
         arrays[name] = (
             np.frombuffer(raw[pos : pos + 8 * n], dtype="<f8")
             .reshape(dims)

@@ -8,7 +8,7 @@ directly; training is single-threaded and bit-deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class TaskHead:
             raise ValueError(f"expected {self.latent} latents, got {r.shape[1]}")
         y = r @ self.params["head.W"] + self.params["head.b"]
         return y[0] if y.shape[0] == 1 else y
-
-
-def head_forward(head: TaskHead, r: np.ndarray) -> np.ndarray:
-    return head.forward(r)
 
 
 @dataclass
@@ -286,19 +282,25 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: list,
     """Fine-tune only the head for at most `budget` optimizer steps."""
     if budget == 0:
         return []
-    frozen_cfg = TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        seed=cfg.seed, loss=cfg.loss, task=cfg.task,
-        freeze_encoder=True, clip_norm=cfg.clip_norm, levels=cfg.levels,
-    )
-    return train(model, head, data, frozen_cfg, max_batches=budget)
+    return train(model, head, data, replace(cfg, freeze_encoder=True),
+                 max_batches=budget)
+
+
+def predict_logits(model: LinearAutoencoder, head: TaskHead,
+                   windows: list) -> np.ndarray:
+    """Prediction-head logits, one row per window."""
+    X = np.stack([w.data.ravel() for w in windows])
+    return np.atleast_2d(head.forward(model.encode(X)))
+
+
+def logit_classes(logits: np.ndarray) -> np.ndarray:
+    """Trend class per logit row; columns are classes -1, 0, +1 in order."""
+    return logits.argmax(axis=1) - 1
 
 
 def predict_labels(model: LinearAutoencoder, head: TaskHead,
                    windows: list) -> np.ndarray:
-    X = np.stack([w.data.ravel() for w in windows])
-    logits = np.atleast_2d(head.forward(model.encode(X)))
-    return logits.argmax(axis=1) - 1
+    return logit_classes(predict_logits(model, head, windows))
 
 
 def evaluate_classification(preds, labels) -> dict:

@@ -4,27 +4,18 @@ The exchange day is sampled on a 3-second grid restricted to the morning
 [09:30, 11:30) and afternoon [13:00, 14:57) continuous sessions, which gives
 (120 + 117) minutes * 20 samples/minute = 4740 snapshots per complete day.
 Each grid point takes the latest book state at or before that instant, so
-quiet periods are forward-filled by construction.
+quiet periods are forward-filled and call-auction instants are never sampled,
+both by construction. `snapshot_padded` is the one top-l book exporter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .book import (
-    ASK,
-    BID,
-    DEFAULT_LEVELS,
-    BookState,
-    DepthError,
-    EmptySideError,
-    Snapshot,
-    flatten,
-    unflatten,
-)
-from .engine import submit, top_levels
+from .book import DEFAULT_LEVELS, BookState, Snapshot, flatten, unflatten
+from .engine import submit
 
 NS_PER_SEC = 1_000_000_000
 
@@ -53,9 +44,6 @@ class SessionCalendar:
             if (end - start) % self.period != 0:
                 raise SamplingError("period must divide each interval length")
             prev_end = end
-
-    def contains(self, t: int) -> bool:
-        return any(start <= t < end for start, end in self.intervals)
 
     def grid(self) -> np.ndarray:
         """All sampling instants, one per period, session-restricted."""
@@ -89,43 +77,32 @@ class DaySeries:
     def snapshot(self, i: int) -> Snapshot:
         return unflatten(self.data[i], l=self.levels, time=int(self.times[i]))
 
-    @classmethod
-    def from_snapshots(cls, instrument, day, snaps, levels=DEFAULT_LEVELS):
-        data = np.stack([flatten(s) for s in snaps])
-        times = np.array([s.time for s in snaps], dtype=np.int64)
-        return cls(instrument, day, data, times, levels)
-
     def mid_prices(self) -> np.ndarray:
         return (self.data[:, 0] + self.data[:, 2 * self.levels]) / 2.0
 
 
 def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> Snapshot:
-    """top_levels with thin sides padded one tick past the worst level, volume 1.
+    """Best l levels per side as a Snapshot in real currency units.
 
-    Keeps every exported snapshot strictly positive and strictly monotone even
-    when a side momentarily holds fewer than l levels.
+    A side thinner than l is padded one tick past its worst level with
+    volume 1, which keeps every exported snapshot strictly positive and
+    strictly monotone.
     """
-    try:
-        return top_levels(book, l)
-    except (DepthError, EmptySideError):
-        pass
-    bid_prices = sorted(book.bids, reverse=True)[:l]
-    ask_prices = sorted(book.asks)[:l]
-    if not bid_prices or not ask_prices:
+    bids = sorted(book.bids, reverse=True)[:l]
+    asks = sorted(book.asks)[:l]
+    if not bids or not asks:
         raise SamplingError("cannot pad a one-sided book")
-    lv = np.empty((l, 4), dtype=float)
-    for i in range(l):
-        if i < len(bid_prices):
-            bp, bv = bid_prices[i], book.bids[bid_prices[i]].total_volume
-        else:
-            bp, bv = bp - 1, 1  # one tick below the previous bid row
-        if i < len(ask_prices):
-            ap, av = ask_prices[i], book.asks[ask_prices[i]].total_volume
-        else:
-            ap, av = ap + 1, 1
-        lv[i] = (bp * book.tick_size, bv, ap * book.tick_size, av)
-    if lv[:, 0].min() <= 0:
+    bid_vols = [book.bids[p].total_volume for p in bids]
+    ask_vols = [book.asks[p].total_volume for p in asks]
+    for prices, vols, step in ((bids, bid_vols, -1), (asks, ask_vols, 1)):
+        while len(prices) < l:
+            prices.append(prices[-1] + step)
+            vols.append(1)
+    if bids[-1] <= 0:
         raise SamplingError("bid padding reached non-positive prices")
+    tick = book.tick_size
+    lv = np.array([[p * tick for p in bids], bid_vols,
+                   [p * tick for p in asks], ask_vols], dtype=float).T
     return Snapshot(levels=lv, time=book.clock or 0)
 
 
@@ -136,7 +113,6 @@ def sample(
     l: int = DEFAULT_LEVELS,
     instrument: str = "",
     day: int = 0,
-    pad: bool = True,
 ):
     """Replay orders through the engine, snapshotting at every grid point.
 
@@ -145,42 +121,20 @@ def sample(
     grid point. Returns (DaySeries, engine events).
     """
     grid = calendar.grid()
+    data = np.empty((len(grid), 4 * l))
     events = []
-    snaps = []
     it = iter(orders)
     pending = next(it, None)
-    take = snapshot_padded if pad else top_levels
-    for t in grid:
+    for i, t in enumerate(grid):
         while pending is not None and pending.timestamp <= t:
             _, ev = submit(book, pending)
             events.extend(ev)
             pending = next(it, None)
         if not book.bids or not book.asks:
             raise SamplingError(f"no book state at grid point {t}")
-        snap = take(book, l)
-        snaps.append(Snapshot(levels=snap.levels, time=int(t)))
+        data[i] = flatten(snapshot_padded(book, l))
     while pending is not None:
         _, ev = submit(book, pending)
         events.extend(ev)
         pending = next(it, None)
-    series = DaySeries.from_snapshots(instrument, day, snaps, levels=l)
-    return series, events
-
-
-def forward_fill(
-    snaps: list, instrument: str = "", day: int = 0, l: int = DEFAULT_LEVELS
-) -> DaySeries:
-    """Fill None gaps in a grid-aligned snapshot list with the last value."""
-    if not snaps or snaps[0] is None:
-        raise SamplingError("leading gap: first grid point has no snapshot")
-    filled = []
-    last = None
-    for s in snaps:
-        last = s if s is not None else last
-        filled.append(last)
-    return DaySeries.from_snapshots(instrument, day, filled, levels=l)
-
-
-def filter_auction(snaps: list, calendar: SessionCalendar = SessionCalendar()):
-    """Keep only snapshots whose times fall inside the trading sessions."""
-    return [s for s in snaps if calendar.contains(s.time)]
+    return DaySeries(instrument, day, data, grid, levels=l), events

@@ -1,5 +1,8 @@
 """End-to-end command-line tests: full pipeline, determinism, exit codes."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,3 +156,42 @@ def test_divergent_training_is_numeric_abort(pipeline, tmp_path):
                  "--task", "reconstruction", "--out", str(tmp_path / "run"),
                  "--epochs", "3", "--step", "50", "--latent", "16",
                  "--lr", "1e200"]) == 4
+
+
+def _checkpoint_offsets(raw):
+    """Byte offsets inside a checkpoint's headers, and one inside each
+    array's payload."""
+    header, payload = list(range(12)), []
+    pos = 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        (namelen,) = struct.unpack_from("<H", raw, pos)
+        ndim = raw[pos + 2 + namelen]
+        end = pos + 3 + namelen + 4 * ndim
+        n = math.prod(struct.unpack_from(f"<{ndim}I", raw, end - 4 * ndim))
+        header += range(pos, end)
+        payload.append(end + 4 * n)
+        pos = end + 8 * n
+    return header, payload
+
+
+def test_truncated_binaries_exit_2_with_byte_offset(pipeline, tmp_path, capsys):
+    series = (pipeline / "series.bin").read_bytes()
+    bad = tmp_path / "series.bin"
+    for cut in [*range(20), 20, 20 + 8 * 1000 + 3, len(series) - 1]:
+        bad.write_bytes(series[:cut])
+        assert main(["preprocess", "--series", str(bad),
+                     "--out", str(tmp_path / "d")]) == 2, cut
+        assert "at byte" in capsys.readouterr().err, cut
+
+    data = str(pipeline / "data")
+    assert main(["train", "--data", data, "--task", "prediction",
+                 "--out", str(tmp_path / "run")] + FAST_TRAIN) == 0
+    ckpt = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+    header, payload = _checkpoint_offsets(ckpt)
+    assert header[-1] < len(ckpt) and len(payload) == 12
+    bad = tmp_path / "checkpoint.bin"
+    for cut in header + payload + [len(ckpt) - 1]:
+        bad.write_bytes(ckpt[:cut])
+        assert main(["evaluate", "--data", data, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 2, cut
+        assert "at byte" in capsys.readouterr().err, cut

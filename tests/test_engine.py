@@ -13,11 +13,10 @@ from lobkit.book import (
     MARKET,
     BookError,
     BookState,
-    DepthError,
-    EmptySideError,
     Order,
 )
-from lobkit.engine import step, submit, top_levels
+from lobkit.engine import submit
+from lobkit.sampling import SamplingError, snapshot_padded
 
 
 def seeded_book(levels=12, bid0=1000, ask0=1001, vol=50):
@@ -101,29 +100,23 @@ def test_stale_timestamp_rejected():
         submit(book, Order(2, BID, LIMIT, 9, price=100, volume=1))
 
 
-def test_step_equals_sequential_submit():
-    orders = [
-        Order(1, BID, LIMIT, 0, price=100, volume=10),
-        Order(2, ASK, LIMIT, 1, price=101, volume=5),
-        Order(3, BID, MARKET, 2, volume=3),
-        Order(4, ASK, CANCEL, 3, target_id=2),
-    ]
-    b1 = BookState()
-    ev1 = []
-    for o in orders:
-        _, ev = submit(b1, o)
-        ev1.extend(ev)
-    b2, ev2 = step(BookState(), orders)
-    assert ev1 == ev2
-    assert b1.bids.keys() == b2.bids.keys()
-    assert b1.asks.keys() == b2.asks.keys()
+def test_limit_reusing_a_live_id_is_rejected_before_touching_the_book():
+    book = BookState()
+    submit(book, Order(1, BID, LIMIT, 0, price=100, volume=10))
+    with pytest.raises(BookError):
+        submit(book, Order(1, BID, LIMIT, 5, price=99, volume=4))
+    assert book.clock == 0 and list(book.bids) == [100]
+    # the first order's volume stays reachable by its id
+    _, ev = submit(book, Order(2, BID, CANCEL, 6, target_id=1))
+    assert [(e.kind, e.volume) for e in ev] == [("cancel_ok", 10)]
+    assert not book.bids
 
 
-# ------------------------------------------------------------- top_levels
+# ------------------------------------------ top-l export (snapshot_padded)
 
 def test_top_levels_exports_real_units_best_first():
     book, _ = seeded_book(levels=12)
-    s = top_levels(book, 10)
+    s = snapshot_padded(book, 10)
     assert s.l == 10
     assert s.levels[0, 0] == pytest.approx(10.00)
     assert s.levels[0, 2] == pytest.approx(10.01)
@@ -136,22 +129,15 @@ def test_top_levels_aggregates_level_volume():
     submit(book, Order(1, BID, LIMIT, 0, price=100, volume=10))
     submit(book, Order(2, BID, LIMIT, 0, price=100, volume=7))
     submit(book, Order(3, ASK, LIMIT, 0, price=101, volume=4))
-    s = top_levels(book, 1)
+    s = snapshot_padded(book, 1)
     assert s.levels[0, 1] == 17
-
-
-def test_top_levels_depth_error_carries_available_depth():
-    book, _ = seeded_book(levels=3)
-    with pytest.raises(DepthError) as exc:
-        top_levels(book, 10)
-    assert exc.value.available == 3 and exc.value.requested == 10
 
 
 def test_top_levels_empty_side():
     book = BookState()
     submit(book, Order(1, BID, LIMIT, 0, price=100, volume=1))
-    with pytest.raises(EmptySideError):
-        top_levels(book, 1)
+    with pytest.raises(SamplingError):
+        snapshot_padded(book, 1)
 
 
 # ------------------------------------------------------------------- fuzz

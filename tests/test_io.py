@@ -56,6 +56,16 @@ def test_flow_bad_field_value(tmp_path):
         lio.read_flow(path)
 
 
+def test_flow_invalid_order_reports_offset(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = "0,1,bid,limit,100,5,\n"
+    path.write_text(good + "1,2,buy,limit,100,5,\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert exc.value.offset == len(good)
+    assert "bad side" in str(exc.value)
+
+
 # ------------------------------------------------------------------ tensors
 
 @pytest.mark.parametrize("shape", [(7,), (4, 40), (2, 3, 5)])

@@ -228,6 +228,23 @@ def test_finetune_frozen_never_touches_encoder():
         assert np.array_equal(model.params[k], v)  # byte-for-byte equal
 
 
+def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
+    import lobkit.models
+
+    seen = []
+    monkeypatch.setattr(lobkit.models, "train",
+                        lambda *args, **kw: seen.append(args[3]))
+    cfg = tiny_cfg(task=PREDICTION, lr_schedule="cosine", warmup_epochs=1,
+                   beta1=0.5, beta2=0.9)
+    finetune_frozen(LinearAutoencoder(input_dim=8, latent=4, seed=0),
+                    TaskHead(PREDICTION, latent=4, seed=1),
+                    tiny_windows(8, seed=7, labeled=True), cfg, budget=3)
+    (got,) = seen
+    assert got.freeze_encoder and not cfg.freeze_encoder
+    assert (got.lr_schedule, got.warmup_epochs, got.beta1, got.beta2) == (
+        "cosine", 1, 0.5, 0.9)
+
+
 def test_finetune_budget_zero_is_a_noop():
     model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
     head = TaskHead(PREDICTION, latent=4, seed=1)

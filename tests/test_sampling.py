@@ -1,18 +1,25 @@
-"""Sampling-grid tests: calendar arithmetic, latest-at-or-before semantics,
-forward fill, auction filtering, thin-book padding."""
+"""Sampling-grid tests: calendar arithmetic, latest-at-or-before semantics
+(which forward-fills quiet periods), the day-series container, thin-book
+padding."""
 
 import numpy as np
 import pytest
 
-from lobkit.book import ASK, BID, LIMIT, BookState, Order, validate_snapshot
+from lobkit.book import (
+    ASK,
+    BID,
+    LIMIT,
+    BookState,
+    Order,
+    flatten,
+    validate_snapshot,
+)
 from lobkit.engine import submit
 from lobkit.sampling import (
     NS_PER_SEC,
     DaySeries,
     SamplingError,
     SessionCalendar,
-    filter_auction,
-    forward_fill,
     hms,
     sample,
     snapshot_padded,
@@ -51,17 +58,6 @@ def test_default_calendar_has_4740_points():
     assert grid[-1] == hms(14, 57) - 3 * NS_PER_SEC
     assert np.all(np.diff(grid[:2400]) == 3 * NS_PER_SEC)
     assert np.all(np.diff(grid[2400:]) == 3 * NS_PER_SEC)
-
-
-def test_calendar_contains_half_open():
-    cal = SessionCalendar()
-    assert cal.contains(hms(9, 30))
-    assert not cal.contains(hms(9, 30) - 1)
-    assert not cal.contains(hms(11, 30))
-    assert cal.contains(hms(11, 30) - 1)
-    assert cal.contains(hms(13, 0))
-    assert not cal.contains(hms(14, 57))
-    assert not cal.contains(hms(12, 0))
 
 
 def test_calendar_rejects_overlapping_or_indivisible_intervals():
@@ -116,50 +112,11 @@ def test_sample_snapshots_are_valid_even_when_sides_go_thin():
 
 def test_day_series_roundtrip_and_mid_prices():
     snaps = [make_snapshot(bid0=1383 + i, ask0=1385 + i) for i in range(4)]
-    series = DaySeries.from_snapshots("demo", 0, snaps)
+    series = DaySeries("demo", 0, np.stack([flatten(s) for s in snaps]),
+                       np.zeros(4, dtype=np.int64))
     assert len(series) == 4
     assert series.snapshot(2) == snaps[2]
     assert np.allclose(series.mid_prices(), [13.84 + 0.01 * i for i in range(4)])
-
-
-# ------------------------------------------------------------ forward fill
-
-def test_forward_fill_replaces_gaps_with_previous_snapshot():
-    a, b = make_snapshot(), make_snapshot(bid0=1390, ask0=1392)
-    series = forward_fill([a, None, None, b, None])
-    assert series.snapshot(1) == a
-    assert series.snapshot(2) == a
-    assert series.snapshot(4) == b
-
-
-def test_forward_fill_leading_gap_is_an_error():
-    with pytest.raises(SamplingError):
-        forward_fill([None, make_snapshot()])
-    with pytest.raises(SamplingError):
-        forward_fill([])
-
-
-# --------------------------------------------------------- auction filter
-
-def test_filter_auction_drops_out_of_session_snapshots():
-    def at(t):
-        s = make_snapshot()
-        return type(s)(levels=s.levels, time=t)
-
-    snaps = [
-        at(hms(9, 20)),        # pre-open: dropped
-        at(hms(9, 30)),        # first session instant: kept
-        at(hms(11, 29, 59)),   # kept
-        at(hms(11, 30)),       # session end (exclusive): dropped
-        at(hms(12, 15)),       # lunch: dropped
-        at(hms(13, 0)),        # kept
-        at(hms(14, 56, 59)),   # kept
-        at(hms(14, 58)),       # post-close: dropped
-    ]
-    kept = filter_auction(snaps)
-    assert [s.time for s in kept] == [
-        hms(9, 30), hms(11, 29, 59), hms(13, 0), hms(14, 56, 59)
-    ]
 
 
 # ----------------------------------------------------------------- padding
