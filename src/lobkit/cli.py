@@ -44,23 +44,22 @@ from .models import (
 from .preprocess import (
     LabelConfig,
     PreprocessError,
+    Windows,
     balance_classes,
     fit_feature_stats,
     fit_group_stats,
     label_trend,
     make_windows,
     mask_for_imputation,
+    masked_input,
     normalize,
     split_train_test,
+    window_view,
 )
 from .sampling import SamplingError, SessionCalendar, sample
 from .synth import PROFILES, generate_day, replay_check
 
-TASKS = {
-    "reconstruction": RECONSTRUCTION,
-    "prediction": PREDICTION,
-    "imputation": IMPUTATION,
-}
+HEAD_KINDS = (RECONSTRUCTION, PREDICTION, IMPUTATION)  # meta.head_kind order
 
 
 def _out_path(p: str) -> Path:
@@ -107,12 +106,10 @@ def cmd_build(args) -> int:
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lio.save_tensor(out, series.data)
-    blocks = []
-    pos = 0
-    for start, end in calendar.intervals:
-        n = (end - start) // calendar.period
-        blocks.append((pos, pos + n))
-        pos += n
+    sizes = [(end - start) // calendar.period
+             for start, end in calendar.intervals]
+    edges = np.cumsum([0] + sizes).tolist()
+    blocks = list(zip(edges[:-1], edges[1:]))
     lio.write_kv(out.with_suffix(".meta.txt"), {"series": {
         "instrument": series.instrument,
         "day": series.day,
@@ -126,16 +123,9 @@ def cmd_build(args) -> int:
 
 
 def _split_blocks(blocks, cut):
-    train_blocks, test_blocks = [], []
-    for a, b in blocks:
-        if b <= cut:
-            train_blocks.append((a, b))
-        elif a >= cut:
-            test_blocks.append((a - cut, b - cut))
-        else:
-            train_blocks.append((a, cut))
-            test_blocks.append((0, b - cut))
-    return train_blocks, test_blocks
+    """Session blocks of the rows before cut, and of the rows from cut on."""
+    return ([(a, min(b, cut)) for a, b in blocks if a < cut],
+            [(max(a, cut) - cut, b - cut) for a, b in blocks if b > cut])
 
 
 def _block_labels(series_raw, blocks, levels, label_cfg):
@@ -196,33 +186,32 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_split(data_dir: Path, split: str, T: int, step: int):
-    """Windows (segmented per session block) plus per-window labels."""
+    """The split's windows (none crossing a session block), each carrying
+    the label of its last row: NaN where that row has none."""
     meta = lio.read_kv(data_dir / "meta.txt")["preprocess"]
     series = lio.load_tensor(data_dir / f"{split}_series.bin")
     labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
-    blocks = _parse_blocks(meta[f"{split}_blocks"])
-    instrument, day = meta["instrument"], int(meta["day"])
-    windows = []
-    for a, b in blocks:
-        ws = make_windows(series[a:b], T=T, step=step,
-                          origin=(instrument, day, a))
-        for w in ws:
-            t_last = w.origin[2] + T - 1
-            lbl = labels[t_last]
-            w.label = None if np.isnan(lbl) else int(lbl)
-        windows.extend(ws)
-    return windows, meta
+    starts = make_windows(series, T=T, step=step,
+                          blocks=_parse_blocks(meta[f"{split}_blocks"]))
+    return Windows(window_view(series, T), starts,
+                   labels[starts + T - 1]), meta
 
 
-def _prepare_task_data(windows, task, seed, mask_ratio=0.2):
+def _labeled(windows: Windows) -> Windows:
+    """The windows that carry a label, with int labels."""
+    keep = ~np.isnan(windows.labels)
+    return Windows(windows.view, windows.starts[keep],
+                   windows.labels[keep].astype(int))
+
+
+def _prepare_task_data(windows: Windows, task, seed, mask_ratio=0.2):
     if task == PREDICTION:
-        labeled = [w for w in windows if w.label is not None]
-        return balance_classes(labeled, seed)
+        labeled = _labeled(windows)
+        return labeled.take(balance_classes(labeled.labels, seed))
     if task == IMPUTATION:
-        return [
-            mask_for_imputation(w, ratio=mask_ratio, seed=seed + i)
-            for i, w in enumerate(windows)
-        ]
+        masks = mask_for_imputation(len(windows), windows.view.shape[1],
+                                    ratio=mask_ratio, seed=seed)
+        return Windows(windows.view, windows.starts, masks=masks)
     return windows
 
 
@@ -243,8 +232,7 @@ def _model_arrays(model, head, T, levels):
     arrays["meta.levels"] = np.array(float(levels))
     if head is not None:
         arrays.update(head.params)
-        kinds = {RECONSTRUCTION: 0.0, PREDICTION: 1.0, IMPUTATION: 2.0}
-        arrays["meta.head_kind"] = np.array(kinds[head.kind])
+        arrays["meta.head_kind"] = np.array(float(HEAD_KINDS.index(head.kind)))
     return arrays
 
 
@@ -262,8 +250,7 @@ def _model_from_arrays(arrays):
         model.params[k] = arrays[k].copy()
     head = None
     if "head.W" in arrays:
-        kinds = {0: RECONSTRUCTION, 1: PREDICTION, 2: IMPUTATION}
-        kind = kinds[int(_scalar(arrays["meta.head_kind"]))]
+        kind = HEAD_KINDS[int(_scalar(arrays["meta.head_kind"]))]
         head = TaskHead(kind, latent=model.latent,
                         out_dim=arrays["head.W"].shape[1])
         head.params["head.W"] = arrays["head.W"].copy()
@@ -275,7 +262,7 @@ def _model_from_arrays(arrays):
 
 def cmd_train(args) -> int:
     data_dir = _out_path(args.data)
-    task = TASKS[args.task]
+    task = args.task
     windows, meta = _load_split(data_dir, "train", args.window, args.step)
     data = _prepare_task_data(windows, task, args.seed, args.mask_ratio)
     levels = int(meta["levels"])
@@ -323,36 +310,27 @@ def cmd_evaluate(args) -> int:
     cfg = _loss_config(args)
 
     if head is not None and head.kind == PREDICTION:
-        usable = [w for w in windows if w.label is not None]
-        logits = predict_logits(model, head, usable)
-        stats = evaluate_classification(
-            logit_classes(logits), np.array([w.label for w in usable])
-        )
-        ce = float(np.mean([
-            cross_entropy(logits[i], w.label) for i, w in enumerate(usable)
-        ]))
-        parts = [f"count={len(usable)}", f"ce={ce!r}",
-                 f"accuracy={stats['accuracy']!r}",
-                 f"macro_precision={stats['macro_precision']!r}",
-                 f"macro_recall={stats['macro_recall']!r}"]
-        for c in (-1, 0, 1):
-            parts.append(f"precision[{c}]={stats['precision'][c]!r}")
-            parts.append(f"recall[{c}]={stats['recall'][c]!r}")
+        usable = _labeled(windows)
+        logits = predict_logits(model, head, usable.data())
+        stats = evaluate_classification(logit_classes(logits), usable.labels)
+        ce = float(np.mean(cross_entropy(logits, usable.labels)))
+        parts = [f"count={len(usable)}", f"ce={ce!r}"] + [
+            f"{k}={stats[k]!r}"
+            for k in ("accuracy", "macro_precision", "macro_recall")]
+        parts += [f"{k}[{c}]={stats[k][c]!r}"
+                  for c in (-1, 0, 1) for k in ("precision", "recall")]
         line = " ".join(parts)
     else:
         imputing = head is not None and head.kind == IMPUTATION
         data = (_prepare_task_data(windows, IMPUTATION, args.seed,
                                    args.mask_ratio) if imputing else windows)
-        X = np.stack([(w.masked_input() if imputing else w.data).ravel()
-                      for w in data])
-        R = model.encode(X)
+        X = data.data()
+        X_in = masked_input(X, data.masks) if imputing else X
+        R = model.encode(X_in.reshape(len(X), -1))
         Y = np.atleast_2d(head.forward(R) if imputing else model.decode(R))
-        xs = [w.data for w in data]
-        xhs = [y.reshape(T, -1) for y in Y]
-        masked_vals = ([masked_mse(x, xh, w.mask)
-                        for x, xh, w in zip(xs, xhs, data)]
-                       if imputing else None)
-        rep = report(xs, xhs, cfg, levels, masked=masked_vals)
+        Xh = Y.reshape(X.shape)
+        masked_vals = masked_mse(X, Xh, data.masks) if imputing else None
+        rep = report(X, Xh, cfg, levels, masked=masked_vals)
         line = " ".join(f"{k}={v!r}" for k, v in rep.as_items())
 
     out = _out_path(args.out)
@@ -376,11 +354,9 @@ def cmd_transfer(args) -> int:
     windows, meta = _load_split(data_dir, "train", T, args.step)
     data = _prepare_task_data(windows, PREDICTION, args.seed)
 
-    test_windows, _ = _load_split(data_dir, "test", T, args.step)
-    usable = [w for w in test_windows if w.label is not None]
-    labels = np.array([w.label for w in usable])
+    usable = _labeled(_load_split(data_dir, "test", T, args.step)[0])
     before = evaluate_classification(
-        predict_labels(model, head, usable), labels
+        predict_labels(model, head, usable.data()), usable.labels
     )
 
     encoder_before = {k: model.params[k].copy()
@@ -394,7 +370,7 @@ def cmd_transfer(args) -> int:
         assert np.array_equal(model.params[k], v), "encoder changed"
 
     after = evaluate_classification(
-        predict_labels(model, head, usable), labels
+        predict_labels(model, head, usable.data()), usable.labels
     )
 
     out = _out_path(args.out)
@@ -465,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a reference model")
     p.add_argument("--data", required=True)
-    p.add_argument("--task", choices=sorted(TASKS), required=True)
+    p.add_argument("--task", choices=sorted(HEAD_KINDS), required=True)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)

@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -88,7 +89,7 @@ def read_flow(path) -> FlowStream:
                 f"expected 7 fields, got {len(parts)}", offset=offset
             )
         try:
-            orders.append(Order(
+            order = Order(
                 timestamp=int(parts[0]),
                 id=int(parts[1]),
                 side=parts[2],
@@ -96,9 +97,14 @@ def read_flow(path) -> FlowStream:
                 price=int(parts[4]) if parts[4] else None,
                 volume=int(parts[5]) if parts[5] else None,
                 target_id=int(parts[6]) if parts[6] else None,
-            ))
+            )
         except (ValueError, BookError) as exc:
             raise FormatError(str(exc), offset=offset) from exc
+        if orders and order.timestamp < orders[-1].timestamp:
+            raise FormatError(f"timestamp {order.timestamp} precedes the "
+                              f"previous order's {orders[-1].timestamp}",
+                              offset=offset, field="timestamp")
+        orders.append(order)
         offset += len(line) + 1
     return FlowStream(profile=profile, seed=seed, orders=orders,
                       tick_size=tick)
@@ -134,7 +140,7 @@ def load_tensor(path) -> np.ndarray:
                           field="version")
     dims = _unpack(f"<{ndim}I", raw, 12, "dims")
     start = 12 + 4 * ndim
-    expected = int(np.prod(dims)) * 8
+    expected = math.prod(dims) * 8
     if len(raw) - start != expected:
         raise FormatError(
             f"payload is {len(raw) - start} bytes, expected {expected}",
@@ -238,23 +244,27 @@ def load_checkpoint(path) -> dict:
     for _ in range(count):
         (namelen,) = _unpack("<H", raw, pos, "name")
         pos += 2
-        name = raw[pos : pos + namelen].decode("utf-8")
+        try:
+            name = raw[pos : pos + namelen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("array name is not UTF-8", offset=pos,
+                              field="name") from None
         pos += namelen
         (ndim,) = _unpack("<B", raw, pos, "ndim")
         pos += 1
         dims = _unpack(f"<{ndim}I", raw, pos, "dims")
         pos += 4 * ndim
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         if pos + 8 * n > len(raw):
             raise FormatError(
                 f"payload of {name!r} is {len(raw) - pos} bytes, "
                 f"expected {8 * n}", offset=pos, field="data",
             )
-        arrays[name] = (
-            np.frombuffer(raw[pos : pos + 8 * n], dtype="<f8")
-            .reshape(dims)
-            .copy()
-        )
+        try:
+            arrays[name] = np.frombuffer(raw, "<f8", n, pos).reshape(dims).copy()
+        except ValueError as exc:  # e.g. over 64 dims, or a size overflow
+            raise FormatError(f"bad shape of {name!r}: {exc}",
+                              offset=pos - 4 * ndim, field="dims") from None
         pos += 8 * n
     if pos != len(raw):
         raise FormatError("trailing bytes", offset=pos, field="data")

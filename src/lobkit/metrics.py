@@ -5,6 +5,10 @@ weighted MSE sums over time without dividing by T (so it is not on the same
 scale as MSE), and L_reg is a hinge penalty on adjacent-price inversions
 across the merged bid/ask ladder, averaged over time steps. Gradients are
 exact; the hinge subgradient at zero is taken as 0.
+
+Each loss maps one (T, C) window to a float and a (B, T, C) batch to its (B,)
+per-window values, bit-identical to one call per window; gradients keep their
+input's shape. Logits, labels and masks gain the same leading batch axis.
 """
 
 from __future__ import annotations
@@ -23,9 +27,14 @@ class MetricError(Exception):
 def _check(x: np.ndarray, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     xh = np.asarray(xh, dtype=float)
-    if x.shape != xh.shape or x.ndim != 2:
+    if x.shape != xh.shape or x.ndim not in (2, 3):
         raise MetricError(f"shape mismatch: {x.shape} vs {xh.shape}")
     return x, xh
+
+
+def _per_window(v):
+    """A float for one window, the (B,) array of values for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass
@@ -66,36 +75,40 @@ class LossConfig:
             raise MetricError("need 0 <= alpha <= 1 and lam >= 0")
 
 
-def mse(x: np.ndarray, xh: np.ndarray) -> float:
+def mse(x: np.ndarray, xh: np.ndarray):
     x, xh = _check(x, xh)
-    return float(np.mean((x - xh) ** 2))
+    return _per_window(np.mean((x - xh) ** 2, axis=(-2, -1)))
 
 
-def mae(x: np.ndarray, xh: np.ndarray) -> float:
+def mae(x: np.ndarray, xh: np.ndarray):
     x, xh = _check(x, xh)
-    return float(np.mean(np.abs(x - xh)))
+    return _per_window(np.mean(np.abs(x - xh), axis=(-2, -1)))
 
 
-def wmse(x: np.ndarray, xh: np.ndarray, p: WeightProfile) -> float:
+def wmse(x: np.ndarray, xh: np.ndarray, p: WeightProfile):
     """(1/W) sum_j w_j sum_i e_ij^2; the time sum is not divided by T."""
     x, xh = _check(x, xh)
-    col_sq = ((x - xh) ** 2).sum(axis=0)
-    return float(np.dot(p.w, col_sq) / p.W)
+    col_sq = ((x - xh) ** 2).sum(axis=-2)
+    return _per_window(np.vecdot(col_sq, p.w) / p.W)
 
 
 def price_volume_losses(
     x: np.ndarray, xh: np.ndarray, levels: int = DEFAULT_LEVELS
-) -> tuple[float, float]:
+) -> tuple:
     """Mean squared error over the 20 price and 20 volume columns separately."""
     x, xh = _check(x, xh)
     sq = (x - xh) ** 2
-    return (
-        float(np.mean(sq[:, price_cols(levels)])),
-        float(np.mean(sq[:, volume_cols(levels)])),
-    )
+
+    def part(cols):
+        # each window's selected columns laid out column-major, as the
+        # one-window fancy index lays them out, so the sums add alike
+        sel = np.ascontiguousarray(np.swapaxes(sq[..., cols], -2, -1))
+        return _per_window(np.mean(sel, axis=(-2, -1)))
+
+    return part(price_cols(levels)), part(volume_cols(levels))
 
 
-def l_reg(xh: np.ndarray, levels: int = DEFAULT_LEVELS) -> float:
+def l_reg(xh: np.ndarray, levels: int = DEFAULT_LEVELS):
     """Hinge penalty on adjacent inversions of the expected-ascending ladder.
 
     Per time step the 2*levels prices are taken in the order b_p[l..1],
@@ -103,28 +116,30 @@ def l_reg(xh: np.ndarray, levels: int = DEFAULT_LEVELS) -> float:
     the result is averaged over time steps.
     """
     xh = np.asarray(xh, dtype=float)
-    ladder = xh[:, ladder_cols(levels)]
-    gaps = ladder[:, :-1] - ladder[:, 1:]
-    return float(np.mean(np.maximum(gaps, 0.0).sum(axis=1) / (2 * levels - 1)))
+    ladder = xh[..., ladder_cols(levels)]
+    gaps = ladder[..., :-1] - ladder[..., 1:]
+    # summed left to right along the ladder whatever the memory layout
+    hinge = np.cumsum(np.maximum(gaps, 0.0), axis=-1)[..., -1]
+    return _per_window(np.mean(hinge / (2 * levels - 1), axis=-1))
 
 
 def l_reg_gradient(xh: np.ndarray, levels: int = DEFAULT_LEVELS) -> np.ndarray:
     xh = np.asarray(xh, dtype=float)
-    T = xh.shape[0]
+    T = xh.shape[-2]
     cols = ladder_cols(levels)
-    ladder = xh[:, cols]
-    active = (ladder[:, :-1] - ladder[:, 1:]) > 0  # subgradient at 0 is 0
+    ladder = xh[..., cols]
+    active = (ladder[..., :-1] - ladder[..., 1:]) > 0  # subgradient at 0 is 0
     g_ladder = np.zeros_like(ladder)
     scale = 1.0 / ((2 * levels - 1) * T)
-    g_ladder[:, :-1] += active * scale
-    g_ladder[:, 1:] -= active * scale
+    g_ladder[..., :-1] += active * scale
+    g_ladder[..., 1:] -= active * scale
     grad = np.zeros_like(xh)
-    grad[:, cols] = g_ladder
+    grad[..., cols] = g_ladder
     return grad
 
 
 def l_all(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
-          levels: int = DEFAULT_LEVELS) -> float:
+          levels: int = DEFAULT_LEVELS):
     return (
         cfg.alpha * mse(x, xh)
         + (1 - cfg.alpha) * wmse(x, xh, cfg.weights)
@@ -137,7 +152,7 @@ def l_all_gradient(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
     """Exact d l_all / d xh, same shape as xh."""
     x, xh = _check(x, xh)
     e = xh - x
-    g_mse = 2.0 * e / e.size
+    g_mse = 2.0 * e / (e.shape[-2] * e.shape[-1])
     g_wmse = 2.0 * e * (cfg.weights.w / cfg.weights.W)
     grad = cfg.alpha * g_mse + (1 - cfg.alpha) * g_wmse
     if cfg.lam != 0:
@@ -145,39 +160,49 @@ def l_all_gradient(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
     return grad
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
+def _softmax_parts(logits, label):
+    """Max-subtracted logits and the one-hot of class index label + 1."""
+    logits = np.asarray(logits, dtype=float)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z, np.eye(z.shape[-1], dtype=bool)[np.asarray(label) + 1]
+
+
+def cross_entropy(logits: np.ndarray, label):
     """Softmax cross-entropy for a trend label in {-1, 0, +1} (class index
     label + 1), computed with max-subtraction for stability."""
-    logits = np.asarray(logits, dtype=float)
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label + 1])
+    z, onehot = _softmax_parts(logits, label)
+    picked = z[onehot].reshape(z.shape[:-1])
+    return _per_window(np.log(np.exp(z).sum(axis=-1)) - picked)
 
 
-def cross_entropy_gradient(logits: np.ndarray, label: int) -> np.ndarray:
-    logits = np.asarray(logits, dtype=float)
-    z = np.exp(logits - logits.max())
-    p = z / z.sum()
-    p[label + 1] -= 1.0
-    return p
+def cross_entropy_gradient(logits: np.ndarray, label) -> np.ndarray:
+    z, onehot = _softmax_parts(logits, label)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True) - onehot
 
 
-def masked_mse(x: np.ndarray, xh: np.ndarray, mask: np.ndarray) -> float:
-    """Mean squared error over the masked time steps (all columns)."""
+def _masked_error(x, xh, mask):
+    """The int mask and xh - x at the masked time steps, (k, C) or (B, k, C)."""
     x, xh = _check(x, xh)
-    mask = np.asarray(mask, dtype=int)
+    mask = np.asarray(mask, dtype=int)[..., None]
     if mask.size == 0:
         raise MetricError("mask must be non-empty")
-    return float(np.mean((x[mask] - xh[mask]) ** 2))
+    return mask, (np.take_along_axis(xh, mask, axis=-2)
+                  - np.take_along_axis(x, mask, axis=-2))
+
+
+def masked_mse(x: np.ndarray, xh: np.ndarray, mask: np.ndarray):
+    """Mean squared error over the masked time steps (all columns)."""
+    _, err = _masked_error(x, xh, mask)
+    return _per_window(np.mean(err ** 2, axis=(-2, -1)))
 
 
 def masked_mse_gradient(x: np.ndarray, xh: np.ndarray,
                         mask: np.ndarray) -> np.ndarray:
-    x, xh = _check(x, xh)
-    mask = np.asarray(mask, dtype=int)
-    if mask.size == 0:
-        raise MetricError("mask must be non-empty")
-    grad = np.zeros_like(xh)
-    grad[mask] = 2.0 * (xh[mask] - x[mask]) / (mask.size * x.shape[1])
+    mask, err = _masked_error(x, xh, mask)
+    grad = np.zeros(np.shape(xh))
+    k_cells = err.shape[-2] * err.shape[-1]
+    np.put_along_axis(grad, mask, 2.0 * err / k_cells, axis=-2)
     return grad
 
 
@@ -197,45 +222,28 @@ class MetricsReport:
     masked_mse: float | None = None
 
     def as_items(self) -> list[tuple[str, object]]:
-        items = [
-            ("count", self.count),
-            ("mse", self.mse),
-            ("mae", self.mae),
-            ("wmse", self.wmse),
-            ("l_price", self.l_price),
-            ("l_volume", self.l_volume),
-            ("l_reg", self.l_reg),
-            ("l_all", self.l_all),
-        ]
-        if self.ce is not None:
-            items.append(("ce", self.ce))
-        if self.masked_mse is not None:
-            items.append(("masked_mse", self.masked_mse))
-        return items
+        """count first, then the metrics; ce and masked_mse when present."""
+        names = ("count", "mse", "mae", "wmse", "l_price", "l_volume",
+                 "l_reg", "l_all", "ce", "masked_mse")
+        return [(k, getattr(self, k)) for k in names
+                if getattr(self, k) is not None]
 
 
 def report(
     xs, xhs, cfg: LossConfig, levels: int = DEFAULT_LEVELS,
     ces=None, masked=None,
 ) -> MetricsReport:
-    """Aggregate metrics over matched lists of true/predicted windows."""
-    n = len(xs)
-    if n == 0:
-        raise MetricError("empty evaluation set")
-    acc = {k: 0.0 for k in ("mse", "mae", "wmse", "lp", "lv", "lr", "la")}
-    for x, xh in zip(xs, xhs):
-        acc["mse"] += mse(x, xh)
-        acc["mae"] += mae(x, xh)
-        acc["wmse"] += wmse(x, xh, cfg.weights)
-        lp, lv = price_volume_losses(x, xh, levels)
-        acc["lp"] += lp
-        acc["lv"] += lv
-        acc["lr"] += l_reg(xh, levels)
-        acc["la"] += l_all(x, xh, cfg, levels)
+    """Aggregate metrics over matched (N, T, C) true/predicted windows."""
+    if np.ndim(xs) != 3 or len(xs) == 0:
+        raise MetricError("need a non-empty (N, T, C) evaluation set")
+    x, xh = _check(xs, xhs)
+    per_window = (mse(x, xh), mae(x, xh), wmse(x, xh, cfg.weights),
+                  *price_volume_losses(x, xh, levels), l_reg(xh, levels),
+                  l_all(x, xh, cfg, levels))
     return MetricsReport(
-        mse=acc["mse"] / n, mae=acc["mae"] / n, wmse=acc["wmse"] / n,
-        l_price=acc["lp"] / n, l_volume=acc["lv"] / n, l_reg=acc["lr"] / n,
-        l_all=acc["la"] / n, count=n,
+        # each mean sums its per-window values one after another
+        *(float(np.cumsum(v)[-1]) / len(x) for v in per_window),
+        count=len(x),
         ce=None if ces is None else float(np.mean(ces)),
         masked_mse=None if masked is None else float(np.mean(masked)),
     )

@@ -21,6 +21,7 @@ from .metrics import (
     masked_mse,
     masked_mse_gradient,
 )
+from .preprocess import Windows, masked_input
 
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
@@ -183,31 +184,24 @@ def _batch_backward(model, head, cache, GY, freeze_encoder: bool):
     return grads
 
 
-def _task_loss_grad(task, Y, batch, cfg):
-    """Mean loss over the batch and dLoss/dY, per task kind."""
+def _task_loss_grad(task, Y, X, batch: Windows, cfg):
+    """Mean loss over the batch and dLoss/dY, per task kind; X is the batch's
+    (B, T, C) windows."""
     B = Y.shape[0]
-    T = batch[0].T
-    n_cols = batch[0].data.shape[1]
-    loss = 0.0
-    GY = np.empty_like(Y)
-    for i, w in enumerate(batch):
-        if task == PREDICTION:
-            loss += cross_entropy(Y[i], w.label)
-            GY[i] = cross_entropy_gradient(Y[i], w.label)
-        elif task == IMPUTATION:
-            xh = Y[i].reshape(T, n_cols)
-            loss += masked_mse(w.data, xh, w.mask)
-            GY[i] = masked_mse_gradient(w.data, xh, w.mask).ravel()
+    if task == PREDICTION:
+        losses = cross_entropy(Y, batch.labels)
+        GY = cross_entropy_gradient(Y, batch.labels)
+    else:
+        Xh = Y.reshape(X.shape)
+        if task == IMPUTATION:
+            losses = masked_mse(X, Xh, batch.masks)
+            GY = masked_mse_gradient(X, Xh, batch.masks)
         else:
-            xh = Y[i].reshape(T, n_cols)
-            loss += l_all(w.data, xh, cfg.loss, cfg.levels)
-            GY[i] = l_all_gradient(w.data, xh, cfg.loss, cfg.levels).ravel()
-    return loss / B, GY / B
-
-
-def _model_input(task, w) -> np.ndarray:
-    x = w.masked_input() if task == IMPUTATION else w.data
-    return x.ravel()
+            losses = l_all(X, Xh, cfg.loss, cfg.levels)
+            GY = l_all_gradient(X, Xh, cfg.loss, cfg.levels)
+        GY = GY.reshape(B, -1)
+    # the per-window losses are summed one after another, in batch order
+    return float(np.cumsum(losses)[-1]) / B, GY / B
 
 
 def _clip(grads: dict, max_norm: float):
@@ -218,12 +212,13 @@ def _clip(grads: dict, max_norm: float):
             g *= scale
 
 
-def train(model: LinearAutoencoder, head: TaskHead | None, data: list,
+def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
           cfg: TrainConfig, max_batches: int | None = None):
     """Mini-batch Adam over the given windows; returns per-epoch loss trace.
 
-    `data` is a list of Window objects: labeled for prediction, masked for
-    imputation, plain for reconstruction. Shuffling and batching are
+    `data` carries labels for prediction, masks for imputation, neither for
+    reconstruction. Each batch is gathered from its view as it is used, so
+    the split is never copied whole. Shuffling and batching are
     deterministic per cfg.seed. Model and head are updated in place.
     """
     if not data:
@@ -234,7 +229,6 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: list,
     batch_id = 0
     targets = [model.params] if head is None else [model.params, head.params]
     all_params = {k: v for d in targets for k, v in d.items()}
-    inputs = np.stack([_model_input(cfg.task, w) for w in data])
     for epoch in range(cfg.epochs):
         if epoch < cfg.warmup_epochs:
             adam.lr = cfg.lr * (epoch + 1) / cfg.warmup_epochs
@@ -250,23 +244,23 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: list,
             if max_batches is not None and batch_id >= max_batches:
                 return trace
             idx = order[start : start + cfg.batch_size]
-            batch = [data[i] for i in idx]
+            batch = data.take(idx)
+            X = batch.data()
+            X_in = masked_input(X, batch.masks) if cfg.task == IMPUTATION else X
             # divergence is detected from the loss, so let overflow propagate
             # to inf/nan silently instead of spamming warnings first
             with np.errstate(over="ignore", invalid="ignore"):
-                Y, cache = _batch_forward(model, head, inputs[idx])
-                loss, GY = _task_loss_grad(
-                    cfg.task, np.atleast_2d(Y), batch, cfg
-                )
+                Y, cache = _batch_forward(model, head,
+                                          X_in.reshape(len(idx), -1))
+                loss, GY = _task_loss_grad(cfg.task, Y, X, batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
                     norm = float(np.sqrt(sum(
                         float((p * p).sum()) for p in all_params.values()
                     )))
                 raise NumericError(batch_id, norm)
-            grads = _batch_backward(
-                model, head, cache, np.atleast_2d(GY), cfg.freeze_encoder
-            )
+            grads = _batch_backward(model, head, cache, GY,
+                                    cfg.freeze_encoder)
             if cfg.clip_norm is not None:
                 _clip(grads, cfg.clip_norm)
             adam.update(all_params, grads)
@@ -277,7 +271,7 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: list,
     return trace
 
 
-def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: list,
+def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                     cfg: TrainConfig, budget: int):
     """Fine-tune only the head for at most `budget` optimizer steps."""
     if budget == 0:
@@ -287,10 +281,9 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: list,
 
 
 def predict_logits(model: LinearAutoencoder, head: TaskHead,
-                   windows: list) -> np.ndarray:
-    """Prediction-head logits, one row per window."""
-    X = np.stack([w.data.ravel() for w in windows])
-    return np.atleast_2d(head.forward(model.encode(X)))
+                   X: np.ndarray) -> np.ndarray:
+    """Prediction-head logits, one row per window of the (N, T, C) X."""
+    return np.atleast_2d(head.forward(model.encode(X.reshape(len(X), -1))))
 
 
 def logit_classes(logits: np.ndarray) -> np.ndarray:
@@ -299,8 +292,8 @@ def logit_classes(logits: np.ndarray) -> np.ndarray:
 
 
 def predict_labels(model: LinearAutoencoder, head: TaskHead,
-                   windows: list) -> np.ndarray:
-    return logit_classes(predict_logits(model, head, windows))
+                   X: np.ndarray) -> np.ndarray:
+    return logit_classes(predict_logits(model, head, X))
 
 
 def evaluate_classification(preds, labels) -> dict:

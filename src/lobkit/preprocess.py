@@ -1,5 +1,7 @@
 """Normalization, chronological splitting, windowing, labeling and masking.
 
+A split's windows are arrays (see Windows); a batch is view[starts[idx]].
+
 Two z-score schemes are supported. Feature-wise standardizes each of the 40
 columns independently and is known to break price-level ordering; the global
 scheme pools all 20 price columns into one (mu, sigma) pair and all 20 volume
@@ -12,7 +14,7 @@ Trend labels are always computed on raw, unnormalized mid-prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,25 +65,26 @@ class LabelConfig:
             raise PreprocessError("need horizon >= 1 and delta >= 0")
 
 
-@dataclass
-class Window:
-    """One T x (4*l) slice of a series, optionally labeled and/or masked."""
+@dataclass(frozen=True)
+class Windows:
+    """A split's windows as arrays: window i is view[starts[i]]."""
 
-    data: np.ndarray  # (T, 4*l), may be a view into the parent series
-    label: int | None = None
-    mask: np.ndarray | None = None  # sorted masked time-step indices
-    origin: tuple = ("", 0, 0)  # (instrument, day, start index)
+    view: np.ndarray  # (n-T+1, T, C), usually window_view(series, T)
+    starts: np.ndarray  # (N,) int start rows into the series
+    labels: np.ndarray | None = None  # (N,) trend labels
+    masks: np.ndarray | None = None  # (N, k) sorted masked time steps
 
-    @property
-    def T(self) -> int:
-        return self.data.shape[0]
+    def __len__(self) -> int:
+        return len(self.starts)
 
-    def masked_input(self) -> np.ndarray:
-        """Copy of data with masked rows zeroed, for model input."""
-        out = self.data.copy()
-        if self.mask is not None:
-            out[self.mask] = 0.0
-        return out
+    def data(self, idx=slice(None)) -> np.ndarray:
+        """(len(idx), T, C) copy of the windows at positions idx."""
+        return self.view[self.starts[idx]]
+
+    def take(self, idx) -> "Windows":
+        """The windows at positions idx (an index array or boolean mask)."""
+        rest = (None if a is None else a[idx] for a in (self.labels, self.masks))
+        return Windows(self.view, self.starts[idx], *rest)
 
 
 def _fit(values: np.ndarray) -> tuple[float, float]:
@@ -146,22 +149,19 @@ def split_train_test(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data[:cut], data[cut:]
 
 
-def make_windows(
-    series: np.ndarray,
-    T: int = 100,
-    step: int = 1,
-    origin: tuple = ("", 0, 0),
-) -> list[Window]:
-    """Sliding windows of T rows; starts 0, step, ..., up to N-T."""
-    series = np.asarray(series, dtype=float)
-    n = series.shape[0]
-    if n < T:
-        return []
-    instrument, day, base = origin
-    return [
-        Window(data=series[i : i + T], origin=(instrument, day, base + i))
-        for i in range(0, n - T + 1, step)
-    ]
+def window_view(series: np.ndarray, T: int) -> np.ndarray:
+    """Read-only (n-T+1, T, C) view of every T-row window of a series."""
+    view = np.lib.stride_tricks.sliding_window_view(series, T, axis=0)
+    return view.swapaxes(1, 2)
+
+
+def make_windows(series: np.ndarray, T: int = 100, step: int = 1,
+                 blocks=None) -> np.ndarray:
+    """Start rows a, a+step, ..., up to b-T of the T-row windows of each block
+    [a, b) (the whole series by default); no window crosses a block."""
+    blocks = [(0, len(series))] if blocks is None else blocks
+    return np.concatenate([np.arange(a, b - T + 1, step) for a, b in blocks],
+                          dtype=np.intp)
 
 
 def label_trend(mids: np.ndarray, t: int, cfg: LabelConfig) -> int:
@@ -179,30 +179,36 @@ def label_trend(mids: np.ndarray, t: int, cfg: LabelConfig) -> int:
     return 0
 
 
-def balance_classes(windows: list[Window], seed: int) -> list[Window]:
-    """Down-sample each label class to the minority count, without replacement."""
-    by_label: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        if w.label is None:
-            raise PreprocessError(f"window {i} has no label")
-        by_label.setdefault(w.label, []).append(i)
+def balance_classes(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Down-sample each label class to the minority count, without
+    replacement; returns the sorted positions of the kept labels."""
+    labels = np.asarray(labels)
+    if np.isnan(labels).any():
+        raise PreprocessError("every window needs a label")
+    classes, counts = np.unique(labels, return_counts=True)
     for lbl in (-1, 0, 1):
-        if lbl not in by_label:
+        if lbl not in classes:
             raise PreprocessError(f"class {lbl} has no samples")
-    k = min(len(v) for v in by_label.values())
     rng = np.random.default_rng(seed)
-    keep: list[int] = []
-    for lbl in sorted(by_label):
-        idx = np.array(by_label[lbl])
-        keep.extend(rng.choice(idx, size=k, replace=False).tolist())
-    return [windows[i] for i in sorted(keep)]
+    keep = [rng.choice(np.flatnonzero(labels == lbl), size=counts.min(),
+                       replace=False) for lbl in classes]
+    return np.sort(np.concatenate(keep))
 
 
-def mask_for_imputation(w: Window, ratio: float = 0.2, seed: int = 0) -> Window:
-    """Mask floor(ratio*T) distinct time steps, chosen uniformly per seed."""
+def mask_for_imputation(n: int, T: int, ratio: float = 0.2,
+                        seed: int = 0) -> np.ndarray:
+    """(n, floor(ratio*T)) masked time steps: row i holds distinct steps of a
+    T-row window, sorted, drawn uniformly with seed + i."""
     if not 0 < ratio < 1:
         raise PreprocessError(f"ratio must be in (0, 1), got {ratio}")
-    k = int(ratio * w.T)
-    rng = np.random.default_rng(seed)
-    mask = np.sort(rng.choice(w.T, size=k, replace=False))
-    return Window(data=w.data, label=w.label, mask=mask, origin=w.origin)
+    k = int(ratio * T)
+    draws = [np.random.default_rng(seed + i).choice(T, size=k, replace=False)
+             for i in range(n)]
+    return np.sort(np.array(draws, dtype=np.intp).reshape(n, k), axis=1)
+
+
+def masked_input(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Model input: the (B, T, C) windows X with their masked rows zeroed."""
+    out = X.copy()
+    out[np.arange(len(X))[:, None], masks] = 0.0
+    return out

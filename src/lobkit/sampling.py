@@ -120,6 +120,8 @@ def sample(
     book must be populated (e.g. by pre-open seed orders) before the first
     grid point. Returns (DaySeries, engine events).
     """
+    if l < 1:
+        raise SamplingError(f"levels must be >= 1, got {l}")
     grid = calendar.grid()
     data = np.empty((len(grid), 4 * l))
     events = []

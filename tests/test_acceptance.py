@@ -35,7 +35,7 @@ from lobkit.models import (
 )
 from lobkit.preprocess import (
     LabelConfig,
-    Window,
+    Windows,
     balance_classes,
     fit_feature_stats,
     fit_group_stats,
@@ -44,6 +44,7 @@ from lobkit.preprocess import (
     mask_for_imputation,
     normalize,
     split_train_test,
+    window_view,
 )
 from lobkit.synth import PROFILES, generate_day, replay_check
 from tests.test_metrics import (
@@ -74,16 +75,17 @@ def day_windows(profile, seed, label_cfg):
     cut = train_raw.shape[0]
 
     def build(data_raw, blocks):
-        out = []
+        starts, labels = [], []
         normed = normalize(data_raw, stats)
         for a, b in blocks:
             mids = (data_raw[a:b, 0] + data_raw[a:b, 20]) / 2.0
-            for w in make_windows(normed[a:b], T=100, step=1):
-                t_last = w.origin[2] + 99
+            for s in make_windows(normed[a:b], T=100, step=1):
+                t_last = s + 99
                 if t_last + label_cfg.horizon < b - a:
-                    w.label = label_trend(mids, t_last, label_cfg)
-                    out.append(w)
-        return out
+                    starts.append(a + s)
+                    labels.append(label_trend(mids, t_last, label_cfg))
+        return Windows(window_view(normed, 100), np.array(starts),
+                       np.array(labels))
 
     return (
         build(train_raw, [(0, 2400), (2400, cut)]),
@@ -222,15 +224,15 @@ def test_criterion_05_gradients_match_finite_differences():
     from lobkit.models import _batch_backward, _batch_forward
 
     model = LinearAutoencoder(input_dim=8, latent=3, seed=5)
-    w = Window(data=rng.normal(size=(2, 4)))
+    w_data = rng.normal(size=(2, 4))
     tiny = LossConfig(weights=type(cfg.weights).inverse_level(1))
 
     def loss_fn():
-        Y, _ = _batch_forward(model, None, w.data.ravel()[None, :])
-        return l_all(w.data, Y[0].reshape(2, 4), tiny, 1)
+        Y, _ = _batch_forward(model, None, w_data.ravel()[None, :])
+        return l_all(w_data, Y[0].reshape(2, 4), tiny, 1)
 
-    Y, cache = _batch_forward(model, None, w.data.ravel()[None, :])
-    GY = l_all_gradient(w.data, Y[0].reshape(2, 4), tiny, 1).ravel()[None, :]
+    Y, cache = _batch_forward(model, None, w_data.ravel()[None, :])
+    GY = l_all_gradient(w_data, Y[0].reshape(2, 4), tiny, 1).ravel()[None, :]
     grads = _batch_backward(model, None, cache, GY, False)
     h = 1e-5
     for name, arr in model.params.items():
@@ -261,23 +263,19 @@ def test_criterion_06_pipeline_closed_forms():
     ws = make_windows(morning, T=100)
     assert len(ws) == 2400 - 99
 
-    masked = mask_for_imputation(ws[0], ratio=0.2, seed=0)
-    assert len(masked.mask) == 20  # floor(0.2 * 100)
+    masked = mask_for_imputation(1, 100, ratio=0.2, seed=0)
+    assert len(masked[0]) == 20  # floor(0.2 * 100)
 
     cfg = LabelConfig(horizon=5, delta=0.0001)
     mids = (morning[:, 0] + morning[:, 20]) / 2.0
-    labeled = []
-    for w in ws:
-        t_last = w.origin[2] + 99
-        if t_last + cfg.horizon < len(mids):
-            w.label = label_trend(mids, t_last, cfg)
-            labeled.append(w)
-    counts = {c: sum(1 for w in labeled if w.label == c) for c in (-1, 0, 1)}
-    balanced = balance_classes(labeled, seed=2)
+    labeled = np.array([label_trend(mids, s + 99, cfg) for s in ws
+                        if s + 99 + cfg.horizon < len(mids)])
+    counts = {c: sum(1 for w in labeled if w == c) for c in (-1, 0, 1)}
+    balanced = labeled[balance_classes(labeled, seed=2)]
     minority = min(counts.values())
     assert minority > 0
     for c in (-1, 0, 1):
-        assert sum(1 for w in balanced if w.label == c) == minority
+        assert sum(1 for w in balanced if w == c) == minority
     print(f"ACCEPTANCE 6 PASS: split 3792/948, windows N-99, masks "
           f"floor(0.2T)=20, balanced classes = minority ({minority})")
 
@@ -291,28 +289,29 @@ def test_criterion_07_end_to_end_learnability():
     train_raw, _ = split_train_test(series.data)
     stats = fit_group_stats(train_raw)
     tr = normalize(train_raw, stats)
-    ws = (make_windows(tr[:2400], T=100, step=10)
-          + make_windows(tr[2400:], T=100, step=10))
-    val_w = ws[3::4]  # every 4th window held out for validation
-    tr_w = [w for i, w in enumerate(ws) if i % 4 != 3]
+    ws = Windows(window_view(tr, 100), make_windows(
+        tr, T=100, step=10, blocks=[(0, 2400), (2400, len(tr))]))
+    val_w = ws.data(slice(3, None, 4))  # every 4th window held out for validation
+    tr_w = ws.take(np.arange(len(ws)) % 4 != 3)
 
     model = LinearAutoencoder(seed=0)
     train(model, None, tr_w,
           TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=0))
-    mu = np.vstack([w.data for w in tr_w]).mean(axis=0)
+    mu = np.vstack(tr_w.data()).mean(axis=0)
     val = np.mean([
-        mse(w.data, model.decode(model.encode(w.data.ravel())).reshape(100, 40))
+        mse(w, model.decode(model.encode(w.ravel())).reshape(100, 40))
         for w in val_w
     ])
-    base = np.mean([mse(w.data, np.tile(mu, (100, 1))) for w in val_w])
+    base = np.mean([mse(w, np.tile(mu, (100, 1))) for w in val_w])
     assert val <= 0.5 * base, f"val {val:.4f} vs baseline {base:.4f}"
 
     overfit = LinearAutoencoder(seed=0)
-    train(overfit, None, [tr_w[0]],
+    train(overfit, None, tr_w.take([0]),
           TrainConfig(epochs=100, batch_size=1, lr=2e-3, seed=0,
                       lr_schedule="cosine", warmup_epochs=5, beta1=0.5))
-    xh = overfit.decode(overfit.encode(tr_w[0].data.ravel())).reshape(100, 40)
-    final = l_all(tr_w[0].data, xh, LossConfig())
+    w0 = tr_w.data(0)
+    xh = overfit.decode(overfit.encode(w0.ravel())).reshape(100, 40)
+    final = l_all(w0, xh, LossConfig())
     assert final < 1e-3, f"single-sample L_All {final:.3e}"
 
     elapsed = time.time() - t0
@@ -330,26 +329,27 @@ def test_criterion_08_frozen_encoder_transfer():
 
     model = LinearAutoencoder(seed=0)
     head = TaskHead(PREDICTION, seed=1)
-    train(model, head, balance_classes(src_train, 5),
+    train(model, head, src_train.take(balance_classes(src_train.labels, 5)),
           TrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=2,
                       task=PREDICTION, lr_schedule="cosine",
                       warmup_epochs=3, beta1=0.5))
 
-    labels = np.array([w.label for w in tgt_test])
+    labels = tgt_test.labels
     before = evaluate_classification(
-        predict_labels(model, head, tgt_test), labels
+        predict_labels(model, head, tgt_test.data()), labels
     )
     encoder_bytes = {
         k: model.params[k].tobytes() for k in ("enc.W", "enc.b")
     }
-    finetune_frozen(model, head, balance_classes(tgt_train, 6),
+    finetune_frozen(model, head,
+                    tgt_train.take(balance_classes(tgt_train.labels, 6)),
                     TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=3,
                                 task=PREDICTION),
                     budget=100)
     for k, raw in encoder_bytes.items():
         assert model.params[k].tobytes() == raw, f"{k} changed"
     after = evaluate_classification(
-        predict_labels(model, head, tgt_test), labels
+        predict_labels(model, head, tgt_test.data()), labels
     )
     assert after["macro_recall"] >= before["macro_recall"], (
         f"after {after['macro_recall']:.4f} < before "

@@ -151,6 +151,26 @@ def test_unknown_profile_is_rejected_by_the_parser(tmp_path):
     assert exc.value.code == 2
 
 
+def test_build_out_of_order_flow_exits_2_at_the_line(tmp_path, capsys):
+    flow = tmp_path / "flow.csv"
+    head = ("# profile = sz000001\n"
+            "34140000000000,1,bid,limit,1000,5,\n"
+            "34140000000000,2,ask,limit,1001,5,\n")
+    flow.write_text(head + "1,3,bid,limit,999,5,\n")
+    assert main(["build", "--flow", str(flow),
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"at byte {len(head)} (field timestamp)" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_build_rejects_levels_below_one(pipeline, tmp_path, capsys, levels):
+    assert main(["build", "--flow", str(pipeline / "flow.csv"),
+                 "--levels", levels,
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    assert "levels must be >= 1" in capsys.readouterr().err
+
+
 def test_divergent_training_is_numeric_abort(pipeline, tmp_path):
     assert main(["train", "--data", str(pipeline / "data"),
                  "--task", "reconstruction", "--out", str(tmp_path / "run"),

@@ -1,7 +1,12 @@
 """File-format tests: round-trips, byte stability, malformed-input errors."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobkit import io as lio
 from lobkit.book import ASK, BID, CANCEL, LIMIT, MARKET, Order
@@ -64,6 +69,19 @@ def test_flow_invalid_order_reports_offset(tmp_path):
         lio.read_flow(path)
     assert exc.value.offset == len(good)
     assert "bad side" in str(exc.value)
+
+
+def test_flow_out_of_order_timestamp_reports_offset(tmp_path):
+    path = tmp_path / "late.csv"
+    head = "10,1,bid,limit,100,5,\n20,2,ask,limit,101,5,\n"
+    path.write_text(head + "15,3,bid,limit,99,5,\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert exc.value.offset == len(head)
+    assert exc.value.field == "timestamp"
+    # equal timestamps are in order
+    path.write_text(head + "20,3,bid,limit,99,5,\n")
+    assert len(lio.read_flow(path).orders) == 3
 
 
 # ------------------------------------------------------------------ tensors
@@ -202,6 +220,72 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 8)
     with pytest.raises(lio.FormatError):
         lio.load_checkpoint(path)
+
+
+def test_checkpoint_undecodable_name_reports_offset(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    lio.save_checkpoint(path, {"w": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    raw[14] = 0xFF  # first byte of the first array's name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(lio.FormatError) as exc:
+        lio.load_checkpoint(path)
+    assert (exc.value.offset, exc.value.field) == (14, "name")
+
+
+def header_offsets(raw: bytes) -> list[int]:
+    """Offsets of every header byte of a tensor or checkpoint file: the file
+    header, and for a checkpoint each array's name, ndim and dims."""
+    if raw[:4] == lio.TENSOR_MAGIC:
+        return list(range(12 + 4 * struct.unpack_from("<I", raw, 8)[0]))
+    out, pos = list(range(12)), 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        (namelen,) = struct.unpack_from("<H", raw, pos)
+        ndim = raw[pos + 2 + namelen]
+        end = pos + 3 + namelen + 4 * ndim
+        out += range(pos, end)
+        pos = end + 8 * math.prod(
+            struct.unpack_from(f"<{ndim}I", raw, end - 4 * ndim))
+    return out
+
+
+@pytest.fixture(scope="module")
+def real_binaries(tmp_path_factory):
+    """A day's series.bin and a prediction checkpoint made by the CLI."""
+    from lobkit.cli import main
+
+    d = tmp_path_factory.mktemp("binaries")
+    assert main(["generate", "--profile", "sz000001", "--seed", "2",
+                 "--out", str(d / "flow.csv")]) == 0
+    assert main(["build", "--flow", str(d / "flow.csv"),
+                 "--out", str(d / "series.bin")]) == 0
+    assert main(["preprocess", "--series", str(d / "series.bin"),
+                 "--out", str(d / "data")]) == 0
+    assert main(["train", "--data", str(d / "data"), "--task", "prediction",
+                 "--epochs", "1", "--step", "50", "--latent", "4",
+                 "--out", str(d / "run")]) == 0
+    return {
+        "tensor": (d / "series.bin").read_bytes(),
+        "checkpoint": (d / "run" / "checkpoint.bin").read_bytes(),
+        "dir": d,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["tensor", "checkpoint"]),
+       pick=st.integers(min_value=0), flip=st.integers(1, 255))
+def test_header_bit_flip_loads_or_reports_offset(real_binaries, kind, pick,
+                                                  flip):
+    raw = bytearray(real_binaries[kind])
+    offsets = header_offsets(bytes(raw))
+    raw[offsets[pick % len(offsets)]] ^= flip
+    path = real_binaries["dir"] / f"flipped.{kind}"
+    path.write_bytes(bytes(raw))
+    load = lio.load_tensor if kind == "tensor" else lio.load_checkpoint
+    try:
+        load(path)
+    except lio.FormatError as exc:
+        assert exc.offset is not None
 
 
 def test_file_sha256_matches_hashlib(tmp_path):

@@ -4,7 +4,22 @@ optimizer behavior, freeze invariant, determinism, classification stats."""
 import numpy as np
 import pytest
 
-from lobkit.metrics import LossConfig, WeightProfile, cross_entropy, l_all, masked_mse
+from lobkit.metrics import (
+    LossConfig,
+    WeightProfile,
+    cross_entropy,
+    cross_entropy_gradient,
+    l_all,
+    l_all_gradient,
+    l_reg,
+    mae,
+    masked_mse,
+    masked_mse_gradient,
+    mse,
+    price_volume_losses,
+    report,
+    wmse,
+)
 from lobkit.models import (
     IMPUTATION,
     PREDICTION,
@@ -15,12 +30,13 @@ from lobkit.models import (
     TrainConfig,
     _batch_backward,
     _batch_forward,
+    _task_loss_grad,
     evaluate_classification,
     finetune_frozen,
     predict_labels,
     train,
 )
-from lobkit.preprocess import Window
+from lobkit.preprocess import Windows, masked_input
 
 TINY_L = 1  # 4 columns per snapshot row in the tiny fixtures
 TINY_T = 2  # input_dim = 8
@@ -37,16 +53,12 @@ def tiny_cfg(**kw):
 
 
 def tiny_windows(n, seed=0, labeled=False, masked=False):
+    """n independent tiny windows; the view holds them one per row."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        w = Window(data=rng.normal(size=(TINY_T, 4 * TINY_L)))
-        if labeled:
-            w.label = int(rng.integers(-1, 2))
-        if masked:
-            w.mask = np.array([int(rng.integers(TINY_T))])
-        out.append(w)
-    return out
+    view = rng.normal(size=(n, TINY_T, 4 * TINY_L))
+    labels = rng.integers(-1, 2, size=n) if labeled else None
+    masks = rng.integers(TINY_T, size=(n, 1)) if masked else None
+    return Windows(view, np.arange(n), labels, masks)
 
 
 # ----------------------------------------------------------------- forward
@@ -96,18 +108,38 @@ def flat_params(dicts):
     return np.concatenate([v.ravel() for d in dicts for v in d.values()])
 
 
-def whole_model_loss(model, head, windows, task, cfg):
-    total = 0.0
-    for w in windows:
-        x_in = (w.masked_input() if task == IMPUTATION else w.data).ravel()
-        Y, _ = _batch_forward(model, head, x_in[None, :])
+def model_inputs(task, windows):
+    X = windows.data()
+    X_in = masked_input(X, windows.masks) if task == IMPUTATION else X
+    return X_in.reshape(len(X), -1)
+
+
+def loop_loss_grad(task, Y, windows, cfg):
+    """Batch loss and dLoss/dY from one-window loss calls, in window order."""
+    B = len(windows)
+    X = windows.data()
+    loss = 0.0
+    GY = np.empty_like(Y)
+    for i in range(B):
         if task == PREDICTION:
-            total += cross_entropy(Y[0], w.label)
-        elif task == IMPUTATION:
-            total += masked_mse(w.data, Y[0].reshape(TINY_T, -1), w.mask)
+            label = int(windows.labels[i])
+            loss += cross_entropy(Y[i], label)
+            GY[i] = cross_entropy_gradient(Y[i], label)
         else:
-            total += l_all(w.data, Y[0].reshape(TINY_T, -1), cfg.loss, TINY_L)
-    return total / len(windows)
+            xh = Y[i].reshape(X[i].shape)
+            if task == IMPUTATION:
+                loss += masked_mse(X[i], xh, windows.masks[i])
+                g = masked_mse_gradient(X[i], xh, windows.masks[i])
+            else:
+                loss += l_all(X[i], xh, cfg.loss, cfg.levels)
+                g = l_all_gradient(X[i], xh, cfg.loss, cfg.levels)
+            GY[i] = g.ravel()
+    return loss / B, GY / B
+
+
+def whole_model_loss(model, head, windows, task, cfg):
+    Y, _ = _batch_forward(model, head, model_inputs(task, windows))
+    return loop_loss_grad(task, Y, windows, cfg)[0]
 
 
 @pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
@@ -124,12 +156,9 @@ def test_full_backward_pass_matches_finite_differences(task):
                            masked=task == IMPUTATION)
 
     # analytic gradients via the training internals
-    from lobkit.models import _model_input, _task_loss_grad
-
-    X = np.stack([_model_input(task, w) for w in windows])
-    Y, cache = _batch_forward(model, head, X)
-    _, GY = _task_loss_grad(task, np.atleast_2d(Y), windows, cfg)
-    grads = _batch_backward(model, head, cache, np.atleast_2d(GY), False)
+    Y, cache = _batch_forward(model, head, model_inputs(task, windows))
+    _, GY = _task_loss_grad(task, Y, windows.data(), windows, cfg)
+    grads = _batch_backward(model, head, cache, GY, False)
 
     # numeric check of every parameter entry
     h = 1e-5
@@ -153,6 +182,64 @@ def test_full_backward_pass_matches_finite_differences(task):
                     f"{name}{idx}: analytic {ana} vs numeric {num}"
                 )
                 it.iternext()
+
+
+def real_windows(T=100, n=64, seed=0):
+    """n windows of a real normalized day series, at scattered starts."""
+    from lobkit.preprocess import fit_group_stats, normalize, window_view
+    from lobkit.synth import PROFILES, generate_day, replay_check
+
+    series, _ = replay_check(generate_day(PROFILES["sz000001"], 0))
+    data = normalize(series.data, fit_group_stats(series.data))
+    rng = np.random.default_rng(seed)
+    starts = np.sort(rng.choice(len(data) - T + 1, size=n, replace=False))
+    masks = np.sort(np.stack([rng.choice(T, size=T // 5, replace=False)
+                              for _ in range(n)]), axis=1)
+    return Windows(window_view(data, T), starts,
+                   rng.integers(-1, 2, size=n), masks)
+
+
+@pytest.fixture(scope="module")
+def day_windows():
+    return real_windows()
+
+
+@pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
+def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
+    """The batched loss path is bit-identical to one loss call per window."""
+    cfg = TrainConfig(task=task)
+    out_dim = 3 if task == PREDICTION else 4000
+    rng = np.random.default_rng(11)
+    X = day_windows.data()
+    Y = (rng.normal(size=(len(X), out_dim)) if task == PREDICTION
+         else X.reshape(len(X), -1) + 0.3 * rng.normal(size=(len(X), out_dim)))
+    loss, GY = _task_loss_grad(task, Y, X, day_windows, cfg)
+    want_loss, want_GY = loop_loss_grad(task, Y, day_windows, cfg)
+    assert type(loss) is float
+    assert loss == want_loss
+    assert np.array_equal(GY, want_GY)
+
+
+def test_report_equals_per_window_means(day_windows):
+    cfg = LossConfig()
+    X = day_windows.data()
+    Xh = X + 0.3 * np.random.default_rng(12).normal(size=X.shape)
+    rep = report(X, Xh, cfg)
+    sums = dict.fromkeys(
+        ("mse", "mae", "wmse", "l_price", "l_volume", "l_reg", "l_all"), 0.0)
+    for x, xh in zip(X, Xh):
+        sums["mse"] += mse(x, xh)
+        sums["mae"] += mae(x, xh)
+        sums["wmse"] += wmse(x, xh, cfg.weights)
+        lp, lv = price_volume_losses(x, xh)
+        sums["l_price"] += lp
+        sums["l_volume"] += lv
+        sums["l_reg"] += l_reg(xh)
+        sums["l_all"] += l_all(x, xh, cfg)
+    assert rep.count == len(X)
+    for key, total in sums.items():
+        got = getattr(rep, key)
+        assert type(got) is float and got == total / len(X), key
 
 
 # -------------------------------------------------------------------- adam
@@ -276,7 +363,7 @@ def test_predict_labels_are_argmax_minus_one():
         p[:] = 0.0
     head.params["head.W"][:] = 0.0
     head.params["head.b"][:] = [0.0, 0.0, 1.0]
-    preds = predict_labels(model, head, tiny_windows(5, seed=9))
+    preds = predict_labels(model, head, tiny_windows(5, seed=9).data())
     assert np.all(preds == 1)
 
 

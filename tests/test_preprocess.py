@@ -17,7 +17,7 @@ from lobkit.preprocess import (
     SIGMA_FLOOR,
     LabelConfig,
     PreprocessError,
-    Window,
+    Windows,
     balance_classes,
     denormalize,
     fit_feature_stats,
@@ -25,8 +25,10 @@ from lobkit.preprocess import (
     label_trend,
     make_windows,
     mask_for_imputation,
+    masked_input,
     normalize,
     split_train_test,
+    window_view,
 )
 
 
@@ -168,17 +170,36 @@ def test_split_ceil_convention_and_minimum():
 
 def test_make_windows_counts_and_content():
     data = valid_rows(150, seed=5)
-    ws = make_windows(data, T=100)
-    assert len(ws) == 150 - 100 + 1
-    assert ws[0].T == 100
-    assert np.array_equal(ws[7].data, data[7:107])
-    assert ws[7].origin[2] == 7
+    starts = make_windows(data, T=100)
+    view = window_view(data, 100)
+    assert len(starts) == 150 - 100 + 1
+    assert view.shape == (len(starts), 100, 40)
+    assert np.array_equal(view[starts[7]], data[7:107])
+    assert starts[7] == 7
+    assert not view.flags.writeable and np.shares_memory(view, data)
 
 
 def test_make_windows_short_series_and_step():
-    assert make_windows(valid_rows(99), T=100) == []
+    assert len(make_windows(valid_rows(99), T=100)) == 0
     assert len(make_windows(valid_rows(100), T=100)) == 1
     assert len(make_windows(valid_rows(120), T=100, step=10)) == 3  # 0,10,20
+
+
+def test_make_windows_never_cross_a_block():
+    starts = make_windows(valid_rows(30), T=4, step=3,
+                          blocks=[(0, 10), (10, 11), (11, 30)])
+    assert starts.tolist() == [0, 3, 6, 11, 14, 17, 20, 23, 26]
+
+
+def test_windows_gather_and_take():
+    data = valid_rows(20, seed=1)
+    ws = Windows(window_view(data, 5), np.array([0, 4, 9, 15]),
+                 labels=np.array([1, -1, 0, 1]))
+    assert len(ws) == 4
+    assert np.array_equal(ws.data([2]), data[None, 9:14])
+    part = ws.take(np.array([False, True, False, True]))
+    assert part.starts.tolist() == [4, 15] and part.labels.tolist() == [-1, 1]
+    assert part.masks is None
 
 
 # ------------------------------------------------------------------- labels
@@ -220,66 +241,67 @@ def test_label_trend_insufficient_lookahead_raises():
 
 # ---------------------------------------------------------------- balancing
 
-def _labeled_windows(counts, seed=0):
+def _labels(counts, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
-    for lbl, n in counts.items():
-        for _ in range(n):
-            out.append(Window(data=rng.normal(size=(4, 4)), label=lbl))
+    out = np.concatenate([np.full(n, lbl) for lbl, n in counts.items()])
     rng.shuffle(out)
     return out
 
 
 def test_balance_downsamples_to_minority_count():
-    ws = _labeled_windows({-1: 100, 0: 50, 1: 80})
-    balanced = balance_classes(ws, seed=7)
-    counts = {c: sum(1 for w in balanced if w.label == c) for c in (-1, 0, 1)}
+    labels = _labels({-1: 100, 0: 50, 1: 80})
+    balanced = labels[balance_classes(labels, seed=7)]
+    counts = {c: int(np.sum(balanced == c)) for c in (-1, 0, 1)}
     assert counts == {-1: 50, 0: 50, 1: 50}
 
 
 def test_balance_is_deterministic_and_without_replacement():
-    ws = _labeled_windows({-1: 30, 0: 10, 1: 20})
-    a = balance_classes(ws, seed=3)
-    b = balance_classes(ws, seed=3)
-    assert all(x is y for x, y in zip(a, b))
-    assert len({id(w) for w in a}) == len(a)
+    labels = _labels({-1: 30, 0: 10, 1: 20})
+    a = balance_classes(labels, seed=3)
+    b = balance_classes(labels, seed=3)
+    assert np.array_equal(a, b)
+    assert len(np.unique(a)) == len(a)
+    assert np.all(np.diff(a) > 0)  # kept positions, in window order
 
 
 def test_balance_missing_class_raises():
     with pytest.raises(PreprocessError):
-        balance_classes(_labeled_windows({-1: 5, 1: 5}), seed=0)
+        balance_classes(_labels({-1: 5, 1: 5}), seed=0)
+    with pytest.raises(PreprocessError):
+        balance_classes(np.array([-1.0, 0.0, 1.0, np.nan]), seed=0)
 
 
 # ------------------------------------------------------------------ masking
 
 def test_mask_count_is_floor_of_ratio_times_T():
-    w = Window(data=valid_rows(100))
-    m = mask_for_imputation(w, ratio=0.2, seed=1)
-    assert len(m.mask) == 20
-    m = mask_for_imputation(Window(data=valid_rows(103)), ratio=0.2, seed=1)
-    assert len(m.mask) == 20  # floor(20.6)
+    assert mask_for_imputation(1, 100, ratio=0.2, seed=1).shape == (1, 20)
+    assert mask_for_imputation(3, 103, ratio=0.2, seed=1).shape == (3, 20)
 
 
 def test_mask_rows_are_distinct_sorted_and_deterministic():
-    w = Window(data=valid_rows(100))
-    a = mask_for_imputation(w, ratio=0.2, seed=9)
-    b = mask_for_imputation(w, ratio=0.2, seed=9)
-    assert np.array_equal(a.mask, b.mask)
-    assert len(set(a.mask.tolist())) == len(a.mask)
-    assert np.all(np.diff(a.mask) > 0)
+    a = mask_for_imputation(4, 100, ratio=0.2, seed=9)
+    b = mask_for_imputation(4, 100, ratio=0.2, seed=9)
+    assert np.array_equal(a, b)
+    for row in a:
+        assert len(set(row.tolist())) == len(row)
+        assert np.all(np.diff(row) > 0)
+    # row i is drawn with seed + i alone, so it does not depend on n
+    assert np.array_equal(mask_for_imputation(1, 100, 0.2, seed=11)[0], a[2])
 
 
 def test_masked_input_zeroes_whole_time_steps_only():
-    w = mask_for_imputation(Window(data=valid_rows(50)), ratio=0.2, seed=2)
-    x = w.masked_input()
-    assert np.all(x[w.mask] == 0.0)
-    untouched = np.setdiff1d(np.arange(50), w.mask)
-    assert np.array_equal(x[untouched], w.data[untouched])
+    X = np.stack([valid_rows(50, seed=s) for s in (2, 3)])
+    masks = mask_for_imputation(2, 50, ratio=0.2, seed=2)
+    x = masked_input(X, masks)
+    for i in range(2):
+        assert np.all(x[i, masks[i]] == 0.0)
+        untouched = np.setdiff1d(np.arange(50), masks[i])
+        assert np.array_equal(x[i, untouched], X[i, untouched])
+    assert not np.any(X == 0.0)  # the input is left as it was
 
 
 def test_mask_ratio_bounds():
-    w = Window(data=valid_rows(50))
     with pytest.raises(PreprocessError):
-        mask_for_imputation(w, ratio=0.0)
+        mask_for_imputation(1, 50, ratio=0.0)
     with pytest.raises(PreprocessError):
-        mask_for_imputation(w, ratio=1.0)
+        mask_for_imputation(1, 50, ratio=1.0)
