@@ -11,6 +11,7 @@ ask volumes. For l=10 that is columns 0-9 / 10-19 / 20-29 / 30-39.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -89,9 +90,12 @@ class BookState:
     """Full-depth two-sided book with price-time priority queues.
 
     Single-writer: one engine mutates one instance. `bids` and `asks` map
-    price ticks to PriceLevel; best-price retrieval scans the keys with
-    min/max, which is O(levels) per call (synthetic sz000858 days reach
-    700-1100 levels on a side: 872 for seed 0, 1103 for seed 1).
+    price ticks to PriceLevel; `bid_prices` and `ask_prices` hold the same
+    prices in ascending order, so the best bid is `bid_prices[-1]`, the best
+    ask is `ask_prices[0]` and the top l of a side is a slice. Levels are
+    added and dropped only through `add_level`/`drop_level`, which keep both
+    views in step by bisection (synthetic sz000858 days reach 700-1100
+    levels on a side: 872 for seed 0, 1103 for seed 1).
     """
 
     def __init__(self, tick_size: float = DEFAULT_TICK_SIZE):
@@ -99,6 +103,8 @@ class BookState:
             raise BookError("tick_size must be positive")
         self.bids: dict[int, PriceLevel] = {}
         self.asks: dict[int, PriceLevel] = {}
+        self.bid_prices: list[int] = []  # ascending
+        self.ask_prices: list[int] = []  # ascending
         self.tick_size = tick_size
         self.clock: int | None = None  # timestamp of the last applied order
         # live order id -> (side, price) so cancels find their level
@@ -107,14 +113,33 @@ class BookState:
     def side_levels(self, side: str) -> dict[int, PriceLevel]:
         return self.bids if side == BID else self.asks
 
+    def side_prices(self, side: str) -> list[int]:
+        return self.bid_prices if side == BID else self.ask_prices
+
+    def add_level(self, side: str, price: int) -> PriceLevel:
+        """A new empty level at price, which must not exist on side yet."""
+        lvl = self.side_levels(side)[price] = PriceLevel(price=price)
+        insort(self.side_prices(side), price)
+        return lvl
+
+    def drop_level(self, side: str, price: int):
+        """Remove the level at price from side."""
+        del self.side_levels(side)[price]
+        prices = self.side_prices(side)
+        del prices[bisect_left(prices, price)]
+
     def best_bid(self) -> int | None:
-        return max(self.bids) if self.bids else None
+        return self.bid_prices[-1] if self.bid_prices else None
 
     def best_ask(self) -> int | None:
-        return min(self.asks) if self.asks else None
+        return self.ask_prices[0] if self.ask_prices else None
 
     def check_invariants(self):
-        """Raise BookError on any structural violation. O(levels)."""
+        """Raise BookError on any structural violation. O(levels log levels)."""
+        for name, levels, prices in (("bid", self.bids, self.bid_prices),
+                                     ("ask", self.asks, self.ask_prices)):
+            if prices != sorted(levels):
+                raise BookError(f"{name} price list out of step with levels")
         bb, ba = self.best_bid(), self.best_ask()
         if bb is not None and ba is not None and bb >= ba:
             raise BookError(f"crossed book: best bid {bb} >= best ask {ba}")
@@ -176,6 +201,17 @@ def validate_snapshot(s: Snapshot) -> list[Violation]:
             if lv[i, j] <= 0:
                 out.append(Violation("non-positive", i + 1, float(-lv[i, j])))
     return out
+
+
+def invalid_rows(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
+    """(N,) bool: which rows of an (N, 4l) flattened series break a
+    constraint of `validate_snapshot`, by the same comparisons (so a NaN
+    entry breaks none, exactly as in the scalar check)."""
+    b_p, a_p = data[:, :l], data[:, 2 * l:3 * l]
+    return ((b_p[:, 1:] >= b_p[:, :-1]).any(axis=1)
+            | (a_p[:, 1:] <= a_p[:, :-1]).any(axis=1)
+            | (b_p[:, 0] >= a_p[:, 0])
+            | (data <= 0).any(axis=1))
 
 
 def mid_price(s: Snapshot) -> float:

@@ -190,6 +190,9 @@ def _load_split(data_dir: Path, split: str, T: int, step: int):
     the label of its last row: NaN where that row has none."""
     meta = lio.read_kv(data_dir / "meta.txt")["preprocess"]
     series = lio.load_tensor(data_dir / f"{split}_series.bin")
+    if len(series) < T:
+        raise PreprocessError(f"{split} split has {len(series)} rows, fewer "
+                              f"than the window T={T}")
     labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
     starts = make_windows(series, T=T, step=step,
                           blocks=_parse_blocks(meta[f"{split}_blocks"]))

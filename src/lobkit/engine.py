@@ -19,7 +19,6 @@ from .book import (
     BookError,
     BookState,
     Order,
-    PriceLevel,
 )
 
 
@@ -47,9 +46,11 @@ def _match(book: BookState, o: Order, events: list[EngineEvent]) -> int:
     """Sweep the opposite side while o crosses; returns unfilled volume."""
     opposite = ASK if o.side == BID else BID
     levels = book.side_levels(opposite)
+    prices = book.side_prices(opposite)
+    end = 0 if opposite == ASK else -1  # the best price's end of the list
     remaining = o.volume
-    while remaining > 0 and levels:
-        best = min(levels) if opposite == ASK else max(levels)
+    while remaining > 0 and prices:
+        best = prices[end]
         if o.kind == LIMIT:
             crosses = best <= o.price if o.side == BID else best >= o.price
             if not crosses:
@@ -67,7 +68,7 @@ def _match(book: BookState, o: Order, events: list[EngineEvent]) -> int:
                 lvl.queue.popleft()
                 book.live.pop(entry[0], None)
         if lvl.total_volume == 0:
-            del levels[best]
+            book.drop_level(opposite, best)
     return remaining
 
 
@@ -102,7 +103,7 @@ def submit(book: BookState, o: Order) -> tuple[BookState, list[EngineEvent]]:
                 del lvl.queue[i]
                 break
         if lvl.total_volume == 0:
-            del book.side_levels(side)[price]
+            book.drop_level(side, price)
         return book, events
 
     remaining = _match(book, o, events)
@@ -113,10 +114,9 @@ def submit(book: BookState, o: Order) -> tuple[BookState, list[EngineEvent]]:
                 EngineEvent("market_unfilled", o.id, volume=remaining)
             )
         else:
-            levels = book.side_levels(o.side)
-            lvl = levels.get(o.price)
+            lvl = book.side_levels(o.side).get(o.price)
             if lvl is None:
-                lvl = levels[o.price] = PriceLevel(price=o.price)
+                lvl = book.add_level(o.side, o.price)
             lvl.append(o.id, remaining)
             book.live[o.id] = (o.side, o.price)
             events.append(

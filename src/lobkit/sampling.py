@@ -88,8 +88,8 @@ def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> Snapshot:
     volume 1, which keeps every exported snapshot strictly positive and
     strictly monotone.
     """
-    bids = sorted(book.bids, reverse=True)[:l]
-    asks = sorted(book.asks)[:l]
+    bids = book.bid_prices[:-l - 1:-1]
+    asks = book.ask_prices[:l]
     if not bids or not asks:
         raise SamplingError("cannot pad a one-sided book")
     bid_vols = [book.bids[p].total_volume for p in bids]

@@ -215,9 +215,11 @@ def replay_check(
     """Replay a stream end to end, asserting book invariants and conservation.
 
     Raises on any snapshot invariant violation, identifying nothing subtler
-    than the grid point (violations cannot occur by engine construction).
+    than the first bad grid point (violations cannot occur by engine
+    construction). One array check covers the whole series; the scalar
+    validator only describes the first bad row.
     """
-    from .book import validate_snapshot
+    from .book import invalid_rows, validate_snapshot
 
     book = BookState(tick_size=stream.tick_size)
     side_of = {o.id: o.side for o in stream.orders}
@@ -253,10 +255,9 @@ def replay_check(
     for lvl in book.asks.values():
         rest[ASK] += lvl.total_volume
     report = ConservationReport(sub, exe, canc, rest, unfilled, misses)
-    for i in range(len(series)):
+    bad_rows = np.flatnonzero(invalid_rows(series.data, l))
+    if bad_rows.size:
+        i = int(bad_rows[0])
         bad = validate_snapshot(series.snapshot(i))
-        if bad:
-            raise RuntimeError(
-                f"invariant violation at grid index {i}: {bad[0]}"
-            )
+        raise RuntimeError(f"invariant violation at grid index {i}: {bad[0]}")
     return series, report

@@ -20,6 +20,7 @@ from lobkit.book import (
     bid_price_cols,
     bid_volume_cols,
     flatten,
+    invalid_rows,
     ladder_cols,
     mid_price,
     price_cols,
@@ -168,3 +169,27 @@ def test_ladder_cols_orders_prices_ascending_on_valid_book():
     vec = flatten(s)
     ladder = vec[ladder_cols(10)]
     assert np.all(np.diff(ladder) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_invalid_rows_flags_exactly_the_scalar_violations(l, n, seed):
+    """Valid ladders with random corruptions: non-monotone, crossed,
+    non-positive, NaN and infinite entries, zero to three per row."""
+    rng = np.random.default_rng(seed)
+    base = flatten(make_snapshot(l=l))
+    data = np.tile(base, (n, 1))
+    specials = [np.nan, 0.0, -1.0, np.inf, -np.inf]
+    for row in data:
+        for _ in range(rng.integers(0, 4)):
+            j = rng.integers(4 * l)
+            pick = rng.integers(4)
+            if pick == 0:
+                row[j] = specials[rng.integers(len(specials))]
+            elif pick == 1:  # a neighbouring or opposite-side value
+                row[j] = row[rng.integers(4 * l)]
+            else:
+                row[j] = base[j] + rng.normal(0.0, 0.02)
+    with np.errstate(invalid="ignore"):  # inf - inf in a magnitude
+        want = [bool(validate_snapshot(unflatten(row, l))) for row in data]
+    assert invalid_rows(data, l).tolist() == want

@@ -171,6 +171,20 @@ def test_build_rejects_levels_below_one(pipeline, tmp_path, capsys, levels):
     assert "levels must be >= 1" in capsys.readouterr().err
 
 
+def test_evaluate_split_shorter_than_window_exits_2_naming_it(
+        pipeline, tmp_path, capsys):
+    data = str(pipeline / "data")
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--task", "reconstruction",
+                 "--out", str(run), "--epochs", "1", "--window", "1000",
+                 "--step", "200", "--latent", "4"]) == 0
+    assert main(["evaluate", "--data", data,
+                 "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert ("error: test split has 948 rows, fewer than the window T=1000"
+            in capsys.readouterr().err)
+
+
 def test_divergent_training_is_numeric_abort(pipeline, tmp_path):
     assert main(["train", "--data", str(pipeline / "data"),
                  "--task", "reconstruction", "--out", str(tmp_path / "run"),

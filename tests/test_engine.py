@@ -1,4 +1,5 @@
-"""Matching-engine tests: worked examples, conservation fuzz, determinism."""
+"""Matching-engine tests: worked examples, conservation fuzz, determinism,
+and a differential fuzz against a naive reference book."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lobkit.book import (
     BookState,
     Order,
 )
-from lobkit.engine import submit
+from lobkit.engine import EngineEvent, Trade, submit
 from lobkit.sampling import SamplingError, snapshot_padded
 
 
@@ -241,3 +242,138 @@ def test_fuzz_price_time_priority(seed):
                 makers = [t.maker_id for t in trades if t.price == price]
                 # consecutive duplicates collapse (maker filled in one go here)
                 assert makers == before[opp][price][: len(makers)]
+
+
+# ------------------------------------------------ differential engine oracle
+
+class NaiveBook:
+    """A deliberately naive reference book: each side is one list of resting
+    [id, price, remaining] in arrival order, searched in full for every
+    match, cancel and snapshot."""
+
+    def __init__(self):
+        self.resting = {BID: [], ASK: []}
+        self.clock = None
+
+    def live_ids(self):
+        return [e[0] for side in (BID, ASK) for e in self.resting[side]]
+
+    def submit(self, o):
+        if self.clock is not None and o.timestamp < self.clock:
+            raise BookError("stale timestamp")
+        if o.kind == LIMIT and o.id in self.live_ids():
+            raise BookError("live id")
+        self.clock = o.timestamp
+        if o.kind == CANCEL:
+            for side in (BID, ASK):
+                for e in self.resting[side]:
+                    if e[0] == o.target_id:
+                        self.resting[side].remove(e)
+                        return [EngineEvent("cancel_ok", o.id, price=e[1],
+                                            volume=e[2])]
+            return [EngineEvent("cancel_miss", o.id)]
+        opp = self.resting[ASK if o.side == BID else BID]
+        events, remaining = [], o.volume
+        while remaining > 0 and opp:
+            prices = [e[1] for e in opp]
+            best = min(prices) if o.side == BID else max(prices)
+            if o.kind == LIMIT and (best > o.price if o.side == BID
+                                    else best < o.price):
+                break
+            maker = next(e for e in opp if e[1] == best)  # earliest arrival
+            take = min(remaining, maker[2])
+            maker[2] -= take
+            remaining -= take
+            events.append(EngineEvent("trade", o.id, trade=Trade(
+                o.id, maker[0], best, take, o.timestamp)))
+            if maker[2] == 0:
+                opp.remove(maker)
+        if remaining > 0 and o.kind == MARKET:
+            events.append(EngineEvent("market_unfilled", o.id,
+                                      volume=remaining))
+        elif remaining > 0:
+            self.resting[o.side].append([o.id, o.price, remaining])
+            events.append(EngineEvent("rest", o.id, price=o.price,
+                                      volume=remaining))
+        return events
+
+    def snapshot_levels(self, l, tick):
+        """(l, 4) top-l levels, padded as documented by snapshot_padded."""
+        cols = []
+        for side, step in ((BID, -1), (ASK, 1)):
+            volume = {}
+            for _, price, rem in self.resting[side]:
+                volume[price] = volume.get(price, 0) + rem
+            prices = sorted(volume, reverse=(side == BID))[:l]
+            vols = [volume[p] for p in prices]
+            while len(prices) < l:
+                prices.append(prices[-1] + step)
+                vols.append(1)
+            cols += [[p * tick for p in prices], vols]
+        return np.array(cols, dtype=float).T
+
+
+ORDER_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from([LIMIT, LIMIT, LIMIT, MARKET, CANCEL]),
+        st.sampled_from([BID, ASK]),
+        st.integers(-4, 4),  # limit price offset from the centre: crosses
+        st.integers(1, 60),  # volume
+        st.integers(0, 2**16),  # picks a cancel target or a reused id
+        st.integers(0, 2),  # timestamp step
+    ),
+    min_size=20, max_size=150,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDER_SPECS, st.integers(3, 1000), st.integers(1, 5))
+def test_engine_matches_naive_reference_book(specs, centre, l):
+    book, ref = BookState(), NaiveBook()
+    next_id, t = 1, 0
+    for kind, side, offset, volume, pick, dt in specs:
+        t += dt
+        if kind == CANCEL:
+            # any id issued so far (filled or cancelled ones miss), or 0
+            o = Order(next_id, side, CANCEL, t, target_id=pick % next_id)
+        elif kind == MARKET:
+            o = Order(next_id, side, MARKET, t, volume=volume)
+        else:
+            live = ref.live_ids()
+            oid = live[pick % len(live)] if live and pick % 7 == 0 else next_id
+            o = Order(oid, side, LIMIT, t, price=max(1, centre + offset),
+                      volume=volume)
+        next_id += 1
+        try:
+            expected = ref.submit(o)
+        except BookError:
+            with pytest.raises(BookError):
+                submit(book, o)
+            continue
+        _, got = submit(book, o)
+        assert got == expected
+        book.check_invariants()
+        assert book.bid_prices == sorted(book.bids)
+        assert book.ask_prices == sorted(book.asks)
+        if ref.resting[BID] and ref.resting[ASK]:
+            want = ref.snapshot_levels(l, book.tick_size)
+            if want[-1, 0] <= 0:
+                with pytest.raises(SamplingError):
+                    snapshot_padded(book, l)
+            else:
+                assert np.array_equal(snapshot_padded(book, l).levels, want)
+        else:
+            with pytest.raises(SamplingError):
+                snapshot_padded(book, l)
+
+
+def test_check_invariants_rejects_price_lists_out_of_step():
+    book, _ = seeded_book(levels=3)
+    book.check_invariants()
+    book.ask_prices.append(book.ask_prices[0] - 5)
+    with pytest.raises(BookError, match="ask price list"):
+        book.check_invariants()
+    book.ask_prices.pop()
+    book.bid_prices.remove(book.best_bid())
+    with pytest.raises(BookError, match="bid price list"):
+        book.check_invariants()

@@ -35,6 +35,26 @@ GOLDEN = {
         "data/meta.txt":
             "e64c86267056a37c9ef630609ec47ee0aa3409a7acc9a35674c52d70cc18c3b4",
     },
+    ("sz000002", 1): {
+        "flow.csv":
+            "1813d7f689b204a5cb1a547fe1e9da2e312f15c7a76235373132dc94ced122aa",
+        "series.bin":
+            "b6aadda4e07a700c67882b424eb5ab3ad2f84f33260b74592c2c24a4a878e68b",
+        "series.meta.txt":
+            "87b24091f00b7abd9e22079678e4daee71a21392709aad5d977529a848a72ea5",
+        "data/train_series.bin":
+            "03ae5e97b869a18bd75f671f54081ae5ba1b1987d5a500c10166b2e32267e3ad",
+        "data/test_series.bin":
+            "76a5ef902b6478503947e1f1b84d069142e50def8439dac143371b4cd8cedaa0",
+        "data/train_labels.bin":
+            "d4a3a4ef8be9e03f8c06913d867b7055de95291b32acfdce9db5326a00e99055",
+        "data/test_labels.bin":
+            "77e1ccea11cd5c575a91e3fb6c72d5ea2ad1578315223444fdab861c72742a1e",
+        "data/norm_stats.txt":
+            "12504465ea7eb355a562afbb64fec4a657f108121f8bb25504a8989e3229abe2",
+        "data/meta.txt":
+            "6e7533ecc52f12e24dc3309dfaeeec3fc4b15e63b90a47b7b5b7aac6d416f30c",
+    },
     ("sz000858", 0): {
         "flow.csv":
             "08639e3ad282ada72b60aea0d207aca1492654391b3cb91b1cbd74b206b3ee82",
@@ -54,6 +74,26 @@ GOLDEN = {
             "b0eebbf6bae1493b8984a45af1416d2cd33128ec35c8bfc77ac8753464304724",
         "data/meta.txt":
             "7a0102d23cce3a6cfa3b3b32d48fa496e7e0673888edaa4ee41cb40d03bd5fae",
+    },
+    ("sz002415", 2): {
+        "flow.csv":
+            "ce01f35e090e3613e3b66c9aee2c517acb12f421497e3eebfb7cd6c983dde485",
+        "series.bin":
+            "86895d483e7e6cd4c17f3227a489a76799f4f2880791abd7a1b8e43260a97d18",
+        "series.meta.txt":
+            "1fcd9e3c77dddad4e6c0ae0d0417421d4ec4c1a4e8f536b8b44905f34ab5675b",
+        "data/train_series.bin":
+            "edfa9a584cfe5b6cd360a9ed2b7f2acc40d1cc1288d9c2f5bd7d9fe8e75b04a7",
+        "data/test_series.bin":
+            "3f2d8b66f58944732f6cda14bdbd77f61df0f6659652ee9ebb92e70e0c574d64",
+        "data/train_labels.bin":
+            "db5ccafc84301b59e21a3c53257138cb7f319efb2ad37c2718c7343ebe5fefc4",
+        "data/test_labels.bin":
+            "7af5f94a62a066f0795a6e3f44f2f3c2e592ede17799bb6a593455cf2755a5e7",
+        "data/norm_stats.txt":
+            "0b186efed064defeae00a2cf8760b3350e3f2fcde803f33add24a1c2e7abf0b2",
+        "data/meta.txt":
+            "741b06b8a644fdcb539390f878813a1b32e4a29aac7e1d669d9286fba83e16ff",
     },
     ("sz300147", 5): {
         "flow.csv":

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lobkit import synth
 from lobkit.book import CANCEL, LIMIT, MARKET
 from lobkit.sampling import NS_PER_SEC, SessionCalendar
 from lobkit.synth import (
@@ -63,6 +64,25 @@ def test_replay_is_valid_and_conserves_volume():
     assert len(series) == SMALL_CAL.points_per_day
     assert rep.balanced()
     assert rep.cancel_misses == 0  # cancels always target live orders
+
+
+def test_replay_check_names_the_first_corrupted_grid_index(monkeypatch):
+    real_sample = synth.sample
+
+    def corrupted(*args, **kwargs):
+        series, events = real_sample(*args, **kwargs)
+        series.data[17, 2] = series.data[17, 1]  # bid level 3 ties level 2
+        series.data[40, 25] = 0.0
+        return series, events
+
+    monkeypatch.setattr(synth, "sample", corrupted)
+    stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
+    with pytest.raises(RuntimeError) as exc:
+        replay_check(stream, SMALL_CAL)
+    assert str(exc.value) == (
+        "invariant violation at grid index 17: "
+        "Violation(kind='bid-order', level=3, magnitude=0.0)"
+    )
 
 
 def test_no_cancels_when_mix_disables_them():
