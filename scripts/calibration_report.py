@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 
+from lobkit.book import mid_prices
 from lobkit.synth import PROFILES, generate_day, replay_check
 
 
@@ -31,7 +32,7 @@ def main():
         stream = generate_day(p, args.seed)
         series, rep = replay_check(stream, instrument=name)
         assert rep.balanced(), f"volume conservation failed for {name}"
-        mids = series.mid_prices()
+        mids = mid_prices(series.data, series.levels)
         print(f"{name:<10} {len(stream.orders):>7} {len(series):>5} "
               f"{mids.mean():>8.2f} {p.mid_mean:>8.2f} "
               f"{mids.std():>7.2f} {p.mid_std:>7.2f} "

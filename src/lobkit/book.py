@@ -1,12 +1,14 @@
 """Core limit-order-book data model.
 
 Prices are integer tick counts everywhere inside the engine; they are
-converted to real currency units only when a Snapshot is exported. This keeps
+converted to real currency units only when a snapshot is exported. This keeps
 every ordering comparison exact.
 
-Canonical flattened column layout for an l-level snapshot (4*l columns,
-field-major): bid prices best-first, bid volumes, ask prices best-first,
-ask volumes. For l=10 that is columns 0-9 / 10-19 / 20-29 / 30-39.
+A snapshot is one row of 4*l floats in the canonical field-major layout:
+bid prices best-first, bid volumes, ask prices best-first, ask volumes. For
+l=10 that is columns 0-9 / 10-19 / 20-29 / 30-39. `validate_snapshot`
+checks one row (the scalar oracle); `invalid_rows` runs the same checks
+over an (N, 4l) series at once.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ DEFAULT_LEVELS = 10
 
 class BookError(Exception):
     """Invalid operation against a book (stale timestamp, bad order, ...)."""
-
-
-class EmptySideError(BookError):
-    """An operation needed a populated book side and found none."""
 
 
 @dataclass(frozen=True)
@@ -154,25 +152,6 @@ class BookState:
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """The best-l view of the book: rows of (b_p, b_v, a_p, a_v), real units."""
-
-    levels: np.ndarray  # (l, 4) float64
-    time: int = 0
-
-    @property
-    def l(self) -> int:
-        return self.levels.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Snapshot)
-            and self.time == other.time
-            and np.array_equal(self.levels, other.levels)
-        )
-
-
-@dataclass(frozen=True)
 class Violation:
     """One broken snapshot constraint, with the size of the breach."""
 
@@ -181,30 +160,36 @@ class Violation:
     magnitude: float
 
 
-def validate_snapshot(s: Snapshot) -> list[Violation]:
-    """Check bid/ask price monotonicity, no cross, strict positivity.
+def validate_snapshot(row: np.ndarray,
+                      l: int = DEFAULT_LEVELS) -> list[Violation]:
+    """Check one (4l,) row: bid/ask price monotonicity, no cross, strict
+    positivity. The scalar oracle behind `invalid_rows`.
 
-    Never raises; returns one record per violated constraint, empty iff valid.
+    Raises ValueError only for a row whose shape is not (4l,); otherwise
+    returns one record per violated constraint, empty iff valid.
     """
+    row = np.asarray(row, dtype=float)
+    if row.shape != (4 * l,):
+        raise ValueError(f"expected length {4 * l}, got shape {row.shape}")
     out = []
-    lv = s.levels
-    b_p, a_p = lv[:, 0], lv[:, 2]
-    for i in range(1, s.l):
+    lv = row.reshape(4, l)  # rows: b_p, b_v, a_p, a_v
+    b_p, a_p = lv[0], lv[2]
+    for i in range(1, l):
         if b_p[i] >= b_p[i - 1]:
             out.append(Violation("bid-order", i + 1, float(b_p[i] - b_p[i - 1])))
         if a_p[i] <= a_p[i - 1]:
             out.append(Violation("ask-order", i + 1, float(a_p[i - 1] - a_p[i])))
     if b_p[0] >= a_p[0]:
         out.append(Violation("cross", 1, float(b_p[0] - a_p[0])))
-    for i in range(s.l):
+    for i in range(l):
         for j in range(4):
-            if lv[i, j] <= 0:
-                out.append(Violation("non-positive", i + 1, float(-lv[i, j])))
+            if lv[j, i] <= 0:
+                out.append(Violation("non-positive", i + 1, float(-lv[j, i])))
     return out
 
 
 def invalid_rows(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
-    """(N,) bool: which rows of an (N, 4l) flattened series break a
+    """(N,) bool: which rows of an (N, 4l) series break a
     constraint of `validate_snapshot`, by the same comparisons (so a NaN
     entry breaks none, exactly as in the scalar check)."""
     b_p, a_p = data[:, :l], data[:, 2 * l:3 * l]
@@ -212,26 +197,6 @@ def invalid_rows(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
             | (a_p[:, 1:] <= a_p[:, :-1]).any(axis=1)
             | (b_p[:, 0] >= a_p[:, 0])
             | (data <= 0).any(axis=1))
-
-
-def mid_price(s: Snapshot) -> float:
-    """Mean of best bid and best ask prices."""
-    if s.l < 1:
-        raise EmptySideError("snapshot has no levels")
-    return (s.levels[0, 0] + s.levels[0, 2]) / 2.0
-
-
-def flatten(s: Snapshot) -> np.ndarray:
-    """Snapshot -> 4*l vector in the canonical field-major layout."""
-    return s.levels.T.ravel().copy()
-
-
-def unflatten(vec: np.ndarray, l: int = DEFAULT_LEVELS, time: int = 0) -> Snapshot:
-    """Inverse of flatten; rejects vectors whose length is not 4*l."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (4 * l,):
-        raise ValueError(f"expected length {4 * l}, got shape {vec.shape}")
-    return Snapshot(levels=vec.reshape(4, l).T.copy(), time=time)
 
 
 # Column index helpers for the canonical 40-column layout.
@@ -258,6 +223,11 @@ def price_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
 
 def volume_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
     return np.concatenate([bid_volume_cols(l), ask_volume_cols(l)])
+
+
+def mid_prices(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
+    """Mean of best bid and best ask of each (..., 4l) row."""
+    return (data[..., 0] + data[..., 2 * l]) / 2.0
 
 
 def ladder_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:

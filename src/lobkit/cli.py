@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as lio
-from .book import BookError, BookState
+from .book import BookError, mid_prices
 from .metrics import (
     LossConfig,
     MetricError,
@@ -133,7 +133,7 @@ def _block_labels(series_raw, blocks, levels, label_cfg):
     would cross a session-block boundary)."""
     labels = np.full(series_raw.shape[0], np.nan)
     for a, b in blocks:
-        mids = (series_raw[a:b, 0] + series_raw[a:b, 2 * levels]) / 2.0
+        mids = mid_prices(series_raw[a:b], levels)
         for t in range(b - a - label_cfg.horizon):
             labels[a + t] = label_trend(mids, t, label_cfg)
     return labels

@@ -49,6 +49,9 @@ class LinearAutoencoder:
 
     def __init__(self, input_dim: int = 4000, latent: int = 256,
                  relu: bool = False, seed: int = 0):
+        for name, v in (("input_dim", input_dim), ("latent", latent)):
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
         rng = np.random.default_rng(seed)
         self.input_dim = input_dim
         self.latent = latent
@@ -153,6 +156,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _batch_forward(model, head, X):
@@ -274,6 +279,8 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
 def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                     cfg: TrainConfig, budget: int):
     """Fine-tune only the head for at most `budget` optimizer steps."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0:
         return []
     return train(model, head, data, replace(cfg, freeze_encoder=True),

@@ -159,6 +159,9 @@ def make_windows(series: np.ndarray, T: int = 100, step: int = 1,
                  blocks=None) -> np.ndarray:
     """Start rows a, a+step, ..., up to b-T of the T-row windows of each block
     [a, b) (the whole series by default); no window crosses a block."""
+    for name, v in (("window", T), ("step", step)):
+        if v < 1:
+            raise PreprocessError(f"{name} must be >= 1, got {v}")
     blocks = [(0, len(series))] if blocks is None else blocks
     return np.concatenate([np.arange(a, b - T + 1, step) for a, b in blocks],
                           dtype=np.intp)

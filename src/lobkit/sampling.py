@@ -5,7 +5,8 @@ The exchange day is sampled on a 3-second grid restricted to the morning
 (120 + 117) minutes * 20 samples/minute = 4740 snapshots per complete day.
 Each grid point takes the latest book state at or before that instant, so
 quiet periods are forward-filled and call-auction instants are never sampled,
-both by construction. `snapshot_padded` is the one top-l book exporter.
+both by construction. `snapshot_padded` is the one top-l book exporter: it
+writes each snapshot straight as a row of the (N, 4l) series.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import DEFAULT_LEVELS, BookState, Snapshot, flatten, unflatten
+from .book import DEFAULT_LEVELS, BookState
 from .engine import submit
 
 NS_PER_SEC = 1_000_000_000
@@ -62,7 +63,7 @@ class SessionCalendar:
 class DaySeries:
     """One instrument-day of snapshots on the sampling grid.
 
-    Rows of `data` are flattened snapshots in the canonical 40-column layout.
+    Each row of `data` is one snapshot in the canonical 4l-column layout.
     """
 
     instrument: str
@@ -74,15 +75,9 @@ class DaySeries:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def snapshot(self, i: int) -> Snapshot:
-        return unflatten(self.data[i], l=self.levels, time=int(self.times[i]))
 
-    def mid_prices(self) -> np.ndarray:
-        return (self.data[:, 0] + self.data[:, 2 * self.levels]) / 2.0
-
-
-def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> Snapshot:
-    """Best l levels per side as a Snapshot in real currency units.
+def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:
+    """Best l levels per side as one (4l,) row in real currency units.
 
     A side thinner than l is padded one tick past its worst level with
     volume 1, which keeps every exported snapshot strictly positive and
@@ -101,9 +96,8 @@ def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> Snapshot:
     if bids[-1] <= 0:
         raise SamplingError("bid padding reached non-positive prices")
     tick = book.tick_size
-    lv = np.array([[p * tick for p in bids], bid_vols,
-                   [p * tick for p in asks], ask_vols], dtype=float).T
-    return Snapshot(levels=lv, time=book.clock or 0)
+    return np.array([p * tick for p in bids] + bid_vols
+                    + [p * tick for p in asks] + ask_vols, dtype=float)
 
 
 def sample(
@@ -134,7 +128,7 @@ def sample(
             pending = next(it, None)
         if not book.bids or not book.asks:
             raise SamplingError(f"no book state at grid point {t}")
-        data[i] = flatten(snapshot_padded(book, l))
+        data[i] = snapshot_padded(book, l)
     while pending is not None:
         _, ev = submit(book, pending)
         events.extend(ev)

@@ -258,6 +258,6 @@ def replay_check(
     bad_rows = np.flatnonzero(invalid_rows(series.data, l))
     if bad_rows.size:
         i = int(bad_rows[0])
-        bad = validate_snapshot(series.snapshot(i))
+        bad = validate_snapshot(series.data[i], l)
         raise RuntimeError(f"invariant violation at grid index {i}: {bad[0]}")
     return series, report

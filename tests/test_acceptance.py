@@ -146,9 +146,9 @@ def test_criterion_03_normalization_ordering():
         witness[r, 2 * l : 3 * l] = asks * 0.01
         witness[r, l : 2 * l] = 100
         witness[r, 3 * l : 4 * l] = 100
-    from lobkit.book import validate_snapshot, unflatten
+    from lobkit.book import validate_snapshot
 
-    assert all(validate_snapshot(unflatten(w)) == [] for w in witness)
+    assert all(validate_snapshot(w) == [] for w in witness)
     fw = normalize(witness, fit_feature_stats(witness))
     assert np.all(witness[:, 20] < witness[:, 21])  # raw asks ascending
     assert np.any(fw[:, 20] >= fw[:, 21])  # feature-wise order inverted

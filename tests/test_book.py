@@ -12,30 +12,28 @@ from lobkit.book import (
     LIMIT,
     MARKET,
     BookError,
-    EmptySideError,
+    BookState,
     Order,
-    Snapshot,
     ask_price_cols,
     ask_volume_cols,
     bid_price_cols,
     bid_volume_cols,
-    flatten,
     invalid_rows,
     ladder_cols,
-    mid_price,
+    mid_prices,
     price_cols,
-    unflatten,
     validate_snapshot,
     volume_cols,
 )
+from lobkit.engine import submit
+from lobkit.sampling import snapshot_padded
 
 
 def make_snapshot(l=10, bid0=1383, ask0=1385, tick=0.01, vol=100):
-    """A strictly valid snapshot: one-tick ladders on both sides."""
-    lv = np.empty((l, 4))
-    for i in range(l):
-        lv[i] = ((bid0 - i) * tick, vol + i, (ask0 + i) * tick, vol + 2 * i)
-    return Snapshot(levels=lv)
+    """A strictly valid (4l,) row: one-tick ladders on both sides."""
+    i = np.arange(l)
+    return np.concatenate([(bid0 - i) * tick, vol + i,
+                           (ask0 + i) * tick, vol + 2 * i]).astype(float)
 
 
 # ------------------------------------------------------------------- orders
@@ -83,7 +81,7 @@ def test_valid_snapshot_has_no_violations():
 
 def test_bid_order_violation_detected_with_magnitude():
     s = make_snapshot()
-    s.levels[3, 0] = s.levels[2, 0] + 0.05  # bid level 4 above level 3
+    s[3] = s[2] + 0.05  # bid level 4 above level 3
     v = validate_snapshot(s)
     kinds = {x.kind for x in v}
     assert "bid-order" in kinds
@@ -93,7 +91,7 @@ def test_bid_order_violation_detected_with_magnitude():
 
 def test_ask_order_and_cross_violations():
     s = make_snapshot()
-    s.levels[1, 2] = s.levels[0, 2] - 0.01
+    s[21] = s[20] - 0.01  # ask level 2 below level 1
     assert any(x.kind == "ask-order" for x in validate_snapshot(s))
     s2 = make_snapshot(bid0=1400, ask0=1399)
     assert any(x.kind == "cross" for x in validate_snapshot(s2))
@@ -101,57 +99,51 @@ def test_ask_order_and_cross_violations():
 
 def test_non_positive_violation():
     s = make_snapshot()
-    s.levels[5, 1] = 0.0
+    s[15] = 0.0  # bid volume of level 6
     v = [x for x in validate_snapshot(s) if x.kind == "non-positive"]
     assert len(v) == 1 and v[0].level == 6
+    s[32] = -2.0  # ask volume of level 3: reported first, in level order
+    v = validate_snapshot(s)
+    assert [(x.kind, x.level, x.magnitude) for x in v] == [
+        ("non-positive", 3, 2.0), ("non-positive", 6, 0.0)]
+
+
+def test_validate_snapshot_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        validate_snapshot(np.zeros(39), l=10)
+    with pytest.raises(ValueError):
+        validate_snapshot(make_snapshot().reshape(4, 10), l=10)
 
 
 def test_mid_price_is_mean_of_best_quotes():
     s = make_snapshot(bid0=1383, ask0=1385)
-    assert mid_price(s) == pytest.approx(13.84)
+    assert mid_prices(s) == pytest.approx(13.84)
+    rows = np.stack([s, make_snapshot(bid0=1384, ask0=1386)])
+    assert np.allclose(mid_prices(rows), [13.84, 13.85])
 
 
 def test_mid_price_ignores_deep_levels():
     a = make_snapshot()
     b = make_snapshot()
-    b.levels[5:, :] *= 3  # perturb deep rows only
-    assert mid_price(a) == mid_price(b)
-
-
-def test_mid_price_empty_snapshot_raises():
-    with pytest.raises(EmptySideError):
-        mid_price(Snapshot(levels=np.empty((0, 4))))
+    b.reshape(4, 10)[:, 5:] *= 3  # perturb deep levels of every field only
+    assert mid_prices(a) == mid_prices(b)
 
 
 # ----------------------------------------------------------------- layout
 
-def test_flatten_layout_field_major():
-    s = make_snapshot(l=10)
-    vec = flatten(s)
+def test_snapshot_row_layout_field_major():
+    book = BookState()
+    for i in range(10):
+        submit(book, Order(2 * i + 1, BID, LIMIT, 0, price=1000 - i,
+                           volume=10 + i))
+        submit(book, Order(2 * i + 2, ASK, LIMIT, 0, price=1001 + i,
+                           volume=50 + i))
+    vec = snapshot_padded(book, 10)
     assert vec.shape == (40,)
-    assert np.array_equal(vec[0:10], s.levels[:, 0])  # bid prices
-    assert np.array_equal(vec[10:20], s.levels[:, 1])  # bid volumes
-    assert np.array_equal(vec[20:30], s.levels[:, 2])  # ask prices
-    assert np.array_equal(vec[30:40], s.levels[:, 3])  # ask volumes
-
-
-def test_unflatten_is_inverse_of_flatten():
-    s = make_snapshot()
-    assert unflatten(flatten(s), l=10) == Snapshot(levels=s.levels)
-
-
-def test_unflatten_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        unflatten(np.zeros(39), l=10)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**31 - 1))
-def test_flatten_unflatten_roundtrip_property(l, seed):
-    rng = np.random.default_rng(seed)
-    s = Snapshot(levels=rng.uniform(0.01, 100, size=(l, 4)))
-    back = unflatten(flatten(s), l=l)
-    assert np.array_equal(back.levels, s.levels)
+    assert np.allclose(vec[0:10], (1000 - np.arange(10)) * 0.01)  # bid prices
+    assert np.array_equal(vec[10:20], 10 + np.arange(10))  # bid volumes
+    assert np.allclose(vec[20:30], (1001 + np.arange(10)) * 0.01)  # ask prices
+    assert np.array_equal(vec[30:40], 50 + np.arange(10))  # ask volumes
 
 
 def test_column_helpers_partition_the_40_columns():
@@ -165,8 +157,7 @@ def test_column_helpers_partition_the_40_columns():
 
 
 def test_ladder_cols_orders_prices_ascending_on_valid_book():
-    s = make_snapshot()
-    vec = flatten(s)
+    vec = make_snapshot()
     ladder = vec[ladder_cols(10)]
     assert np.all(np.diff(ladder) > 0)
 
@@ -177,7 +168,7 @@ def test_invalid_rows_flags_exactly_the_scalar_violations(l, n, seed):
     """Valid ladders with random corruptions: non-monotone, crossed,
     non-positive, NaN and infinite entries, zero to three per row."""
     rng = np.random.default_rng(seed)
-    base = flatten(make_snapshot(l=l))
+    base = make_snapshot(l=l)
     data = np.tile(base, (n, 1))
     specials = [np.nan, 0.0, -1.0, np.inf, -np.inf]
     for row in data:
@@ -191,5 +182,5 @@ def test_invalid_rows_flags_exactly_the_scalar_violations(l, n, seed):
             else:
                 row[j] = base[j] + rng.normal(0.0, 0.02)
     with np.errstate(invalid="ignore"):  # inf - inf in a magnitude
-        want = [bool(validate_snapshot(unflatten(row, l))) for row in data]
+        want = [bool(validate_snapshot(row, l)) for row in data]
     assert invalid_rows(data, l).tolist() == want

@@ -171,6 +171,45 @@ def test_build_rejects_levels_below_one(pipeline, tmp_path, capsys, levels):
     assert "levels must be >= 1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tiny_prediction_checkpoint(pipeline, tmp_path_factory):
+    run = tmp_path_factory.mktemp("tiny_pred")
+    assert main(["train", "--data", str(pipeline / "data"),
+                 "--task", "prediction", "--out", str(run), "--epochs", "1",
+                 "--window", "10", "--step", "10", "--latent", "4"]) == 0
+    return run / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("train", "--window", "0", "window must be >= 1, got 0"),
+    ("train", "--window", "-2", "window must be >= 1, got -2"),
+    ("train", "--step", "0", "step must be >= 1, got 0"),
+    ("train", "--latent", "0", "latent must be >= 1, got 0"),
+    ("train", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("evaluate", "--step", "0", "step must be >= 1, got 0"),
+    ("transfer", "--step", "0", "step must be >= 1, got 0"),
+    ("transfer", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("transfer", "--budget", "-3", "budget must be >= 0, got -3"),
+])
+def test_training_flags_out_of_range_exit_2_naming_them(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys,
+        command, flag, value, message):
+    data, ckpt = str(pipeline / "data"), str(tiny_prediction_checkpoint)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", data, "--task", "prediction",
+                  "--epochs", "1", "--window", "10", "--step", "10",
+                  "--latent", "4"],
+        "evaluate": ["evaluate", "--data", data, "--checkpoint", ckpt,
+                     "--step", "10"],
+        "transfer": ["transfer", "--checkpoint", ckpt, "--data", data,
+                     "--budget", "5", "--step", "10"],
+    }[command]
+    assert main(argv + ["--out", str(out), flag, value]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_split_shorter_than_window_exits_2_naming_it(
         pipeline, tmp_path, capsys):
     data = str(pipeline / "data")

@@ -118,11 +118,11 @@ def test_limit_reusing_a_live_id_is_rejected_before_touching_the_book():
 def test_top_levels_exports_real_units_best_first():
     book, _ = seeded_book(levels=12)
     s = snapshot_padded(book, 10)
-    assert s.l == 10
-    assert s.levels[0, 0] == pytest.approx(10.00)
-    assert s.levels[0, 2] == pytest.approx(10.01)
-    assert np.all(np.diff(s.levels[:, 0]) < 0)  # bids descending
-    assert np.all(np.diff(s.levels[:, 2]) > 0)  # asks ascending
+    assert s.shape == (40,)
+    assert s[0] == pytest.approx(10.00)
+    assert s[20] == pytest.approx(10.01)
+    assert np.all(np.diff(s[0:10]) < 0)  # bids descending
+    assert np.all(np.diff(s[20:30]) > 0)  # asks ascending
 
 
 def test_top_levels_aggregates_level_volume():
@@ -131,7 +131,7 @@ def test_top_levels_aggregates_level_volume():
     submit(book, Order(2, BID, LIMIT, 0, price=100, volume=7))
     submit(book, Order(3, ASK, LIMIT, 0, price=101, volume=4))
     s = snapshot_padded(book, 1)
-    assert s.levels[0, 1] == 17
+    assert s[1] == 17  # best bid volume
 
 
 def test_top_levels_empty_side():
@@ -360,8 +360,9 @@ def test_engine_matches_naive_reference_book(specs, centre, l):
             if want[-1, 0] <= 0:
                 with pytest.raises(SamplingError):
                     snapshot_padded(book, l)
-            else:
-                assert np.array_equal(snapshot_padded(book, l).levels, want)
+            else:  # the (l, 4) levels laid out field-major
+                assert np.array_equal(snapshot_padded(book, l),
+                                      want.T.ravel())
         else:
             with pytest.raises(SamplingError):
                 snapshot_padded(book, l)

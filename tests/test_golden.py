@@ -14,6 +14,11 @@ import pytest
 from lobkit import io as lio
 from lobkit.cli import main
 
+FILES = ("flow.csv", "series.bin", "series.meta.txt",
+         "data/train_series.bin", "data/test_series.bin",
+         "data/train_labels.bin", "data/test_labels.bin",
+         "data/norm_stats.txt", "data/meta.txt")
+
 GOLDEN = {
     ("sz000001", 0): {
         "flow.csv":
@@ -35,6 +40,26 @@ GOLDEN = {
         "data/meta.txt":
             "e64c86267056a37c9ef630609ec47ee0aa3409a7acc9a35674c52d70cc18c3b4",
     },
+    ("sz000001", 1): {
+        "flow.csv":
+            "fa935272cac2b15c01b00047da2056c47446c160faaabb8f997b36da042dda09",
+        "series.bin":
+            "19c9df8ae7af15e50651acd42989926068d241e899e4608462e3b987a465c771",
+        "series.meta.txt":
+            "99b235350df5cf653d0c6b976771204a6d9ead4ffaf55b8f07ecc7b8eca73a48",
+        "data/train_series.bin":
+            "c9885854f728be668b993b2cbedac7648b57ce4c455dde1c32feff8854b50f7e",
+        "data/test_series.bin":
+            "64474386157ca6feeca8312d6ede0300aea7f1d88f2e1b180bc66516dd4ed2d0",
+        "data/train_labels.bin":
+            "af1779b3e688019a9523c75d55a2c7471cc3a702eb6168229f7abc63d387a424",
+        "data/test_labels.bin":
+            "48b5aa02fb7bdee22ad9c97379ff5765e8ad4c6c28ad991b14ef22e3c38d3083",
+        "data/norm_stats.txt":
+            "adf140a8652edccd88bee4e6eb7275dc89b882f4e1273718df459f54b950d95d",
+        "data/meta.txt":
+            "5cf2e4b2236b664cd58e912a42b4d63d33ef71594ad40d15732cd650c3fd462b",
+    },
     ("sz000002", 1): {
         "flow.csv":
             "1813d7f689b204a5cb1a547fe1e9da2e312f15c7a76235373132dc94ced122aa",
@@ -54,6 +79,26 @@ GOLDEN = {
             "12504465ea7eb355a562afbb64fec4a657f108121f8bb25504a8989e3229abe2",
         "data/meta.txt":
             "6e7533ecc52f12e24dc3309dfaeeec3fc4b15e63b90a47b7b5b7aac6d416f30c",
+    },
+    ("sz000002", 3): {
+        "flow.csv":
+            "f6d23d4061365365100e1905fb6bb811cc75abe3cee20b974398280fc5250a66",
+        "series.bin":
+            "8b1bb78ebad75320b206d05f8a24597f65ea0a49141ebf79119bfa0c556068bc",
+        "series.meta.txt":
+            "4b941888c7a6f4c49f9020ed14471b3ccfcce1f27b1b44d529074a1643c402a6",
+        "data/train_series.bin":
+            "255fe7134fe3d71e39775d65e742536296271a1fe3ac861c4ef34dc7142d9a4d",
+        "data/test_series.bin":
+            "3d5837df46943460f54c3ba3d64bd793fd9f2d27329be2011d9e208345474fee",
+        "data/train_labels.bin":
+            "5cd380c6a71ec028af3f68e5fcb99353f617e7f9562d7b75c5195821442b7698",
+        "data/test_labels.bin":
+            "3c625e7231014dea9f5c5b483ccf89ce03eacd05e56052a83bd3314e86866598",
+        "data/norm_stats.txt":
+            "5d93c992849911b18d05954bad5d7ed64ded3e400f1abea01fbef32936ba3b4b",
+        "data/meta.txt":
+            "b7be04c28fcd54db30cd942febb0067984bb8e6acb457a71568626e412f9f657",
     },
     ("sz000858", 0): {
         "flow.csv":
@@ -75,6 +120,26 @@ GOLDEN = {
         "data/meta.txt":
             "7a0102d23cce3a6cfa3b3b32d48fa496e7e0673888edaa4ee41cb40d03bd5fae",
     },
+    ("sz000858", 1): {
+        "flow.csv":
+            "1c3fb68b7ec8e4afe45a80e200d3a79208fed62e6905fb8745b5219fea6bfad1",
+        "series.bin":
+            "a3c5b59aa6879ac3fb7e1189482f4545b9faebedde3f473d0e7d00287ccfea77",
+        "series.meta.txt":
+            "166ae4448adbb0ce620c59eae53ac492735b3bf3688c71efe66bf4354ebccee1",
+        "data/train_series.bin":
+            "279c3ff41b72af63fe67bf6880d5bdcb65625669fdd803814909a192ec31990d",
+        "data/test_series.bin":
+            "63ae3be89ac418fd5a2e802aa4b7da6ad5f699cbfe475fe5759701fa24716a3f",
+        "data/train_labels.bin":
+            "c749e28dd9e823a9ddade4173e10848d65c510fa4573afd5b20cdad5c1b8e39d",
+        "data/test_labels.bin":
+            "e80bb1e83c3ab561e032bcb839df1fd0993662af40f585540f6ef2aecd37ebe5",
+        "data/norm_stats.txt":
+            "f2999b775a66430136b9f120d53bc343c3352a9a6f365ba2584fdebc2906ceab",
+        "data/meta.txt":
+            "37e6abde4efd53fb9cdc21bd43f05406c15c7363e0dc99b7d18de970b59023c1",
+    },
     ("sz002415", 2): {
         "flow.csv":
             "ce01f35e090e3613e3b66c9aee2c517acb12f421497e3eebfb7cd6c983dde485",
@@ -94,6 +159,26 @@ GOLDEN = {
             "0b186efed064defeae00a2cf8760b3350e3f2fcde803f33add24a1c2e7abf0b2",
         "data/meta.txt":
             "741b06b8a644fdcb539390f878813a1b32e4a29aac7e1d669d9286fba83e16ff",
+    },
+    ("sz002415", 4): {
+        "flow.csv":
+            "cafc4ad21d68bb469f373728b2d32964e243cef441269921ea25891101318904",
+        "series.bin":
+            "52e75a32cfd919cf36e520834a175e963a67f02dfc76413e92425191743cd7c8",
+        "series.meta.txt":
+            "cec8542b27366438f20fa59ed8c3f33da64a89a5c3d8d3e1ae4ca1e1e21456a0",
+        "data/train_series.bin":
+            "e33eb913c73fbf93bbd6b7af643f2d7e42065aa8549929efcb9697f976ba1321",
+        "data/test_series.bin":
+            "d1c0d7ba8a9a39f8bfd73e3a4e3f6bd6a17788d5a0c1113162521c17ca37a55b",
+        "data/train_labels.bin":
+            "53361a0f75c6f883113ecdab7d5b8f1ea3337d6d04f129000974f5300cd7f532",
+        "data/test_labels.bin":
+            "14106b18c1ec7968a114c098c45d6c57d09d9845da185b494a7572575372c98a",
+        "data/norm_stats.txt":
+            "193f24a5562f9faf9ef579507d5990535ee7f819ad14804300b99ae7024261c2",
+        "data/meta.txt":
+            "879ba46314e2b38bc675d688a910a2efe2e3dc8a5b124daee1ca8234af23197f",
     },
     ("sz300147", 5): {
         "flow.csv":
@@ -115,17 +200,72 @@ GOLDEN = {
         "data/meta.txt":
             "8be3463f3159c7033bc0e8823cd837324089423524188769990648c54a8c7644",
     },
+    ("sz300147", 6): {
+        "flow.csv":
+            "1a1bfc0df2cf536e90cb5d51c3f441a255dc647b21f60dfbcb1f811c555b0da3",
+        "series.bin":
+            "d0c0ae28405a07c1846bdecff96bb02b26384a7e7ecfcf46648e1bfeb3a772f7",
+        "series.meta.txt":
+            "10d482375e62ee8f4273b9ca17a370ae554eb22e60fde79ae56a7711174d69d3",
+        "data/train_series.bin":
+            "7c258201d72bf273abb4a4b6507a88a7a21838054eb1be6d7f83e72860813607",
+        "data/test_series.bin":
+            "11d46593f08795d8880cf3dbd98d2bd201d4f15423a37c950418ff61d9c00f16",
+        "data/train_labels.bin":
+            "dafe8a5f9e15c8d24cad2e9edca994f5b784bbeaf37ec5688fac3238a5fd2237",
+        "data/test_labels.bin":
+            "f2d7cb90987152cf78c698229469730829590a37db074b473f969373dd2cca6c",
+        "data/norm_stats.txt":
+            "20d012e96537bbd97007cb5485ae2678593c4ad02cfc99d83a8b2eef6e1a8b5e",
+        "data/meta.txt":
+            "e56e530f48ed01350a9fb6631acacc879e400421f1c0b646bb2bd927ef110f73",
+    },
 }
+
+# A deeper export: on sz000001/0 the 20th bid level is padding (volume 1)
+# in 566 of the 4740 rows, so these pin the padding path at l != 10.
+GOLDEN_LEVELS = {
+    ("sz000001", 0, 20): {
+        "flow.csv":
+            "a47055f0e34c9856ec5018c9b820f4ff4d62ca0bb67af8fd1a62af6365178e8d",
+        "series.bin":
+            "3f08984b3cb11286000a871caa96cdf7c5ffaf19d7392f251e76ec81a1eef4bb",
+        "series.meta.txt":
+            "a686175f6dbeb5a81a289d7c2fdf0e46dfab125a39283c301130ae938e973500",
+        "data/train_series.bin":
+            "73e11301a3ebf9582e943f358fa8665e5d5737a8ca72e5b01cb5a08608a21db9",
+        "data/test_series.bin":
+            "45f72eac4c485a8078664c535f722c30783da4f5f7dc0884c350a3b1322e2670",
+        "data/train_labels.bin":
+            "db4961be13cd61f46ec647f7ba280fb77d462bf2d0828808ffca1e2511a4d376",
+        "data/test_labels.bin":
+            "4d3bd9dc75e3726c91459415d76945a2f88a847f7a5e4b3081e99d9dca5d2dbd",
+        "data/norm_stats.txt":
+            "c88d0d990ad364fb476f262ccd389f081930c70e0bf9b1cd47bce907a8531427",
+        "data/meta.txt":
+            "36c70bd46218472e40face87462158d50de818f8e0865f57092dcd819f6e7e63",
+    },
+}
+
+
+def _walk(d, profile, seed, levels=10):
+    """Hashes of every file one generate -> build -> preprocess walk writes."""
+    assert main(["generate", "--profile", profile, "--seed", str(seed),
+                 "--out", str(d / "flow.csv")]) == 0
+    assert main(["build", "--flow", str(d / "flow.csv"),
+                 "--levels", str(levels), "--out", str(d / "series.bin")]) == 0
+    assert main(["preprocess", "--series", str(d / "series.bin"),
+                 "--out", str(d / "data")]) == 0
+    return {rel: lio.file_sha256(d / rel) for rel in FILES}
 
 
 @pytest.mark.parametrize("profile,seed", sorted(GOLDEN))
 def test_dataset_artifacts_match_golden_sha256(profile, seed, tmp_path):
-    d = tmp_path
-    assert main(["generate", "--profile", profile, "--seed", str(seed),
-                 "--out", str(d / "flow.csv")]) == 0
-    assert main(["build", "--flow", str(d / "flow.csv"),
-                 "--out", str(d / "series.bin")]) == 0
-    assert main(["preprocess", "--series", str(d / "series.bin"),
-                 "--out", str(d / "data")]) == 0
-    got = {rel: lio.file_sha256(d / rel) for rel in GOLDEN[profile, seed]}
-    assert got == GOLDEN[profile, seed]
+    assert _walk(tmp_path, profile, seed) == GOLDEN[profile, seed]
+
+
+@pytest.mark.parametrize("profile,seed,levels", sorted(GOLDEN_LEVELS))
+def test_deeper_export_artifacts_match_golden_sha256(profile, seed, levels,
+                                                     tmp_path):
+    assert (_walk(tmp_path, profile, seed, levels)
+            == GOLDEN_LEVELS[profile, seed, levels])

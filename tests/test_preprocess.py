@@ -33,7 +33,7 @@ from lobkit.preprocess import (
 
 
 def valid_rows(n, seed=0, l=10):
-    """n valid flattened snapshots with a random-walking mid."""
+    """n valid snapshot rows with a random-walking mid."""
     rng = np.random.default_rng(seed)
     rows = np.empty((n, 4 * l))
     mid = 1384.0

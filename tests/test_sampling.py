@@ -11,7 +11,7 @@ from lobkit.book import (
     LIMIT,
     BookState,
     Order,
-    flatten,
+    mid_prices,
     validate_snapshot,
 )
 from lobkit.engine import submit
@@ -81,10 +81,10 @@ def test_sample_takes_latest_state_at_or_before_each_grid_point():
     assert len(series) == 3
     assert np.array_equal(series.times, cal.grid())
     # t=0: seed book; t=3: includes the order stamped exactly at the grid
-    assert series.snapshot(0).levels[0, 1] == 10
-    assert series.snapshot(1).levels[0, 1] == 15
+    assert series.data[0, 3] == 10  # best bid volume
+    assert series.data[1, 3] == 15
     # t=6: the 4s order is included (latest at or before)
-    assert series.snapshot(2).levels[0, 3] == 15
+    assert series.data[2, 9] == 15  # best ask volume
 
 
 def test_sample_quiet_periods_repeat_previous_state():
@@ -107,16 +107,17 @@ def test_sample_snapshots_are_valid_even_when_sides_go_thin():
     orders, oid = seed_orders(n_levels=2)  # thinner than l=5 -> padding
     series, _ = sample(BookState(), orders, cal, l=5)
     for i in range(len(series)):
-        assert validate_snapshot(series.snapshot(i)) == []
+        assert validate_snapshot(series.data[i], l=5) == []
 
 
 def test_day_series_roundtrip_and_mid_prices():
-    snaps = [make_snapshot(bid0=1383 + i, ask0=1385 + i) for i in range(4)]
-    series = DaySeries("demo", 0, np.stack([flatten(s) for s in snaps]),
-                       np.zeros(4, dtype=np.int64))
+    rows = np.stack([make_snapshot(bid0=1383 + i, ask0=1385 + i)
+                     for i in range(4)])
+    series = DaySeries("demo", 0, rows, np.zeros(4, dtype=np.int64))
     assert len(series) == 4
-    assert series.snapshot(2) == snaps[2]
-    assert np.allclose(series.mid_prices(), [13.84 + 0.01 * i for i in range(4)])
+    assert np.array_equal(series.data[2], rows[2])
+    assert np.allclose(mid_prices(series.data, series.levels),
+                       [13.84 + 0.01 * i for i in range(4)])
 
 
 # ----------------------------------------------------------------- padding
@@ -126,11 +127,12 @@ def test_snapshot_padded_extends_one_tick_past_worst_level():
     submit(book, Order(1, BID, LIMIT, 0, price=1000, volume=9))
     submit(book, Order(2, ASK, LIMIT, 0, price=1001, volume=9))
     s = snapshot_padded(book, l=3)
-    assert validate_snapshot(s) == []
-    assert np.allclose(s.levels[:, 0], [10.00, 9.99, 9.98])
-    assert np.allclose(s.levels[:, 2], [10.01, 10.02, 10.03])
-    assert np.allclose(s.levels[1:, 1], 1)  # padded rows carry volume 1
-    assert s.levels[0, 1] == 9
+    assert validate_snapshot(s, l=3) == []
+    assert np.allclose(s[0:3], [10.00, 9.99, 9.98])  # bid prices
+    assert np.allclose(s[6:9], [10.01, 10.02, 10.03])  # ask prices
+    assert np.allclose(s[4:6], 1)  # padded bid levels carry volume 1
+    assert np.allclose(s[10:12], 1)  # and so do padded ask levels
+    assert s[3] == 9 and s[9] == 9
 
 
 def test_snapshot_padded_one_sided_book_raises():
