@@ -239,6 +239,22 @@ def _model_arrays(model, head, T, levels):
     return arrays
 
 
+def _write_config(out: Path, args):
+    """config.txt: every parsed flag but --out, in parser order, floats by
+    repr and input paths by file name; a checkpoint read adds its sha256."""
+    entries = {}
+    for key, val in vars(args).items():
+        if key in ("command", "func", "out"):
+            continue
+        if key in ("data", "checkpoint"):
+            val = Path(val).name
+        entries[key] = repr(val) if isinstance(val, float) else val
+    if "checkpoint" in entries:
+        entries["checkpoint_sha256"] = lio.file_sha256(
+            _out_path(args.checkpoint))
+    lio.write_kv(out / "config.txt", {args.command: entries})
+
+
 def _scalar(a) -> float:
     return float(np.asarray(a).ravel()[0])
 
@@ -293,15 +309,7 @@ def cmd_train(args) -> int:
     Path(out / "trace.txt").write_text(
         "".join(f"epoch={i} loss={v!r}\n" for i, v in enumerate(trace))
     )
-    lio.write_kv(out / "config.txt", {"train": {
-        "task": args.task, "epochs": args.epochs,
-        "batch_size": args.batch_size, "lr": repr(args.lr),
-        "seed": args.seed, "window": args.window, "step": args.step,
-        "latent": args.latent, "relu": args.relu,
-        "alpha": repr(args.alpha), "lam": repr(args.lam),
-        "weights": args.weights, "mask_ratio": repr(args.mask_ratio),
-        "data_dir": data_dir.name,
-    }})
+    _write_config(out, args)
     return 0
 
 
@@ -330,7 +338,7 @@ def cmd_evaluate(args) -> int:
         X = data.data()
         X_in = masked_input(X, data.masks) if imputing else X
         R = model.encode(X_in.reshape(len(X), -1))
-        Y = np.atleast_2d(head.forward(R) if imputing else model.decode(R))
+        Y = head.forward(R) if imputing else model.decode(R)
         Xh = Y.reshape(X.shape)
         masked_vals = masked_mse(X, Xh, data.masks) if imputing else None
         rep = report(X, Xh, cfg, levels, masked=masked_vals)
@@ -339,12 +347,7 @@ def cmd_evaluate(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     Path(out / "report.txt").write_text(line + "\n")
-    lio.write_kv(out / "config.txt", {"evaluate": {
-        "checkpoint": Path(args.checkpoint).name,
-        "checkpoint_sha256": lio.file_sha256(_out_path(args.checkpoint)),
-        "data_dir": data_dir.name, "split": args.split,
-        "seed": args.seed, "step": args.step,
-    }})
+    _write_config(out, args)
     return 0
 
 
@@ -392,16 +395,20 @@ def cmd_transfer(args) -> int:
         f"macro_precision_before={before['macro_precision']!r} "
         f"macro_precision_after={after['macro_precision']!r}\n"
     )
-    lio.write_kv(out / "config.txt", {"transfer": {
-        "checkpoint": Path(args.checkpoint).name,
-        "budget": args.budget, "seed": args.seed,
-        "lr": repr(args.lr), "batch_size": args.batch_size,
-        "data_dir": data_dir.name,
-    }})
+    _write_config(out, args)
     return 0
 
 
 # -------------------------------------------------------------------- parser
+
+def _mask_ratio(s: str) -> float:
+    """--mask-ratio is checked for every task, not only where masks are
+    drawn."""
+    v = float(s)
+    if not 0 < v < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {v}")
+    return v
+
 
 def _add_loss_flags(p):
     p.add_argument("--alpha", type=float, default=0.5)
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--latent", type=int, default=256)
     p.add_argument("--relu", action="store_true")
-    p.add_argument("--mask-ratio", type=float, default=0.2)
+    p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
     p.add_argument("--clip-norm", type=float, default=None)
     _add_loss_flags(p)
     p.add_argument("--out", required=True)
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--mask-ratio", type=float, default=0.2)
+    p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
     _add_loss_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .book import BookError, Order
-from .preprocess import FEATURE_WISE, GLOBAL, NormStats
+from .preprocess import NormStats
 from .synth import FlowStream
 
 TENSOR_MAGIC = b"LOBT"
@@ -194,23 +194,6 @@ def save_norm_stats(path, stats: NormStats):
         "mu": _floats(stats.mu),
         "sigma": _floats(stats.sigma),
     }})
-
-
-def load_norm_stats(path) -> NormStats:
-    kv = read_kv(path)
-    if "norm" not in kv:
-        raise FormatError("missing [norm] section", field="norm")
-    sec = kv["norm"]
-    scheme = sec["scheme"]
-    if scheme not in (FEATURE_WISE, GLOBAL):
-        raise FormatError(f"unknown scheme {scheme!r}", field="scheme")
-    return NormStats(
-        scheme=scheme,
-        mu=np.array([float(v) for v in sec["mu"].split(",")]),
-        sigma=np.array([float(v) for v in sec["sigma"].split(",")]),
-        scope=sec["scope"],
-        levels=int(sec["levels"]),
-    )
 
 
 # --------------------------------------------------------------- checkpoints

@@ -71,8 +71,10 @@ class LossConfig:
     )
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= 1 or self.lam < 0:
-            raise MetricError("need 0 <= alpha <= 1 and lam >= 0")
+        if not 0 <= self.alpha <= 1:
+            raise MetricError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0 <= self.lam < np.inf:
+            raise MetricError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 def mse(x: np.ndarray, xh: np.ndarray):
@@ -218,20 +220,18 @@ class MetricsReport:
     l_reg: float
     l_all: float
     count: int
-    ce: float | None = None
     masked_mse: float | None = None
 
     def as_items(self) -> list[tuple[str, object]]:
-        """count first, then the metrics; ce and masked_mse when present."""
+        """count first, then the metrics; masked_mse when present."""
         names = ("count", "mse", "mae", "wmse", "l_price", "l_volume",
-                 "l_reg", "l_all", "ce", "masked_mse")
+                 "l_reg", "l_all", "masked_mse")
         return [(k, getattr(self, k)) for k in names
                 if getattr(self, k) is not None]
 
 
 def report(
-    xs, xhs, cfg: LossConfig, levels: int = DEFAULT_LEVELS,
-    ces=None, masked=None,
+    xs, xhs, cfg: LossConfig, levels: int = DEFAULT_LEVELS, masked=None,
 ) -> MetricsReport:
     """Aggregate metrics over matched (N, T, C) true/predicted windows."""
     if np.ndim(xs) != 3 or len(xs) == 0:
@@ -244,6 +244,5 @@ def report(
         # each mean sums its per-window values one after another
         *(float(np.cumsum(v)[-1]) / len(x) for v in per_window),
         count=len(x),
-        ce=None if ces is None else float(np.mean(ces)),
         masked_mse=None if masked is None else float(np.mean(masked)),
     )

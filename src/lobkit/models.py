@@ -68,27 +68,25 @@ class LinearAutoencoder:
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} inputs, got {x.shape[1]}")
         h = x @ self.params["enc.W"] + self.params["enc.b"]
-        r = np.maximum(h, 0.0) if self.relu else h
-        return r[0] if r.shape[0] == 1 else r
+        return np.maximum(h, 0.0) if self.relu else h
 
     def decode(self, r: np.ndarray) -> np.ndarray:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         if r.shape[1] != self.latent:
             raise ValueError(f"expected {self.latent} latents, got {r.shape[1]}")
-        y = r @ self.params["dec.W"] + self.params["dec.b"]
-        return y[0] if y.shape[0] == 1 else y
+        return r @ self.params["dec.W"] + self.params["dec.b"]
 
 
 class TaskHead:
     """Single affine map from the latent to the task output.
 
     Prediction: 256 -> 3 logits (classes -1, 0, +1 in index order).
-    Imputation / reconstruction heads: 256 -> input_dim.
+    Imputation: 256 -> input_dim. Reconstruction has no head: it decodes.
     """
 
     def __init__(self, kind: str, latent: int = 256, out_dim: int | None = None,
                  seed: int = 0):
-        if kind not in (PREDICTION, IMPUTATION, RECONSTRUCTION):
+        if kind not in (PREDICTION, IMPUTATION):
             raise ValueError(f"bad head kind {kind!r}")
         if out_dim is None:
             out_dim = 3 if kind == PREDICTION else 4000
@@ -105,8 +103,7 @@ class TaskHead:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         if r.shape[1] != self.latent:
             raise ValueError(f"expected {self.latent} latents, got {r.shape[1]}")
-        y = r @ self.params["head.W"] + self.params["head.b"]
-        return y[0] if y.shape[0] == 1 else y
+        return r @ self.params["head.W"] + self.params["head.b"]
 
 
 @dataclass
@@ -155,9 +152,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
+            raise ValueError(
+                f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
 def _batch_forward(model, head, X):
@@ -290,7 +292,7 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
 def predict_logits(model: LinearAutoencoder, head: TaskHead,
                    X: np.ndarray) -> np.ndarray:
     """Prediction-head logits, one row per window of the (N, T, C) X."""
-    return np.atleast_2d(head.forward(model.encode(X.reshape(len(X), -1))))
+    return head.forward(model.encode(X.reshape(len(X), -1)))
 
 
 def logit_classes(logits: np.ndarray) -> np.ndarray:

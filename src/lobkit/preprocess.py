@@ -61,8 +61,11 @@ class LabelConfig:
     delta: float = 0.001
 
     def __post_init__(self):
-        if self.horizon < 1 or self.delta < 0:
-            raise PreprocessError("need horizon >= 1 and delta >= 0")
+        if self.horizon < 1:
+            raise PreprocessError(f"horizon must be >= 1, got {self.horizon}")
+        if not 0 <= self.delta < math.inf:
+            raise PreprocessError(
+                f"delta must be finite and >= 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,6 @@ def normalize(data: np.ndarray, stats: NormStats) -> np.ndarray:
             f"data has {data.shape[-1]} columns, stats expect {mu.shape[0]}"
         )
     return (data - mu) / sigma
-
-
-def denormalize(data: np.ndarray, stats: NormStats) -> np.ndarray:
-    data = np.asarray(data, dtype=float)
-    mu, sigma = stats.column_mu_sigma()
-    if data.shape[-1] != mu.shape[0]:
-        raise PreprocessError(
-            f"data has {data.shape[-1]} columns, stats expect {mu.shape[0]}"
-        )
-    return data * sigma + mu
 
 
 def split_train_test(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

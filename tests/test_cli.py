@@ -1,5 +1,6 @@
 """End-to-end command-line tests: full pipeline, determinism, exit codes."""
 
+import argparse
 import math
 import struct
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from lobkit import io as lio
-from lobkit.cli import main
+from lobkit.cli import build_parser, main
 
 FAST_TRAIN = [
     "--epochs", "2", "--step", "50", "--latent", "16", "--batch-size", "16",
@@ -53,8 +54,8 @@ def test_preprocess_outputs_split_and_stats(pipeline):
     assert labels.shape == (3792,)
     finite = labels[np.isfinite(labels)]
     assert set(np.unique(finite)) <= {-1.0, 0.0, 1.0}
-    stats = lio.load_norm_stats(data / "norm_stats.txt")
-    assert stats.scheme == "global" and stats.scope == "train"
+    norm = lio.read_kv(data / "norm_stats.txt")["norm"]
+    assert norm["scheme"] == "global" and norm["scope"] == "train"
 
 
 def test_train_and_evaluate_each_task(pipeline, tmp_path):
@@ -190,6 +191,21 @@ def tiny_prediction_checkpoint(pipeline, tmp_path_factory):
     ("transfer", "--step", "0", "step must be >= 1, got 0"),
     ("transfer", "--batch-size", "0", "batch_size must be >= 1, got 0"),
     ("transfer", "--budget", "-3", "budget must be >= 0, got -3"),
+    ("train", "--epochs", "0", "epochs must be >= 1, got 0"),
+    ("train", "--lr", "-1", "lr must be finite and > 0, got -1.0"),
+    ("train", "--lr", "nan", "lr must be finite and > 0, got nan"),
+    ("transfer", "--lr", "inf", "lr must be finite and > 0, got inf"),
+    ("train", "--clip-norm", "-1",
+     "clip_norm must be finite and > 0, got -1.0"),
+    ("train", "--lam", "nan", "lam must be finite and >= 0, got nan"),
+    ("evaluate", "--lam", "nan", "lam must be finite and >= 0, got nan"),
+    ("evaluate", "--alpha", "1.5", "alpha must be in [0, 1], got 1.5"),
+    ("train", "--mask-ratio", "5",
+     "argument --mask-ratio: must be in (0, 1), got 5.0"),
+    ("evaluate", "--mask-ratio", "nan",
+     "argument --mask-ratio: must be in (0, 1), got nan"),
+    ("preprocess", "--horizon", "0", "horizon must be >= 1, got 0"),
+    ("preprocess", "--delta", "nan", "delta must be finite and >= 0, got nan"),
 ])
 def test_training_flags_out_of_range_exit_2_naming_them(
         pipeline, tiny_prediction_checkpoint, tmp_path, capsys,
@@ -197,6 +213,7 @@ def test_training_flags_out_of_range_exit_2_naming_them(
     data, ckpt = str(pipeline / "data"), str(tiny_prediction_checkpoint)
     out = tmp_path / "out"
     argv = {
+        "preprocess": ["preprocess", "--series", str(pipeline / "series.bin")],
         "train": ["train", "--data", data, "--task", "prediction",
                   "--epochs", "1", "--window", "10", "--step", "10",
                   "--latent", "4"],
@@ -205,9 +222,110 @@ def test_training_flags_out_of_range_exit_2_naming_them(
         "transfer": ["transfer", "--checkpoint", ckpt, "--data", data,
                      "--budget", "5", "--step", "10"],
     }[command]
-    assert main(argv + ["--out", str(out), flag, value]) == 2
+    try:
+        code = main(argv + ["--out", str(out), flag, value])
+    except SystemExit as exc:  # rejected by the parser itself
+        code = exc.code
+    assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _actions(command):
+    """The command's flags by option string, in parser order."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a for a in sub.choices[command]._actions
+            if a.dest != "help"}
+
+
+def _recorded(path):
+    """The keys a run wrote: the flow header, or a sidecar's one section."""
+    if path.suffix == ".csv":
+        return dict(line[2:].split(" = ", 1)
+                    for line in path.read_text().splitlines()
+                    if line.startswith("# "))
+    (section,) = lio.read_kv(path).values()
+    return section
+
+
+def test_every_flag_is_recorded(pipeline, tmp_path):
+    data, run = pipeline / "data", tmp_path / "train"
+    ckpt = run / "checkpoint.bin"
+    # flag -> (value given, file it is recorded in, key, value recorded);
+    # generate, build and preprocess keep their golden-pinned keys
+    pinned = {
+        "generate": {
+            "--profile": ("sz300147", "flow.csv", "profile", "sz300147"),
+            "--seed": ("4", "flow.csv", "seed", "4"),
+        },
+        "build": {
+            "--flow": (str(tmp_path / "flow.csv"), "series.meta.txt",
+                       "flow_file", "flow.csv"),
+            "--levels": ("5", "series.meta.txt", "levels", "5"),
+            "--day": ("2", "series.meta.txt", "day", "2"),
+        },
+        "preprocess": {
+            "--series": (str(tmp_path / "series.bin"), "data/meta.txt",
+                         "series_file", "series.bin"),
+            "--scheme": ("feature", "data/meta.txt", "scheme", "feature"),
+            "--scope": ("all", "data/meta.txt", "scope", "all"),
+            "--horizon": ("3", "data/meta.txt", "label_horizon", "3"),
+            "--delta": ("0.002", "data/meta.txt", "label_delta", "0.002"),
+        },
+    }
+    outs = {"generate": "flow.csv", "build": "series.bin",
+            "preprocess": "data"}
+    # flag -> (value given, value recorded in config.txt under its dest)
+    configs = {
+        "train": {
+            "--data": (str(data), "data"),
+            "--task": ("prediction", "prediction"),
+            "--epochs": ("1", "1"), "--batch-size": ("16", "16"),
+            "--lr": ("0.002", "0.002"), "--seed": ("1", "1"),
+            "--window": ("10", "10"), "--step": ("10", "10"),
+            "--latent": ("4", "4"), "--relu": (None, "True"),
+            "--mask-ratio": ("0.3", "0.3"), "--clip-norm": ("1.5", "1.5"),
+            "--alpha": ("0.25", "0.25"), "--lam": ("0.5", "0.5"),
+            "--weights": ("uniform", "uniform"),
+        },
+        "evaluate": {
+            "--data": (str(data), "data"),
+            "--checkpoint": (str(ckpt), "checkpoint.bin"),
+            "--split": ("train", "train"), "--seed": ("1", "1"),
+            "--step": ("10", "10"), "--mask-ratio": ("0.3", "0.3"),
+            "--alpha": ("0.25", "0.25"), "--lam": ("0.5", "0.5"),
+            "--weights": ("uniform", "uniform"),
+        },
+        "transfer": {
+            "--checkpoint": (str(ckpt), "checkpoint.bin"),
+            "--data": (str(data), "data"),
+            "--budget": ("5", "5"), "--epochs": ("2", "2"),
+            "--batch-size": ("16", "16"), "--lr": ("0.002", "0.002"),
+            "--seed": ("1", "1"), "--step": ("10", "10"),
+        },
+    }
+    for command, flags in [*pinned.items(), *configs.items()]:
+        actions = _actions(command)
+        assert list(flags) == [f for f in actions if f != "--out"], command
+        out = tmp_path / outs.get(command, command)
+        argv = [command, "--out", str(out)]
+        for flag, (value, *_) in flags.items():
+            argv += [flag] if value is None else [flag, value]
+        args = build_parser().parse_args(argv)
+        for flag in flags:
+            action = actions[flag]
+            assert getattr(args, action.dest) != action.default, flag
+        assert main(argv) == 0, command
+        if command in pinned:
+            for flag, (_, name, key, value) in flags.items():
+                assert _recorded(tmp_path / name)[key] == value, flag
+            continue
+        expected = {actions[f].dest: value for f, (_, value) in flags.items()}
+        if "--checkpoint" in flags:
+            expected["checkpoint_sha256"] = lio.file_sha256(ckpt)
+        config = lio.read_kv(out / "config.txt")[command]
+        assert list(config.items()) == list(expected.items()), command
 
 
 def test_evaluate_split_shorter_than_window_exits_2_naming_it(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lobkit import io as lio
 from lobkit.book import ASK, BID, CANCEL, LIMIT, MARKET, Order
-from lobkit.preprocess import fit_feature_stats, fit_group_stats
 from lobkit.synth import FlowStream
 
 
@@ -148,36 +147,6 @@ def test_kv_unparseable_line_raises(tmp_path):
     path.write_text("[s]\nnot an entry\n")
     with pytest.raises(lio.FormatError):
         lio.read_kv(path)
-
-
-# --------------------------------------------------------------- norm stats
-
-def _rows(n=50, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(1, 100, size=(n, 40))
-
-
-@pytest.mark.parametrize("fit", [fit_feature_stats, fit_group_stats])
-def test_norm_stats_roundtrip(tmp_path, fit):
-    stats = fit(_rows(), scope="train")
-    path = tmp_path / "stats.txt"
-    lio.save_norm_stats(path, stats)
-    back = lio.load_norm_stats(path)
-    assert back.scheme == stats.scheme
-    assert back.scope == "train" and back.levels == stats.levels
-    # repr round-trip keeps float64 values exact
-    assert np.array_equal(back.mu, stats.mu)
-    assert np.array_equal(back.sigma, stats.sigma)
-
-
-def test_norm_stats_unknown_scheme_rejected(tmp_path):
-    path = tmp_path / "stats.txt"
-    lio.write_kv(path, {"norm": {
-        "scheme": "quantile", "scope": "train", "levels": 10,
-        "mu": "0.0", "sigma": "1.0",
-    }})
-    with pytest.raises(lio.FormatError):
-        lio.load_norm_stats(path)
 
 
 # -------------------------------------------------------------- checkpoints

@@ -211,7 +211,7 @@ def test_report_aggregates_means():
     assert rep.l_all == pytest.approx(
         np.mean([l_all(p[0], p[1], cfg) for p in pairs]), rel=1e-12
     )
-    assert rep.ce is None and rep.masked_mse is None
+    assert rep.masked_mse is None
 
 
 # -------------------------------------------------- finite-difference checks

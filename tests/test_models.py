@@ -67,8 +67,8 @@ def test_autoencoder_shapes_default():
     model = LinearAutoencoder()
     x = np.zeros(4000)
     r = model.encode(x)
-    assert r.shape == (256,)
-    assert model.decode(r).shape == (4000,)
+    assert r.shape == (1, 256)
+    assert model.decode(r).shape == (1, 4000)
     batch = model.encode(np.zeros((5, 4000)))
     assert batch.shape == (5, 256)
 
@@ -92,8 +92,9 @@ def test_head_kinds_and_output_dims():
     assert TaskHead(PREDICTION).out_dim == 3
     assert TaskHead(IMPUTATION).out_dim == 4000
     assert TaskHead(IMPUTATION, out_dim=8).out_dim == 8
-    with pytest.raises(ValueError):
-        TaskHead("segmentation")
+    for kind in ("segmentation", RECONSTRUCTION):
+        with pytest.raises(ValueError):
+            TaskHead(kind)
 
 
 def test_relu_latent_clips_negatives():

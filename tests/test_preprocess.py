@@ -19,7 +19,6 @@ from lobkit.preprocess import (
     PreprocessError,
     Windows,
     balance_classes,
-    denormalize,
     fit_feature_stats,
     fit_group_stats,
     label_trend,
@@ -87,15 +86,7 @@ def test_fit_on_empty_data_raises():
         fit_group_stats(np.empty((0, 40)))
 
 
-# ----------------------------------------------------- normalize/denormalize
-
-@pytest.mark.parametrize("fit", [fit_feature_stats, fit_group_stats])
-def test_normalize_roundtrip(fit):
-    data = valid_rows(300, seed=3)
-    stats = fit(data)
-    back = denormalize(normalize(data, stats), stats)
-    assert np.max(np.abs(back - data)) < 1e-9
-
+# ---------------------------------------------------------------- normalize
 
 def test_normalize_shape_mismatch_raises():
     stats = fit_group_stats(valid_rows(10))
