@@ -56,7 +56,7 @@ from .preprocess import (
     split_train_test,
     window_view,
 )
-from .sampling import SamplingError, SessionCalendar, sample
+from .sampling import SamplingError, SessionCalendar
 from .synth import PROFILES, generate_day, replay_check
 
 HEAD_KINDS = (RECONSTRUCTION, PREDICTION, IMPUTATION)  # meta.head_kind order

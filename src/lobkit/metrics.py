@@ -208,6 +208,9 @@ def masked_mse_gradient(x: np.ndarray, xh: np.ndarray,
     return grad
 
 
+REPORT_BLOCK = 64  # windows per block of report's per-window pass
+
+
 @dataclass
 class MetricsReport:
     """One evaluation record; serialized by the cli module."""
@@ -237,9 +240,14 @@ def report(
     if np.ndim(xs) != 3 or len(xs) == 0:
         raise MetricError("need a non-empty (N, T, C) evaluation set")
     x, xh = _check(xs, xhs)
-    per_window = (mse(x, xh), mae(x, xh), wmse(x, xh, cfg.weights),
-                  *price_volume_losses(x, xh, levels), l_reg(xh, levels),
-                  l_all(x, xh, cfg, levels))
+    # per-window values, REPORT_BLOCK windows at a time so that the
+    # temporaries stay a few MB however large the evaluation set is
+    blocks = [(mse(a, b), mae(a, b), wmse(a, b, cfg.weights),
+               *price_volume_losses(a, b, levels), l_reg(b, levels),
+               l_all(a, b, cfg, levels))
+              for a, b in ((x[i:i + REPORT_BLOCK], xh[i:i + REPORT_BLOCK])
+                           for i in range(0, len(x), REPORT_BLOCK))]
+    per_window = [np.concatenate(v) for v in zip(*blocks)]
     return MetricsReport(
         # each mean sums its per-window values one after another
         *(float(np.cumsum(v)[-1]) / len(x) for v in per_window),

@@ -26,6 +26,7 @@ from .preprocess import Windows, masked_input
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
 IMPUTATION = "imputation"
+LR_SCHEDULES = ("constant", "cosine")
 
 
 class NumericError(Exception):
@@ -106,9 +107,20 @@ class TaskHead:
         return r @ self.params["head.W"] + self.params["head.b"]
 
 
+ADAM_CHUNK = 1 << 14  # float64 per block: six blocks stay in L2
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, one pair per parameter array.
+
+    `update` walks each parameter in ADAM_CHUNK-sized blocks of its flat
+    view and writes every step into two scratch blocks or in place, so a
+    step allocates nothing the size of a parameter. Per element it applies
+    the same ufuncs to the same operands, in the same order, as
+    ``m += (1-b1)*(g-m); v += (1-b2)*(g*g-v);
+    p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)``, so the result is bit-identical.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -117,21 +129,43 @@ class AdamState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _s1: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK),
+                            init=False, repr=False, compare=False)
+    _s2: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK),
+                            init=False, repr=False, compare=False)
 
     def update(self, params: dict, grads: dict):
         self.t += 1
         b1t = 1 - self.beta1**self.t
         b2t = 1 - self.beta2**self.t
+        c1, c2, lr, eps = 1 - self.beta1, 1 - self.beta2, self.lr, self.eps
         for name, g in grads.items():
             p = params[name]
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} must be C-contiguous")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            m = self.m[name]
-            v = self.v[name]
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            p, g = p.reshape(-1), np.ravel(g)
+            for i in range(0, p.size, ADAM_CHUNK):
+                j = min(i + ADAM_CHUNK, p.size)
+                pc, gc, mc, vc = p[i:j], g[i:j], m[i:j], v[i:j]
+                s1, s2 = self._s1[: j - i], self._s2[: j - i]
+                np.subtract(gc, mc, out=s1)
+                np.multiply(s1, c1, out=s1)
+                np.add(mc, s1, out=mc)
+                np.multiply(gc, gc, out=s1)
+                np.subtract(s1, vc, out=s1)
+                np.multiply(s1, c2, out=s1)
+                np.add(vc, s1, out=vc)
+                np.divide(mc, b1t, out=s1)
+                np.multiply(s1, lr, out=s1)
+                np.divide(vc, b2t, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, eps, out=s2)
+                np.divide(s1, s2, out=s1)
+                np.subtract(pc, s1, out=pc)
 
 
 @dataclass
@@ -145,7 +179,7 @@ class TrainConfig:
     freeze_encoder: bool = False
     clip_norm: float | None = None
     levels: int = 10
-    lr_schedule: str = "constant"  # constant | cosine (warmup then anneal)
+    lr_schedule: str = "constant"  # one of LR_SCHEDULES; warmup comes first
     warmup_epochs: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -160,6 +194,16 @@ class TrainConfig:
         if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
             raise ValueError(
                 f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if self.lr_schedule not in LR_SCHEDULES:
+            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}, "
+                             f"got {self.lr_schedule!r}")
+        if self.warmup_epochs < 0:
+            raise ValueError(
+                f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0 <= beta < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
 
 
 def _batch_forward(model, head, X):
@@ -207,8 +251,9 @@ def _task_loss_grad(task, Y, X, batch: Windows, cfg):
             losses = l_all(X, Xh, cfg.loss, cfg.levels)
             GY = l_all_gradient(X, Xh, cfg.loss, cfg.levels)
         GY = GY.reshape(B, -1)
+    GY /= B
     # the per-window losses are summed one after another, in batch order
-    return float(np.cumsum(losses)[-1]) / B, GY / B
+    return float(np.cumsum(losses)[-1]) / B, GY
 
 
 def _clip(grads: dict, max_norm: float):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lobkit.metrics import (
+    REPORT_BLOCK,
     LossConfig,
     WeightProfile,
     cross_entropy,
@@ -21,6 +22,7 @@ from lobkit.metrics import (
     wmse,
 )
 from lobkit.models import (
+    ADAM_CHUNK,
     IMPUTATION,
     PREDICTION,
     RECONSTRUCTION,
@@ -30,6 +32,7 @@ from lobkit.models import (
     TrainConfig,
     _batch_backward,
     _batch_forward,
+    _clip,
     _task_loss_grad,
     evaluate_classification,
     finetune_frozen,
@@ -221,9 +224,8 @@ def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
     assert np.array_equal(GY, want_GY)
 
 
-def test_report_equals_per_window_means(day_windows):
+def assert_report_equals_per_window_means(X):
     cfg = LossConfig()
-    X = day_windows.data()
     Xh = X + 0.3 * np.random.default_rng(12).normal(size=X.shape)
     rep = report(X, Xh, cfg)
     sums = dict.fromkeys(
@@ -241,6 +243,17 @@ def test_report_equals_per_window_means(day_windows):
     for key, total in sums.items():
         got = getattr(rep, key)
         assert type(got) is float and got == total / len(X), key
+
+
+def test_report_equals_per_window_means(day_windows):
+    assert_report_equals_per_window_means(day_windows.data())
+
+
+def test_report_blocks_equal_per_window_means():
+    """report runs REPORT_BLOCK windows at a time: several blocks and a
+    short last one still equal one call per window."""
+    assert_report_equals_per_window_means(
+        real_windows(n=2 * REPORT_BLOCK + 7, seed=1).data())
 
 
 # -------------------------------------------------------------------- adam
@@ -265,6 +278,75 @@ def test_adam_first_step_is_signed_lr():
     params = {"w": np.zeros(3)}
     adam.update(params, {"w": np.array([2.0, -7.0, 0.1])})
     assert np.allclose(params["w"], [-0.5, 0.5, -0.5], atol=1e-6)
+
+
+def reference_adam_update(adam, params, grads):
+    """Adam as whole-array expressions, one temporary per operation: the
+    oracle that the blocked AdamState.update must equal bit for bit."""
+    adam.t += 1
+    b1t = 1 - adam.beta1**adam.t
+    b2t = 1 - adam.beta2**adam.t
+    for name, g in grads.items():
+        p = params[name]
+        if name not in adam.m:
+            adam.m[name] = np.zeros_like(p)
+            adam.v[name] = np.zeros_like(p)
+        m = adam.m[name]
+        v = adam.v[name]
+        m += (1 - adam.beta1) * (g - m)
+        v += (1 - adam.beta2) * (g * g - v)
+        p -= adam.lr * (m / b1t) / (np.sqrt(v / b2t) + adam.eps)
+
+
+ADAM_SHAPES = {
+    "enc.W": (4000, 256),
+    "enc.b": (ADAM_CHUNK + 1,),
+    "head.W": (3,),
+    "head.b": (2, 5),
+}
+
+
+def cosine_lr(step, steps=40, warmup=5, lr=1e-2):
+    """Warmup then cosine annealing, as train's schedule moves lr by epoch."""
+    if step < warmup:
+        return lr * (step + 1) / warmup
+    return lr * 0.5 * (1 + np.cos(np.pi * (step - warmup) / (steps - warmup)))
+
+
+@pytest.mark.parametrize("case", ["constant", "schedule", "frozen", "clipped"])
+def test_blocked_adam_equals_reference_update(case):
+    rng = np.random.default_rng(21)
+    start = {k: rng.uniform(-0.1, 0.1, size=s) for k, s in ADAM_SHAPES.items()}
+    params, want = ({k: v.copy() for k, v in start.items()} for _ in range(2))
+    adam = AdamState(lr=1e-2, beta1=0.8, beta2=0.99)
+    oracle = AdamState(lr=1e-2, beta1=0.8, beta2=0.99)
+    trained = [k for k in ADAM_SHAPES
+               if case != "frozen" or not k.startswith("enc.")]
+    for step in range(40):
+        grads = {k: rng.normal(scale=10.0 ** (step % 5 - 2),
+                               size=ADAM_SHAPES[k]) for k in trained}
+        if case == "clipped":
+            _clip(grads, 1.0)
+        if case == "schedule":
+            adam.lr = oracle.lr = cosine_lr(step)
+        adam.update(params, grads)
+        reference_adam_update(oracle, want, grads)
+    assert adam.t == oracle.t == 40
+    assert list(adam.m) == list(oracle.m) == trained
+    for k in ADAM_SHAPES:
+        assert np.array_equal(params[k], want[k]), k
+    for k in trained:
+        assert np.array_equal(adam.m[k], oracle.m[k]), k
+        assert np.array_equal(adam.v[k], oracle.v[k]), k
+    if case == "frozen":
+        assert all(np.array_equal(params[k], start[k]) for k in ("enc.W",
+                                                                 "enc.b"))
+
+
+def test_adam_rejects_a_non_contiguous_parameter():
+    params = {"w": np.zeros((4, 6))[:, ::2]}
+    with pytest.raises(ValueError, match="'w' must be C-contiguous"):
+        AdamState().update(params, {"w": np.ones((4, 3))})
 
 
 # ----------------------------------------------------------------- training
@@ -331,6 +413,25 @@ def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
     assert got.freeze_encoder and not cfg.freeze_encoder
     assert (got.lr_schedule, got.warmup_epochs, got.beta1, got.beta2) == (
         "cosine", 1, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("name, bad, good, message", [
+    ("lr_schedule", ["cosin", "Cosine", ""], ["constant", "cosine"],
+     "lr_schedule must be one of ('constant', 'cosine'), got {!r}"),
+    ("warmup_epochs", [-1], [0, 5], "warmup_epochs must be >= 0, got {}"),
+    ("beta1", [1.0, -0.1, float("nan"), float("inf")], [0.0, 0.5],
+     "beta1 must be in [0, 1), got {}"),
+    ("beta2", [1.0, 1.5, float("nan"), -float("inf")], [0.0, 0.999],
+     "beta2 must be in [0, 1), got {}"),
+])
+def test_train_config_rejects_out_of_range_schedule_fields(name, bad, good,
+                                                           message):
+    for value in bad:
+        with pytest.raises(ValueError) as err:
+            tiny_cfg(**{name: value})
+        assert str(err.value) == message.format(value)
+    for value in good:
+        assert getattr(tiny_cfg(**{name: value}), name) == value
 
 
 def test_finetune_budget_zero_is_a_noop():

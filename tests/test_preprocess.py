@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from lobkit.book import ladder_cols, price_cols
 from lobkit.preprocess import (
-    FEATURE_WISE,
-    GLOBAL,
     SIGMA_FLOOR,
     LabelConfig,
     PreprocessError,

@@ -3,7 +3,6 @@ conservation, calibration plumbing."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from lobkit import synth
@@ -11,7 +10,6 @@ from lobkit.book import CANCEL, LIMIT, MARKET, mid_prices
 from lobkit.sampling import NS_PER_SEC, SessionCalendar
 from lobkit.synth import (
     PROFILES,
-    FlowProfile,
     generate_day,
     replay_check,
 )
