@@ -97,24 +97,19 @@ def cmd_build(args) -> int:
     flow = _out_path(args.flow)
     stream = lio.read_flow(flow)
     calendar = SessionCalendar()
-    series, rep = replay_check(
-        stream, calendar, l=args.levels,
-        instrument=stream.profile, day=args.day,
-    )
-    if not rep.balanced():
-        raise SamplingError("volume conservation failed on replay")
+    data, _ = replay_check(stream, calendar, l=args.levels)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lio.save_tensor(out, series.data)
+    lio.save_tensor(out, data)
     sizes = [(end - start) // calendar.period
              for start, end in calendar.intervals]
     edges = np.cumsum([0] + sizes).tolist()
     blocks = list(zip(edges[:-1], edges[1:]))
     lio.write_kv(out.with_suffix(".meta.txt"), {"series": {
-        "instrument": series.instrument,
-        "day": series.day,
-        "levels": series.levels,
-        "snapshots": len(series),
+        "instrument": stream.profile,
+        "day": args.day,
+        "levels": args.levels,
+        "snapshots": len(data),
         "blocks": _blocks_str(blocks),
         "flow_file": flow.name,
         "flow_sha256": lio.file_sha256(flow),

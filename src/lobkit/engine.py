@@ -23,23 +23,16 @@ from .book import (
 
 
 @dataclass(frozen=True)
-class Trade:
-    """One execution: taker lifted maker at the maker's resting price."""
-
-    taker_id: int
-    maker_id: int
-    price: int
-    volume: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
 class EngineEvent:
+    """One engine outcome. A trade's order_id is the taker, price the
+    maker's resting price, volume the executed volume and maker_id the
+    maker."""
+
     kind: str  # trade | rest | cancel_ok | cancel_miss | market_unfilled
     order_id: int
-    trade: Trade | None = None
     price: int | None = None
     volume: int | None = None
+    maker_id: int | None = None
 
 
 def _match(book: BookState, o: Order, events: list[EngineEvent]) -> int:
@@ -62,8 +55,7 @@ def _match(book: BookState, o: Order, events: list[EngineEvent]) -> int:
             entry[1] -= take
             lvl.total_volume -= take
             remaining -= take
-            trade = Trade(o.id, entry[0], best, take, o.timestamp)
-            events.append(EngineEvent("trade", o.id, trade=trade))
+            events.append(EngineEvent("trade", o.id, best, take, entry[0]))
             if entry[1] == 0:
                 lvl.queue.popleft()
                 book.live.pop(entry[0], None)

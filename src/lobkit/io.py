@@ -2,7 +2,9 @@
 
 * Order flow: delimited text, one order per line,
   ``timestamp_ns,id,side,kind,price_ticks,volume,target_id`` with empty
-  fields where a column does not apply; ``#`` lines carry metadata.
+  fields where a column does not apply; ``#`` lines carry metadata (an int
+  ``seed``, a finite ``tick_size`` > 0). Timestamps never decrease and every
+  order id, cancels' included, is unique within a flow.
 * Tensors (day series, window datasets): versioned binary with a
   self-describing header (magic, version, dims) and row-major little-endian
   float64 payload.
@@ -66,9 +68,23 @@ def write_flow(stream: FlowStream, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _header_value(key: str, val: str, offset: int):
+    """A header's seed as an int or tick_size as a finite float > 0."""
+    try:
+        value = int(val) if key == "seed" else float(val)
+        if key == "seed" or 0 < value < math.inf:
+            return value
+    except ValueError:
+        pass
+    kind = "an int" if key == "seed" else "a finite float > 0"
+    raise FormatError(f"{key} must be {kind}, got {val!r}", offset=offset,
+                      field=key)
+
+
 def read_flow(path) -> FlowStream:
     profile, seed, tick = "", 0, 0.01
     orders = []
+    seen_ids = set()
     offset = 0
     for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
@@ -78,9 +94,9 @@ def read_flow(path) -> FlowStream:
                 if key == "profile":
                     profile = val
                 elif key == "seed":
-                    seed = int(val)
+                    seed = _header_value(key, val, offset)
                 elif key == "tick_size":
-                    tick = float(val)
+                    tick = _header_value(key, val, offset)
             offset += len(line) + 1
             continue
         parts = line.split(",")
@@ -104,6 +120,10 @@ def read_flow(path) -> FlowStream:
             raise FormatError(f"timestamp {order.timestamp} precedes the "
                               f"previous order's {orders[-1].timestamp}",
                               offset=offset, field="timestamp")
+        if order.id in seen_ids:
+            raise FormatError(f"order id {order.id} is reused", offset=offset,
+                              field="id")
+        seen_ids.add(order.id)
         orders.append(order)
         offset += len(line) + 1
     return FlowStream(profile=profile, seed=seed, orders=orders,

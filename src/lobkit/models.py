@@ -207,18 +207,14 @@ class TrainConfig:
 
 
 def _batch_forward(model, head, X):
-    """Shared forward with cached activations for the backward pass."""
-    H = X @ model.params["enc.W"] + model.params["enc.b"]
-    R = np.maximum(H, 0.0) if model.relu else H
-    if head is None:
-        Y = R @ model.params["dec.W"] + model.params["dec.b"]
-    else:
-        Y = R @ head.params["head.W"] + head.params["head.b"]
-    return Y, (X, H, R)
+    """The model's own forward, caching (X, R) for the backward pass."""
+    R = model.encode(X)
+    Y = model.decode(R) if head is None else head.forward(R)
+    return Y, (X, R)
 
 
 def _batch_backward(model, head, cache, GY, freeze_encoder: bool):
-    X, H, R = cache
+    X, R = cache
     grads = {}
     if head is None:
         grads["dec.W"] = R.T @ GY
@@ -229,7 +225,7 @@ def _batch_backward(model, head, cache, GY, freeze_encoder: bool):
         grads["head.b"] = GY.sum(axis=0)
         GR = GY @ head.params["head.W"].T
     if not freeze_encoder:
-        GH = GR * (H > 0) if model.relu else GR
+        GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
         grads["enc.W"] = X.T @ GH
         grads["enc.b"] = GH.sum(axis=0)
     return grads

@@ -59,23 +59,6 @@ class SessionCalendar:
         return sum((end - start) // self.period for start, end in self.intervals)
 
 
-@dataclass
-class DaySeries:
-    """One instrument-day of snapshots on the sampling grid.
-
-    Each row of `data` is one snapshot in the canonical 4l-column layout.
-    """
-
-    instrument: str
-    day: int
-    data: np.ndarray  # (N, 4*l) float64
-    times: np.ndarray  # (N,) int64
-    levels: int = DEFAULT_LEVELS
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-
 def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:
     """Best l levels per side as one (4l,) row in real currency units.
 
@@ -105,14 +88,13 @@ def sample(
     orders,
     calendar: SessionCalendar = SessionCalendar(),
     l: int = DEFAULT_LEVELS,
-    instrument: str = "",
-    day: int = 0,
 ):
     """Replay orders through the engine, snapshotting at every grid point.
 
     Each grid point reflects the latest applied state at or before it. The
     book must be populated (e.g. by pre-open seed orders) before the first
-    grid point. Returns (DaySeries, engine events).
+    grid point. Returns the (N, 4l) rows, one per grid point, and the
+    engine events.
     """
     if l < 1:
         raise SamplingError(f"levels must be >= 1, got {l}")
@@ -133,4 +115,4 @@ def sample(
         _, ev = submit(book, pending)
         events.extend(ev)
         pending = next(it, None)
-    return DaySeries(instrument, day, data, grid, levels=l), events
+    return data, events

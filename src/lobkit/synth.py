@@ -17,9 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import ASK, BID, CANCEL, LIMIT, MARKET, BookState, Order
+from .book import (
+    ASK,
+    BID,
+    CANCEL,
+    LIMIT,
+    MARKET,
+    BookState,
+    Order,
+    invalid_rows,
+    validate_snapshot,
+)
 from .engine import submit
-from .sampling import NS_PER_SEC, DaySeries, SessionCalendar, sample
+from .sampling import NS_PER_SEC, SamplingError, SessionCalendar, sample
 
 
 @dataclass(frozen=True)
@@ -209,27 +219,22 @@ def replay_check(
     stream: FlowStream,
     calendar: SessionCalendar = SessionCalendar(),
     l: int = 10,
-    instrument: str = "",
-    day: int = 0,
-) -> tuple[DaySeries, ConservationReport]:
+) -> tuple[np.ndarray, ConservationReport]:
     """Replay a stream end to end, asserting book invariants and conservation.
 
-    Raises on any snapshot invariant violation, identifying nothing subtler
-    than the first bad grid point (violations cannot occur by engine
-    construction). One array check covers the whole series; the scalar
-    validator only describes the first bad row.
+    Returns the (N, 4l) snapshot rows and the volume accounting. Raises on
+    any snapshot invariant violation, identifying nothing subtler than the
+    first bad grid point (violations cannot occur by engine construction),
+    then SamplingError if volume is not conserved. One array check covers
+    the whole series; the scalar validator only describes the first bad row.
     """
-    from .book import invalid_rows, validate_snapshot
-
     book = BookState(tick_size=stream.tick_size)
     side_of = {o.id: o.side for o in stream.orders}
     # cancelled volume belongs to the target's side, not the cancel's
     cancel_target = {
         o.id: o.target_id for o in stream.orders if o.kind == CANCEL
     }
-    series, events = sample(
-        book, stream.orders, calendar, l=l, instrument=instrument, day=day
-    )
+    data, events = sample(book, stream.orders, calendar, l=l)
     sub = {BID: 0, ASK: 0}
     exe = {BID: 0, ASK: 0}
     canc = {BID: 0, ASK: 0}
@@ -240,9 +245,8 @@ def replay_check(
             sub[o.side] += o.volume
     for ev in events:
         if ev.kind == "trade":
-            tr = ev.trade
-            exe[side_of[tr.taker_id]] += tr.volume
-            exe[side_of[tr.maker_id]] += tr.volume
+            exe[side_of[ev.order_id]] += ev.volume
+            exe[side_of[ev.maker_id]] += ev.volume
         elif ev.kind == "cancel_ok":
             canc[side_of[cancel_target[ev.order_id]]] += ev.volume
         elif ev.kind == "market_unfilled":
@@ -255,9 +259,11 @@ def replay_check(
     for lvl in book.asks.values():
         rest[ASK] += lvl.total_volume
     report = ConservationReport(sub, exe, canc, rest, unfilled, misses)
-    bad_rows = np.flatnonzero(invalid_rows(series.data, l))
+    bad_rows = np.flatnonzero(invalid_rows(data, l))
     if bad_rows.size:
         i = int(bad_rows[0])
-        bad = validate_snapshot(series.data[i], l)
+        bad = validate_snapshot(data[i], l)
         raise RuntimeError(f"invariant violation at grid index {i}: {bad[0]}")
-    return series, report
+    if not report.balanced():
+        raise SamplingError("volume conservation failed on replay")
+    return data, report

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from lobkit.book import price_cols
-from lobkit.cli import main
+from lobkit.cli import _block_labels, _labeled, _split_blocks, main
 from lobkit.metrics import (
     LossConfig,
     cross_entropy,
@@ -62,35 +62,26 @@ from tests.test_preprocess import valid_rows
 
 def one_day(profile="sz000001", seed=0):
     stream = generate_day(PROFILES[profile], seed)
-    series, rep = replay_check(stream, instrument=profile)
-    return stream, series, rep
+    data, rep = replay_check(stream)
+    return stream, data, rep
 
 
 def day_windows(profile, seed, label_cfg):
-    """Normalized per-session-block labeled windows for one synthetic day."""
-    _, series, _ = one_day(profile, seed)
-    raw = series.data
+    """Normalized labeled train and test windows for one synthetic day, none
+    crossing a session block, built with the CLI's own split, label and
+    window helpers."""
+    _, raw, _ = one_day(profile, seed)
     train_raw, test_raw = split_train_test(raw)
     stats = fit_group_stats(train_raw)
-    cut = train_raw.shape[0]
-
-    def build(data_raw, blocks):
-        starts, labels = [], []
+    splits = _split_blocks([(0, 2400), (2400, len(raw))], len(train_raw))
+    out = []
+    for data_raw, blocks in zip((train_raw, test_raw), splits):
         normed = normalize(data_raw, stats)
-        for a, b in blocks:
-            mids = (data_raw[a:b, 0] + data_raw[a:b, 20]) / 2.0
-            for s in make_windows(normed[a:b], T=100, step=1):
-                t_last = s + 99
-                if t_last + label_cfg.horizon < b - a:
-                    starts.append(a + s)
-                    labels.append(label_trend(mids, t_last, label_cfg))
-        return Windows(window_view(normed, 100), np.array(starts),
-                       np.array(labels))
-
-    return (
-        build(train_raw, [(0, 2400), (2400, cut)]),
-        build(test_raw, [(0, raw.shape[0] - cut)]),
-    )
+        labels = _block_labels(data_raw, blocks, 10, label_cfg)
+        starts = make_windows(normed, T=100, blocks=blocks)
+        out.append(_labeled(Windows(window_view(normed, 100), starts,
+                                    labels[starts + 99])))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +94,8 @@ def test_criterion_01_engine_invariants_over_50_days():
         for seed in range(10):
             stream = generate_day(PROFILES[profile], seed)
             total_orders += len(stream.orders)
-            # replay_check raises on any snapshot invariant violation
-            series, rep = replay_check(stream, instrument=profile)
+            # replay_check raises on any invariant violation or imbalance
+            _, rep = replay_check(stream)
             assert rep.balanced(), f"conservation failed {profile}/{seed}"
             assert rep.cancel_misses == 0
     elapsed = time.time() - t0
@@ -117,9 +108,9 @@ def test_criterion_01_engine_invariants_over_50_days():
 def test_criterion_02_day_series_cardinality():
     """Every complete synthetic day yields exactly 4740 snapshots."""
     for profile, seed in [("sz000001", 0), ("sz000858", 3), ("sz300147", 7)]:
-        _, series, _ = one_day(profile, seed)
-        assert len(series) == 4740
-        assert series.data.shape == (4740, 40)
+        _, data, _ = one_day(profile, seed)
+        assert len(data) == 4740
+        assert data.shape == (4740, 40)
     print("ACCEPTANCE 2 PASS: 4740 snapshots per complete day")
 
 
@@ -255,11 +246,11 @@ def test_criterion_05_gradients_match_finite_differences():
 def test_criterion_06_pipeline_closed_forms():
     """Split 3792/948, window count N-99, mask count floor(0.2*T), balanced
     class counts equal to the minority — all exact on synthetic data."""
-    _, series, _ = one_day("sz000001", 1)
-    train_raw, test_raw = split_train_test(series.data)
+    _, data, _ = one_day("sz000001", 1)
+    train_raw, test_raw = split_train_test(data)
     assert train_raw.shape[0] == 3792 and test_raw.shape[0] == 948
 
-    morning = series.data[:2400]
+    morning = data[:2400]
     ws = make_windows(morning, T=100)
     assert len(ws) == 2400 - 99
 
@@ -285,8 +276,8 @@ def test_criterion_07_end_to_end_learnability():
     held-out reconstruction MSE <= 50% of the predict-the-mean baseline, and
     a single window overfits to L_All < 1e-3. Budget < 10 minutes."""
     t0 = time.time()
-    _, series, _ = one_day("sz000001", 0)
-    train_raw, _ = split_train_test(series.data)
+    _, data, _ = one_day("sz000001", 0)
+    train_raw, _ = split_train_test(data)
     stats = fit_group_stats(train_raw)
     tr = normalize(train_raw, stats)
     ws = Windows(window_view(tr, 100), make_windows(

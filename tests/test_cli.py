@@ -164,6 +164,39 @@ def test_build_out_of_order_flow_exits_2_at_the_line(tmp_path, capsys):
     assert f"at byte {len(head)} (field timestamp)" in err
 
 
+@pytest.mark.parametrize("line", [
+    "# tick_size = nan", "# tick_size = inf", "# tick_size = abc",
+    "# tick_size = 0", "# tick_size = -0.01", "# seed = x",
+])
+def test_build_bad_flow_header_exits_2_at_the_line(pipeline, tmp_path,
+                                                   capsys, line):
+    text = (pipeline / "flow.csv").read_text()
+    key = line.split()[1]
+    good = next(g for g in text.splitlines() if g.startswith(f"# {key} ="))
+    flow = tmp_path / "flow.csv"
+    flow.write_text(text.replace(good, line))
+    assert main(["build", "--flow", str(flow),
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"at byte {text.index(good)} (field {key})" in err
+
+
+def test_build_reused_order_id_exits_2_at_the_line(pipeline, tmp_path, capsys):
+    """A later limit order takes the id of a market order."""
+    lines = (pipeline / "flow.csv").read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if ",market," in line)
+    j = next(j for j in range(i + 1, len(lines)) if ",limit," in lines[j])
+    fields = lines[j].split(",")
+    fields[1] = lines[i].split(",")[1]
+    lines[j] = ",".join(fields)
+    flow = tmp_path / "flow.csv"
+    flow.write_text("".join(lines))
+    assert main(["build", "--flow", str(flow),
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"at byte {len(''.join(lines[:j]))} (field id)" in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-3"])
 def test_build_rejects_levels_below_one(pipeline, tmp_path, capsys, levels):
     assert main(["build", "--flow", str(pipeline / "flow.csv"),

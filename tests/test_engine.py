@@ -16,7 +16,7 @@ from lobkit.book import (
     BookState,
     Order,
 )
-from lobkit.engine import EngineEvent, Trade, submit
+from lobkit.engine import EngineEvent, submit
 from lobkit.sampling import SamplingError, snapshot_padded
 
 
@@ -46,8 +46,8 @@ def test_crossing_limit_trades_at_maker_price_then_rests_remainder():
     _, ev = submit(book, Order(2, BID, LIMIT, 1, price=102, volume=80))
     kinds = [e.kind for e in ev]
     assert kinds == ["trade", "rest"]
-    tr = ev[0].trade
-    assert (tr.price, tr.volume, tr.maker_id, tr.taker_id) == (101, 50, 1, 2)
+    tr = ev[0]
+    assert (tr.price, tr.volume, tr.maker_id, tr.order_id) == (101, 50, 1, 2)
     # remainder rests at the taker's own limit price
     assert ev[1].price == 102 and ev[1].volume == 30
     assert book.best_bid() == 102 and book.best_ask() is None
@@ -58,7 +58,7 @@ def test_fifo_within_price_level():
     submit(book, Order(1, ASK, LIMIT, 0, price=101, volume=30))
     submit(book, Order(2, ASK, LIMIT, 1, price=101, volume=30))
     _, ev = submit(book, Order(3, BID, MARKET, 2, volume=40))
-    trades = [(e.trade.maker_id, e.trade.volume) for e in ev if e.kind == "trade"]
+    trades = [(e.maker_id, e.volume) for e in ev if e.kind == "trade"]
     assert trades == [(1, 30), (2, 10)]  # earlier arrival filled first
 
 
@@ -67,7 +67,7 @@ def test_market_sweeps_best_first_and_discards_remainder():
     submit(book, Order(1, ASK, LIMIT, 0, price=102, volume=10))
     submit(book, Order(2, ASK, LIMIT, 0, price=101, volume=10))
     _, ev = submit(book, Order(3, BID, MARKET, 1, volume=30))
-    prices = [e.trade.price for e in ev if e.kind == "trade"]
+    prices = [e.price for e in ev if e.kind == "trade"]
     assert prices == [101, 102]
     unfilled = [e for e in ev if e.kind == "market_unfilled"]
     assert len(unfilled) == 1 and unfilled[0].volume == 10
@@ -188,8 +188,8 @@ def conservation(orders, book, events):
             sub[o.side] += o.volume
     for e in events:
         if e.kind == "trade":
-            out[side_of[e.trade.taker_id]] += e.trade.volume
-            out[side_of[e.trade.maker_id]] += e.trade.volume
+            out[side_of[e.order_id]] += e.volume
+            out[side_of[e.maker_id]] += e.volume
         elif e.kind == "cancel_ok":
             out[side_of[target_of[e.order_id]]] += e.volume
         elif e.kind == "market_unfilled":
@@ -228,7 +228,7 @@ def test_fuzz_price_time_priority(seed):
             for side, levels in ((BID, book.bids), (ASK, book.asks))
         }
         _, ev = submit(book, o)
-        trades = [e.trade for e in ev if e.kind == "trade"]
+        trades = [e for e in ev if e.kind == "trade"]
         if trades and o.kind in (LIMIT, MARKET):
             opp = ASK if o.side == BID else BID
             # first trade must be at the pre-submit best opposite price
@@ -284,8 +284,8 @@ class NaiveBook:
             take = min(remaining, maker[2])
             maker[2] -= take
             remaining -= take
-            events.append(EngineEvent("trade", o.id, trade=Trade(
-                o.id, maker[0], best, take, o.timestamp)))
+            events.append(EngineEvent("trade", o.id, price=best, volume=take,
+                                      maker_id=maker[0]))
             if maker[2] == 0:
                 opp.remove(maker)
         if remaining > 0 and o.kind == MARKET:

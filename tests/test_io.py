@@ -83,6 +83,16 @@ def test_flow_out_of_order_timestamp_reports_offset(tmp_path):
     assert len(lio.read_flow(path).orders) == 3
 
 
+def test_flow_reused_order_id_reports_offset(tmp_path):
+    path = tmp_path / "reused.csv"
+    head = "10,1,bid,limit,100,5,\n11,2,ask,market,,3,\n"
+    path.write_text(head + "12,2,bid,limit,99,5,\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert exc.value.offset == len(head)
+    assert exc.value.field == "id"
+
+
 # ------------------------------------------------------------------ tensors
 
 @pytest.mark.parametrize("shape", [(7,), (4, 40), (2, 3, 5)])

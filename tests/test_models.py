@@ -193,8 +193,8 @@ def real_windows(T=100, n=64, seed=0):
     from lobkit.preprocess import fit_group_stats, normalize, window_view
     from lobkit.synth import PROFILES, generate_day, replay_check
 
-    series, _ = replay_check(generate_day(PROFILES["sz000001"], 0))
-    data = normalize(series.data, fit_group_stats(series.data))
+    raw, _ = replay_check(generate_day(PROFILES["sz000001"], 0))
+    data = normalize(raw, fit_group_stats(raw))
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.choice(len(data) - T + 1, size=n, replace=False))
     masks = np.sort(np.stack([rng.choice(T, size=T // 5, replace=False)

@@ -1,6 +1,6 @@
 """Sampling-grid tests: calendar arithmetic, latest-at-or-before semantics
-(which forward-fills quiet periods), the day-series container, thin-book
-padding."""
+(which forward-fills quiet periods), the day series as an (N, 4l) array,
+thin-book padding."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from lobkit.book import (
     validate_snapshot,
 )
 from lobkit.engine import submit
+from lobkit.io import load_tensor, save_tensor
 from lobkit.sampling import (
     NS_PER_SEC,
-    DaySeries,
     SamplingError,
     SessionCalendar,
     hms,
@@ -77,23 +77,22 @@ def test_sample_takes_latest_state_at_or_before_each_grid_point():
     orders.append(
         Order(oid + 1, ASK, LIMIT, 4 * NS_PER_SEC, price=1001, volume=5)
     )
-    series, _ = sample(BookState(), orders, cal, l=3)
-    assert len(series) == 3
-    assert np.array_equal(series.times, cal.grid())
+    data, _ = sample(BookState(), orders, cal, l=3)
+    assert len(data) == 3
     # t=0: seed book; t=3: includes the order stamped exactly at the grid
-    assert series.data[0, 3] == 10  # best bid volume
-    assert series.data[1, 3] == 15
+    assert data[0, 3] == 10  # best bid volume
+    assert data[1, 3] == 15
     # t=6: the 4s order is included (latest at or before)
-    assert series.data[2, 9] == 15  # best ask volume
+    assert data[2, 9] == 15  # best ask volume
 
 
 def test_sample_quiet_periods_repeat_previous_state():
     cal = tiny_calendar(seconds=15)
     orders, _ = seed_orders()
-    series, _ = sample(BookState(), orders, cal, l=3)
-    assert len(series) == 5
+    data, _ = sample(BookState(), orders, cal, l=3)
+    assert len(data) == 5
     for i in range(1, 5):
-        assert np.array_equal(series.data[i], series.data[0])
+        assert np.array_equal(data[i], data[0])
 
 
 def test_sample_unseeded_book_raises():
@@ -105,18 +104,27 @@ def test_sample_unseeded_book_raises():
 def test_sample_snapshots_are_valid_even_when_sides_go_thin():
     cal = tiny_calendar(seconds=9)
     orders, oid = seed_orders(n_levels=2)  # thinner than l=5 -> padding
-    series, _ = sample(BookState(), orders, cal, l=5)
-    for i in range(len(series)):
-        assert validate_snapshot(series.data[i], l=5) == []
+    data, _ = sample(BookState(), orders, cal, l=5)
+    for i in range(len(data)):
+        assert validate_snapshot(data[i], l=5) == []
 
 
-def test_day_series_roundtrip_and_mid_prices():
+def test_day_series_roundtrip_and_mid_prices(tmp_path):
+    # a sampled day is its (N, 4l) array: it survives the tensor format as is
+    cal = tiny_calendar(seconds=9)
+    orders, _ = seed_orders()
+    data, _ = sample(BookState(), orders, cal, l=3)
+    save_tensor(tmp_path / "day.bin", data)
+    back = load_tensor(tmp_path / "day.bin")
+    assert back.shape == (3, 12)
+    assert np.array_equal(back, data)
+    assert np.allclose(mid_prices(back, 3), 10.005)
     rows = np.stack([make_snapshot(bid0=1383 + i, ask0=1385 + i)
                      for i in range(4)])
-    series = DaySeries("demo", 0, rows, np.zeros(4, dtype=np.int64))
-    assert len(series) == 4
-    assert np.array_equal(series.data[2], rows[2])
-    assert np.allclose(mid_prices(series.data, series.levels),
+    save_tensor(tmp_path / "rows.bin", rows)
+    back = load_tensor(tmp_path / "rows.bin")
+    assert np.array_equal(back[2], rows[2])
+    assert np.allclose(mid_prices(back, 10),
                        [13.84 + 0.01 * i for i in range(4)])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from lobkit import synth
 from lobkit.book import CANCEL, LIMIT, MARKET, mid_prices
-from lobkit.sampling import NS_PER_SEC, SessionCalendar
+from lobkit.sampling import NS_PER_SEC, SamplingError, SessionCalendar
 from lobkit.synth import (
     PROFILES,
     generate_day,
@@ -58,8 +58,8 @@ def test_orders_are_timestamp_sorted_with_unique_ids():
 
 def test_replay_is_valid_and_conserves_volume():
     stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
-    series, rep = replay_check(stream, SMALL_CAL, instrument="t")
-    assert len(series) == SMALL_CAL.points_per_day
+    data, rep = replay_check(stream, SMALL_CAL)
+    assert len(data) == SMALL_CAL.points_per_day
     assert rep.balanced()
     assert rep.cancel_misses == 0  # cancels always target live orders
 
@@ -68,10 +68,10 @@ def test_replay_check_names_the_first_corrupted_grid_index(monkeypatch):
     real_sample = synth.sample
 
     def corrupted(*args, **kwargs):
-        series, events = real_sample(*args, **kwargs)
-        series.data[17, 2] = series.data[17, 1]  # bid level 3 ties level 2
-        series.data[40, 25] = 0.0
-        return series, events
+        data, events = real_sample(*args, **kwargs)
+        data[17, 2] = data[17, 1]  # bid level 3 ties level 2
+        data[40, 25] = 0.0
+        return data, events
 
     monkeypatch.setattr(synth, "sample", corrupted)
     stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
@@ -83,6 +83,19 @@ def test_replay_check_names_the_first_corrupted_grid_index(monkeypatch):
     )
 
 
+def test_replay_check_raises_when_volume_is_not_conserved():
+    """A later limit order that takes a market order's id on the other side
+    books the market order's fills to the wrong side."""
+    stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
+    orders = stream.orders
+    i = next(i for i, o in enumerate(orders) if o.kind == MARKET)
+    j = next(j for j in range(i + 1, len(orders))
+             if orders[j].kind == LIMIT and orders[j].side != orders[i].side)
+    orders[j] = dataclasses.replace(orders[j], id=orders[i].id)
+    with pytest.raises(SamplingError, match="volume conservation failed"):
+        replay_check(stream, SMALL_CAL)
+
+
 def test_no_cancels_when_mix_disables_them():
     p = small_profile(mix=(0.85, 0.15, 0.0))
     stream = generate_day(p, seed=3, calendar=SMALL_CAL)
@@ -92,8 +105,8 @@ def test_no_cancels_when_mix_disables_them():
 def test_mid_prices_stay_within_profile_bounds():
     p = small_profile()
     stream = generate_day(p, seed=4, calendar=SMALL_CAL)
-    series, _ = replay_check(stream, SMALL_CAL)
-    mids = mid_prices(series.data, series.levels)
+    data, _ = replay_check(stream, SMALL_CAL)
+    mids = mid_prices(data, 10)
     assert mids.min() >= p.price_min - 1.0  # padding slack of a few ticks
     assert mids.max() <= p.price_max + 1.0
 
@@ -113,10 +126,10 @@ def test_order_mix_roughly_matches_profile():
 
 def test_full_day_replay_sz000001():
     stream = generate_day(PROFILES["sz000001"], seed=0)
-    series, rep = replay_check(stream, instrument="sz000001")
-    assert len(series) == 4740
+    data, rep = replay_check(stream)
+    assert len(data) == 4740
     assert rep.balanced()
-    mids = mid_prices(series.data, series.levels)
+    mids = mid_prices(data, 10)
     # headline statistics are in a loose per-day band around the targets
     assert abs(mids.mean() - 13.83) < 3 * 1.91
     assert 9.10 - 1 <= mids.min() and mids.max() <= 18.29 + 1
