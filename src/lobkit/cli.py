@@ -23,7 +23,6 @@ from .metrics import (
     MetricError,
     WeightProfile,
     cross_entropy,
-    masked_mse,
     report,
 )
 from .models import (
@@ -37,8 +36,8 @@ from .models import (
     evaluate_classification,
     finetune_frozen,
     logit_classes,
+    predict,
     predict_labels,
-    predict_logits,
     train,
 )
 from .preprocess import (
@@ -51,7 +50,6 @@ from .preprocess import (
     label_trend,
     make_windows,
     mask_for_imputation,
-    masked_input,
     normalize,
     split_train_test,
     window_view,
@@ -180,9 +178,10 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _load_split(data_dir: Path, split: str, T: int, step: int):
+def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
     """The split's windows (none crossing a session block), each carrying
-    the label of its last row: NaN where that row has none."""
+    the label of its last row: NaN where that row has none, or, if labeled,
+    only the windows that carry one, with int labels."""
     meta = lio.read_kv(data_dir / "meta.txt")["preprocess"]
     series = lio.load_tensor(data_dir / f"{split}_series.bin")
     if len(series) < T:
@@ -191,8 +190,12 @@ def _load_split(data_dir: Path, split: str, T: int, step: int):
     labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
     starts = make_windows(series, T=T, step=step,
                           blocks=_parse_blocks(meta[f"{split}_blocks"]))
-    return Windows(window_view(series, T), starts,
-                   labels[starts + T - 1]), meta
+    windows = Windows(window_view(series, T), starts, labels[starts + T - 1])
+    windows = _labeled(windows) if labeled else windows
+    if not windows:
+        raise PreprocessError(f"{split} split has no {'labeled ' * labeled}"
+                              f"window of T={T} inside a session block")
+    return windows, meta
 
 
 def _labeled(windows: Windows) -> Windows:
@@ -204,8 +207,7 @@ def _labeled(windows: Windows) -> Windows:
 
 def _prepare_task_data(windows: Windows, task, seed, mask_ratio=0.2):
     if task == PREDICTION:
-        labeled = _labeled(windows)
-        return labeled.take(balance_classes(labeled.labels, seed))
+        return windows.take(balance_classes(windows.labels, seed))
     if task == IMPUTATION:
         masks = mask_for_imputation(len(windows), windows.view.shape[1],
                                     ratio=mask_ratio, seed=seed)
@@ -213,10 +215,10 @@ def _prepare_task_data(windows: Windows, task, seed, mask_ratio=0.2):
     return windows
 
 
-def _loss_config(args) -> LossConfig:
+def _loss_config(args, levels: int) -> LossConfig:
     weights = (
-        WeightProfile.uniform() if args.weights == "uniform"
-        else WeightProfile.inverse_level()
+        WeightProfile.uniform(4 * levels) if args.weights == "uniform"
+        else WeightProfile.inverse_level(levels)
     )
     return LossConfig(alpha=args.alpha, lam=args.lam, weights=weights)
 
@@ -277,7 +279,8 @@ def _model_from_arrays(arrays):
 def cmd_train(args) -> int:
     data_dir = _out_path(args.data)
     task = args.task
-    windows, meta = _load_split(data_dir, "train", args.window, args.step)
+    windows, meta = _load_split(data_dir, "train", args.window, args.step,
+                                labeled=task == PREDICTION)
     data = _prepare_task_data(windows, task, args.seed, args.mask_ratio)
     levels = int(meta["levels"])
     input_dim = args.window * 4 * levels
@@ -292,8 +295,8 @@ def cmd_train(args) -> int:
                         seed=args.seed + 1)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, loss=_loss_config(args), task=task, levels=levels,
-        clip_norm=args.clip_norm,
+        seed=args.seed, loss=_loss_config(args, levels), task=task,
+        levels=levels, clip_norm=args.clip_norm,
     )
     trace = train(model, head, data, cfg)
 
@@ -312,36 +315,29 @@ def cmd_evaluate(args) -> int:
     data_dir = _out_path(args.data)
     arrays = lio.load_checkpoint(_out_path(args.checkpoint))
     model, head, T, levels = _model_from_arrays(arrays)
-    windows, meta = _load_split(data_dir, args.split, T, args.step)
-    cfg = _loss_config(args)
+    kind = RECONSTRUCTION if head is None else head.kind
+    windows, meta = _load_split(data_dir, args.split, T, args.step,
+                                labeled=kind == PREDICTION)
+    cfg = _loss_config(args, levels)
 
-    if head is not None and head.kind == PREDICTION:
-        usable = _labeled(windows)
-        logits = predict_logits(model, head, usable.data())
-        stats = evaluate_classification(logit_classes(logits), usable.labels)
-        ce = float(np.mean(cross_entropy(logits, usable.labels)))
-        parts = [f"count={len(usable)}", f"ce={ce!r}"] + [
-            f"{k}={stats[k]!r}"
-            for k in ("accuracy", "macro_precision", "macro_recall")]
-        parts += [f"{k}[{c}]={stats[k][c]!r}"
+    if kind == PREDICTION:
+        logits = np.concatenate([Y for _, Y, _ in
+                                 predict(model, head, windows)])
+        stats = evaluate_classification(logit_classes(logits), windows.labels)
+        items = [("count", len(windows)),
+                 ("ce", float(np.mean(cross_entropy(logits, windows.labels))))]
+        items += [(k, stats[k])
+                  for k in ("accuracy", "macro_precision", "macro_recall")]
+        items += [(f"{k}[{c}]", stats[k][c])
                   for c in (-1, 0, 1) for k in ("precision", "recall")]
-        line = " ".join(parts)
     else:
-        imputing = head is not None and head.kind == IMPUTATION
-        data = (_prepare_task_data(windows, IMPUTATION, args.seed,
-                                   args.mask_ratio) if imputing else windows)
-        X = data.data()
-        X_in = masked_input(X, data.masks) if imputing else X
-        R = model.encode(X_in.reshape(len(X), -1))
-        Y = head.forward(R) if imputing else model.decode(R)
-        Xh = Y.reshape(X.shape)
-        masked_vals = masked_mse(X, Xh, data.masks) if imputing else None
-        rep = report(X, Xh, cfg, levels, masked=masked_vals)
-        line = " ".join(f"{k}={v!r}" for k, v in rep.as_items())
+        data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
+        items = report(predict(model, head, data), cfg, levels).as_items()
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    Path(out / "report.txt").write_text(line + "\n")
+    Path(out / "report.txt").write_text(
+        " ".join(f"{k}={v!r}" for k, v in items) + "\n")
     _write_config(out, args)
     return 0
 
@@ -352,13 +348,12 @@ def cmd_transfer(args) -> int:
     if head is None or head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
     data_dir = _out_path(args.data)
-    windows, meta = _load_split(data_dir, "train", T, args.step)
+    windows, meta = _load_split(data_dir, "train", T, args.step, labeled=True)
     data = _prepare_task_data(windows, PREDICTION, args.seed)
 
-    usable = _labeled(_load_split(data_dir, "test", T, args.step)[0])
-    before = evaluate_classification(
-        predict_labels(model, head, usable.data()), usable.labels
-    )
+    usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
+    before = evaluate_classification(predict_labels(model, head, usable),
+                                     usable.labels)
 
     encoder_before = {k: model.params[k].copy()
                       for k in ("enc.W", "enc.b")}
@@ -370,9 +365,8 @@ def cmd_transfer(args) -> int:
     for k, v in encoder_before.items():
         assert np.array_equal(model.params[k], v), "encoder changed"
 
-    after = evaluate_classification(
-        predict_labels(model, head, usable.data()), usable.labels
-    )
+    after = evaluate_classification(predict_labels(model, head, usable),
+                                    usable.labels)
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -68,7 +68,15 @@ def write_flow(stream: FlowStream, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _header_value(key: str, val: str, offset: int):
+class _LineFault(ValueError):
+    """A flow line's fault, raised before its byte offset is worked out."""
+
+    def __init__(self, msg: str, field: str | None = None):
+        super().__init__(msg)
+        self.field = field
+
+
+def _header_value(key: str, val: str):
     """A header's seed as an int or tick_size as a finite float > 0."""
     try:
         value = int(val) if key == "seed" else float(val)
@@ -77,34 +85,50 @@ def _header_value(key: str, val: str, offset: int):
     except ValueError:
         pass
     kind = "an int" if key == "seed" else "a finite float > 0"
-    raise FormatError(f"{key} must be {kind}, got {val!r}", offset=offset,
-                      field=key)
+    raise _LineFault(f"{key} must be {kind}, got {val!r}", field=key)
+
+
+def _line_offset(text: str, i: int) -> int:
+    """Byte offset in the UTF-8 file of line i of text.splitlines()."""
+    return len("".join(text.splitlines(keepends=True)[:i]).encode())
+
+
+def _flow_text(path) -> str:
+    """A flow file's UTF-8 text; a byte that is not UTF-8 raises FormatError
+    at the byte offset of its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].decode()
+        # the bad byte's line is the one a character appended to head ends
+        line = len((head + "x").splitlines()) - 1
+        raise FormatError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
+                          offset=_line_offset(head, line)) from exc
 
 
 def read_flow(path) -> FlowStream:
+    """The flow in a file; a malformed line raises FormatError at the byte
+    offset where the line starts."""
     profile, seed, tick = "", 0, 0.01
     orders = []
     seen_ids = set()
-    offset = 0
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            if "=" in line:
-                key, _, val = line[1:].partition("=")
-                key, val = key.strip(), val.strip()
-                if key == "profile":
-                    profile = val
-                elif key == "seed":
-                    seed = _header_value(key, val, offset)
-                elif key == "tick_size":
-                    tick = _header_value(key, val, offset)
-            offset += len(line) + 1
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise FormatError(
-                f"expected 7 fields, got {len(parts)}", offset=offset
-            )
+    for i, line in enumerate(_flow_text(path).splitlines()):
         try:
+            if line.startswith("#"):
+                if "=" in line:
+                    key, _, val = line[1:].partition("=")
+                    key, val = key.strip(), val.strip()
+                    if key == "profile":
+                        profile = val
+                    elif key == "seed":
+                        seed = _header_value(key, val)
+                    elif key == "tick_size":
+                        tick = _header_value(key, val)
+                continue
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise _LineFault(f"expected 7 fields, got {len(parts)}")
             order = Order(
                 timestamp=int(parts[0]),
                 id=int(parts[1]),
@@ -114,18 +138,19 @@ def read_flow(path) -> FlowStream:
                 volume=int(parts[5]) if parts[5] else None,
                 target_id=int(parts[6]) if parts[6] else None,
             )
+            if orders and order.timestamp < orders[-1].timestamp:
+                raise _LineFault(f"timestamp {order.timestamp} precedes the "
+                                 f"previous order's {orders[-1].timestamp}",
+                                 field="timestamp")
+            if order.id in seen_ids:
+                raise _LineFault(f"order id {order.id} is reused", field="id")
         except (ValueError, BookError) as exc:
-            raise FormatError(str(exc), offset=offset) from exc
-        if orders and order.timestamp < orders[-1].timestamp:
-            raise FormatError(f"timestamp {order.timestamp} precedes the "
-                              f"previous order's {orders[-1].timestamp}",
-                              offset=offset, field="timestamp")
-        if order.id in seen_ids:
-            raise FormatError(f"order id {order.id} is reused", offset=offset,
-                              field="id")
+            # the text is read again here so that the parse does not hold it
+            offset = _line_offset(_flow_text(path), i)
+            raise FormatError(str(exc), offset=offset,
+                              field=getattr(exc, "field", None)) from exc
         seen_ids.add(order.id)
         orders.append(order)
-        offset += len(line) + 1
     return FlowStream(profile=profile, seed=seed, orders=orders,
                       tick_size=tick)
 

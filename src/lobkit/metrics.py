@@ -208,9 +208,6 @@ def masked_mse_gradient(x: np.ndarray, xh: np.ndarray,
     return grad
 
 
-REPORT_BLOCK = 64  # windows per block of report's per-window pass
-
-
 @dataclass
 class MetricsReport:
     """One evaluation record; serialized by the cli module."""
@@ -233,24 +230,20 @@ class MetricsReport:
                 if getattr(self, k) is not None]
 
 
-def report(
-    xs, xhs, cfg: LossConfig, levels: int = DEFAULT_LEVELS, masked=None,
-) -> MetricsReport:
-    """Aggregate metrics over matched (N, T, C) true/predicted windows."""
-    if np.ndim(xs) != 3 or len(xs) == 0:
+def report(blocks, cfg: LossConfig,
+           levels: int = DEFAULT_LEVELS) -> MetricsReport:
+    """Aggregate metrics over (x, xh, mask) blocks of (B, T, C) true and
+    predicted windows; mask is None or each window's masked time steps."""
+    values = [[mse(x, xh), mae(x, xh), wmse(x, xh, cfg.weights),
+               *price_volume_losses(x, xh, levels), l_reg(xh, levels),
+               l_all(x, xh, cfg, levels),
+               *([] if mask is None else [masked_mse(x, xh, mask)])]
+              for x, xh, mask in blocks]
+    per_window = [np.concatenate(v) for v in zip(*values)]
+    if not per_window or not len(per_window[0]):
         raise MetricError("need a non-empty (N, T, C) evaluation set")
-    x, xh = _check(xs, xhs)
-    # per-window values, REPORT_BLOCK windows at a time so that the
-    # temporaries stay a few MB however large the evaluation set is
-    blocks = [(mse(a, b), mae(a, b), wmse(a, b, cfg.weights),
-               *price_volume_losses(a, b, levels), l_reg(b, levels),
-               l_all(a, b, cfg, levels))
-              for a, b in ((x[i:i + REPORT_BLOCK], xh[i:i + REPORT_BLOCK])
-                           for i in range(0, len(x), REPORT_BLOCK))]
-    per_window = [np.concatenate(v) for v in zip(*blocks)]
+    n, masked = len(per_window[0]), per_window[7:]
     return MetricsReport(
         # each mean sums its per-window values one after another
-        *(float(np.cumsum(v)[-1]) / len(x) for v in per_window),
-        count=len(x),
-        masked_mse=None if masked is None else float(np.mean(masked)),
-    )
+        *(float(np.cumsum(v)[-1]) / n for v in per_window[:7]), count=n,
+        masked_mse=float(np.mean(masked[0])) if masked else None)

@@ -108,6 +108,7 @@ class TaskHead:
 
 
 ADAM_CHUNK = 1 << 14  # float64 per block: six blocks stay in L2
+REPORT_BLOCK = 64  # windows per block when a model is scored
 
 
 @dataclass
@@ -330,20 +331,30 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                  max_batches=budget)
 
 
-def predict_logits(model: LinearAutoencoder, head: TaskHead,
-                   X: np.ndarray) -> np.ndarray:
-    """Prediction-head logits, one row per window of the (N, T, C) X."""
-    return head.forward(model.encode(X.reshape(len(X), -1)))
-
-
 def logit_classes(logits: np.ndarray) -> np.ndarray:
     """Trend class per logit row; columns are classes -1, 0, +1 in order."""
     return logits.argmax(axis=1) - 1
 
 
+def predict(model: LinearAutoencoder, head: TaskHead | None,
+            windows: Windows):
+    """Run the training forward on REPORT_BLOCK windows at a time, masked
+    input rows zeroed, and yield each block's (X, Y, masks): Y is the (B, 3)
+    logits of a prediction head, else the (B, T, C) output."""
+    for i in range(0, len(windows), REPORT_BLOCK):
+        block = windows.take(slice(i, i + REPORT_BLOCK))
+        X = block.data()
+        X_in = X if block.masks is None else masked_input(X, block.masks)
+        Y, _ = _batch_forward(model, head, X_in.reshape(len(X), -1))
+        if head is None or head.kind != PREDICTION:
+            Y = Y.reshape(X.shape)
+        yield X, Y, block.masks
+
+
 def predict_labels(model: LinearAutoencoder, head: TaskHead,
-                   X: np.ndarray) -> np.ndarray:
-    return logit_classes(predict_logits(model, head, X))
+                   windows: Windows) -> np.ndarray:
+    return logit_classes(np.concatenate(
+        [Y for _, Y, _ in predict(model, head, windows)]))
 
 
 def evaluate_classification(preds, labels) -> dict:

@@ -85,7 +85,7 @@ class Windows:
         return self.view[self.starts[idx]]
 
     def take(self, idx) -> "Windows":
-        """The windows at positions idx (an index array or boolean mask)."""
+        """The windows at positions idx (an index array, mask or slice)."""
         rest = (None if a is None else a[idx] for a in (self.labels, self.masks))
         return Windows(self.view, self.starts[idx], *rest)
 

@@ -327,7 +327,7 @@ def test_criterion_08_frozen_encoder_transfer():
 
     labels = tgt_test.labels
     before = evaluate_classification(
-        predict_labels(model, head, tgt_test.data()), labels
+        predict_labels(model, head, tgt_test), labels
     )
     encoder_bytes = {
         k: model.params[k].tobytes() for k in ("enc.W", "enc.b")
@@ -340,7 +340,7 @@ def test_criterion_08_frozen_encoder_transfer():
     for k, raw in encoder_bytes.items():
         assert model.params[k].tobytes() == raw, f"{k} changed"
     after = evaluate_classification(
-        predict_labels(model, head, tgt_test.data()), labels
+        predict_labels(model, head, tgt_test), labels
     )
     assert after["macro_recall"] >= before["macro_recall"], (
         f"after {after['macro_recall']:.4f} < before "

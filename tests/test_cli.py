@@ -8,7 +8,27 @@ import numpy as np
 import pytest
 
 from lobkit import io as lio
-from lobkit.cli import build_parser, main
+from lobkit.cli import (
+    _labeled,
+    _load_split,
+    _model_from_arrays,
+    build_parser,
+    main,
+)
+from lobkit.metrics import (
+    LossConfig,
+    WeightProfile,
+    cross_entropy,
+    l_all,
+    l_reg,
+    mae,
+    masked_mse,
+    mse,
+    price_volume_losses,
+    wmse,
+)
+from lobkit.models import evaluate_classification, logit_classes
+from lobkit.preprocess import mask_for_imputation, masked_input
 
 FAST_TRAIN = [
     "--epochs", "2", "--step", "50", "--latent", "16", "--batch-size", "16",
@@ -97,6 +117,114 @@ def test_transfer_writes_head_delta_and_recalls(pipeline, tmp_path):
     assert "macro_recall_before=" in report and "macro_recall_after=" in report
     delta = lio.load_checkpoint(out / "head_delta.bin")
     assert "head.W" in delta and "enc.W" not in delta
+
+
+def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
+    """evaluate's report.txt for the test split at --step 1, computed the
+    reference way: one encode and one decode (or head) pass over the whole
+    split, then a loop over its windows."""
+    model, head, T, levels = _model_from_arrays(lio.load_checkpoint(ckpt))
+    windows = _load_split(data, "test", T, 1)[0]
+    if head is not None and head.kind == "prediction":
+        usable = _labeled(windows)
+        X = usable.data()
+        logits = head.forward(model.encode(X.reshape(len(X), -1)))
+        stats = evaluate_classification(logit_classes(logits), usable.labels)
+        items = [("count", len(usable)),
+                 ("ce", float(np.mean(cross_entropy(logits, usable.labels))))]
+        items += [(k, stats[k])
+                  for k in ("accuracy", "macro_precision", "macro_recall")]
+        items += [(f"{k}[{c}]", stats[k][c])
+                  for c in (-1, 0, 1) for k in ("precision", "recall")]
+    else:
+        X = windows.data()
+        masks = (None if head is None
+                 else mask_for_imputation(len(X), T, mask_ratio, seed))
+        X_in = X if masks is None else masked_input(X, masks)
+        R = model.encode(X_in.reshape(len(X), -1))
+        Xh = (model.decode(R) if head is None
+              else head.forward(R)).reshape(X.shape)
+        cfg = LossConfig(weights=WeightProfile.inverse_level(levels))
+        sums = dict.fromkeys(("mse", "mae", "wmse", "l_price", "l_volume",
+                              "l_reg", "l_all"), 0.0)
+        for x, xh in zip(X, Xh):
+            sums["mse"] += mse(x, xh)
+            sums["mae"] += mae(x, xh)
+            sums["wmse"] += wmse(x, xh, cfg.weights)
+            lp, lv = price_volume_losses(x, xh, levels)
+            sums["l_price"] += lp
+            sums["l_volume"] += lv
+            sums["l_reg"] += l_reg(xh, levels)
+            sums["l_all"] += l_all(x, xh, cfg, levels)
+        items = [("count", len(X))] + [(k, v / len(X))
+                                       for k, v in sums.items()]
+        if masks is not None:
+            items.append(("masked_mse", float(np.mean(
+                [masked_mse(x, xh, m) for x, xh, m in zip(X, Xh, masks)]))))
+    return dict(items)
+
+
+def _whole_split_transfer(data, ckpt, xfer, budget):
+    """transfer's report.txt at --step 1, each recall from one forward pass
+    over the whole labeled test split, before and after the head delta."""
+    model, head, T, _ = _model_from_arrays(lio.load_checkpoint(ckpt))
+    usable = _labeled(_load_split(data, "test", T, 1)[0])
+    X = usable.data().reshape(len(usable), -1)
+    before = evaluate_classification(
+        logit_classes(head.forward(model.encode(X))), usable.labels)
+    delta = lio.load_checkpoint(xfer / "head_delta.bin")
+    head.params.update({k: delta[k] for k in ("head.W", "head.b")})
+    after = evaluate_classification(
+        logit_classes(head.forward(model.encode(X))), usable.labels)
+    return {"budget": budget} | {
+        f"macro_{k}_{when}": stats[f"macro_{k}"]
+        for k in ("recall", "precision")
+        for when, stats in (("before", before), ("after", after))}
+
+
+def _report_values(path):
+    return dict(part.split("=", 1) for part in path.read_text().split())
+
+
+@pytest.mark.parametrize("latent", ["256", "8"])
+def test_blocked_scoring_equals_whole_split_oracle(pipeline, tmp_path, latent):
+    """evaluate and transfer score 849 test windows (14 blocks) as one pass
+    over the whole split does. At the default latent every value is
+    identical. At latent 8, OpenBLAS encodes the short last block with its
+    small-matrix kernel and the whole split without it, so a value such as
+    l_reg may differ in its last digit."""
+    data = pipeline / "data"
+    for task, step in [("reconstruction", "50"), ("prediction", "10"),
+                       ("imputation", "50")]:
+        run, out = tmp_path / f"run_{task}", tmp_path / f"eval_{task}"
+        assert main(["train", "--data", str(data), "--task", task,
+                     "--out", str(run), "--epochs", "1", "--step", step,
+                     "--latent", latent, "--relu"]) == 0
+        assert main(["evaluate", "--data", str(data), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--step", "1",
+                     "--out", str(out)]) == 0
+        want = _whole_split_report(data, run / "checkpoint.bin")
+        got = _report_values(out / "report.txt")
+        assert int(got["count"]) in (844, 849)
+        assert_values_match(got, want, exact=latent == "256")
+    xfer = tmp_path / "xfer"
+    assert main(["transfer", "--checkpoint",
+                 str(tmp_path / "run_prediction" / "checkpoint.bin"),
+                 "--data", str(data), "--budget", "3", "--step", "1",
+                 "--out", str(xfer)]) == 0
+    want = _whole_split_transfer(data, tmp_path / "run_prediction"
+                                 / "checkpoint.bin", xfer, 3)
+    assert_values_match(_report_values(xfer / "report.txt"), want,
+                        exact=latent == "256")
+
+
+def assert_values_match(got, want, exact):
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if exact or not isinstance(value, float):
+            assert got[key] == repr(value), key
+        else:
+            assert float(got[key]) == pytest.approx(value, rel=1e-12), key
 
 
 def test_pipeline_reruns_are_byte_identical(pipeline, tmp_path):
@@ -373,6 +501,51 @@ def test_evaluate_split_shorter_than_window_exits_2_naming_it(
                  "--out", str(tmp_path / "eval")]) == 2
     assert ("error: test split has 948 rows, fewer than the window T=1000"
             in capsys.readouterr().err)
+
+
+def test_split_without_a_scorable_window_exits_2_naming_it(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys):
+    """Labels that reach 940 rows ahead leave no labeled 10-row window in
+    the 948-row test split; 3000-row windows fit in no train block."""
+    data = tmp_path / "data"
+    assert main(["preprocess", "--series", str(pipeline / "series.bin"),
+                 "--horizon", "940", "--out", str(data)]) == 0
+    assert main(["evaluate", "--data", str(data),
+                 "--checkpoint", str(tiny_prediction_checkpoint),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert ("error: test split has no labeled window of T=10 inside a "
+            "session block" in capsys.readouterr().err)
+    assert main(["train", "--data", str(data), "--task", "reconstruction",
+                 "--window", "3000", "--out", str(tmp_path / "run")]) == 2
+    assert ("error: train split has no window of T=3000 inside a session "
+            "block" in capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def levels20(pipeline, tmp_path_factory):
+    """The pipeline's flow built at 20 levels (80 columns) and preprocessed."""
+    root = tmp_path_factory.mktemp("levels20")
+    assert main(["build", "--flow", str(pipeline / "flow.csv"),
+                 "--levels", "20", "--out", str(root / "series.bin")]) == 0
+    assert main(["preprocess", "--series", str(root / "series.bin"),
+                 "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("weights", ["inverse-level", "uniform"])
+@pytest.mark.parametrize("task", ["reconstruction", "imputation"])
+def test_train_and_evaluate_on_a_20_level_day(levels20, tmp_path, task,
+                                              weights):
+    """The loss weights span all 80 columns of a 20-level day."""
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(levels20), "--task", task,
+                 "--weights", weights, "--out", str(run), "--epochs", "1",
+                 "--step", "50", "--latent", "4"]) == 0
+    assert main(["evaluate", "--data", str(levels20),
+                 "--checkpoint", str(run / "checkpoint.bin"),
+                 "--weights", weights, "--step", "50",
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert "wmse=" in (tmp_path / "eval" / "report.txt").read_text()
 
 
 def test_divergent_training_is_numeric_abort(pipeline, tmp_path):

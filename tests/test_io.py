@@ -93,6 +93,36 @@ def test_flow_reused_order_id_reports_offset(tmp_path):
     assert exc.value.field == "id"
 
 
+def test_flow_offsets_count_crlf_line_ends_as_two_bytes(tmp_path):
+    path = tmp_path / "crlf.csv"
+    head = (b"# profile = x\r\n10,1,bid,limit,100,5,\r\n"
+            b"20,2,ask,limit,101,5,\r\n")
+    path.write_bytes(head + b"15,3,bid,limit,99,5,\r\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert (exc.value.offset, exc.value.field) == (len(head), "timestamp")
+
+
+def test_flow_offsets_count_utf8_bytes_not_characters(tmp_path):
+    path = tmp_path / "utf8.csv"
+    head = "# profile = \u00e9\n10,1,bid,limit,100,5,\n".encode()
+    path.write_bytes(head + b"11,1,ask,limit,101,5,\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert (exc.value.offset, exc.value.field) == (len(head), "id")
+    assert len(head) == len(head.decode()) + 1
+
+
+def test_flow_undecodable_byte_reports_its_line_offset(tmp_path):
+    path = tmp_path / "bytes.csv"
+    head = b"# profile = x\n10,1,bid,limit,100,5,\n"
+    path.write_bytes(head + b"11,2,ask,limit,1\xff01,5,\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert exc.value.offset == len(head)
+    assert "0xff" in str(exc.value)
+
+
 # ------------------------------------------------------------------ tensors
 
 @pytest.mark.parametrize("shape", [(7,), (4, 40), (2, 3, 5)])

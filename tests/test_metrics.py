@@ -205,7 +205,8 @@ def test_report_aggregates_means():
     rng = np.random.default_rng(3)
     cfg = LossConfig()
     pairs = [rand_pair(rng) for _ in range(5)]
-    rep = report([p[0] for p in pairs], [p[1] for p in pairs], cfg)
+    rep = report([(np.array([p[0] for p in pairs]),
+                   np.array([p[1] for p in pairs]), None)], cfg)
     assert rep.count == 5
     assert rep.mse == pytest.approx(np.mean([mse(*p) for p in pairs]), rel=1e-12)
     assert rep.l_all == pytest.approx(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from lobkit.metrics import (
-    REPORT_BLOCK,
     LossConfig,
+    MetricError,
     WeightProfile,
     cross_entropy,
     cross_entropy_gradient,
@@ -26,6 +26,7 @@ from lobkit.models import (
     IMPUTATION,
     PREDICTION,
     RECONSTRUCTION,
+    REPORT_BLOCK,
     AdamState,
     LinearAutoencoder,
     TaskHead,
@@ -36,6 +37,7 @@ from lobkit.models import (
     _task_loss_grad,
     evaluate_classification,
     finetune_frozen,
+    predict,
     predict_labels,
     train,
 )
@@ -224,10 +226,14 @@ def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
     assert np.array_equal(GY, want_GY)
 
 
-def assert_report_equals_per_window_means(X):
-    cfg = LossConfig()
-    Xh = X + 0.3 * np.random.default_rng(12).normal(size=X.shape)
-    rep = report(X, Xh, cfg)
+def in_blocks(X, Xh, masks=None):
+    """(x, xh, mask) triples of REPORT_BLOCK windows, as predict yields."""
+    return [(X[i:i + REPORT_BLOCK], Xh[i:i + REPORT_BLOCK],
+             None if masks is None else masks[i:i + REPORT_BLOCK])
+            for i in range(0, len(X), REPORT_BLOCK)]
+
+
+def assert_report_equals_per_window_means(X, Xh, rep, cfg, masks=None):
     sums = dict.fromkeys(
         ("mse", "mae", "wmse", "l_price", "l_volume", "l_reg", "l_all"), 0.0)
     for x, xh in zip(X, Xh):
@@ -243,17 +249,57 @@ def assert_report_equals_per_window_means(X):
     for key, total in sums.items():
         got = getattr(rep, key)
         assert type(got) is float and got == total / len(X), key
+    if masks is None:
+        assert rep.masked_mse is None
+    else:
+        assert rep.masked_mse == float(np.mean(
+            [masked_mse(x, xh, m) for x, xh, m in zip(X, Xh, masks)]))
+
+
+def noisy(X):
+    return X + 0.3 * np.random.default_rng(12).normal(size=X.shape)
 
 
 def test_report_equals_per_window_means(day_windows):
-    assert_report_equals_per_window_means(day_windows.data())
+    X = day_windows.data()
+    Xh = noisy(X)
+    cfg = LossConfig()
+    assert_report_equals_per_window_means(
+        X, Xh, report([(X, Xh, None)], cfg), cfg)
 
 
 def test_report_blocks_equal_per_window_means():
-    """report runs REPORT_BLOCK windows at a time: several blocks and a
-    short last one still equal one call per window."""
+    """report fed REPORT_BLOCK windows at a time: several blocks and a short
+    last one still equal one call per window."""
+    X = real_windows(n=2 * REPORT_BLOCK + 7, seed=1).data()
+    Xh = noisy(X)
+    cfg = LossConfig()
+    assert_report_equals_per_window_means(X, Xh, report(in_blocks(X, Xh), cfg),
+                                          cfg)
+
+
+def test_report_of_predict_equals_whole_split_forward():
+    """Masked windows scored through predict, REPORT_BLOCK at a time, give
+    the report of one encode/head pass over the whole masked split. (At the
+    default latent; at latents such as 4 or 16, OpenBLAS computes a short
+    block's encodings with its small-matrix kernel, which rounds apart.)"""
+    windows = real_windows(n=2 * REPORT_BLOCK + 7, seed=2)
+    model = LinearAutoencoder(input_dim=4000, relu=True, seed=0)
+    head = TaskHead(IMPUTATION, out_dim=4000, seed=1)
+    cfg = LossConfig()
+    blocks = list(predict(model, head, windows))
+    assert [len(x) for x, _, _ in blocks] == [REPORT_BLOCK, REPORT_BLOCK, 7]
+    X = windows.data()
+    R = model.encode(masked_input(X, windows.masks).reshape(len(X), -1))
+    Xh = head.forward(R).reshape(X.shape)
+    assert np.array_equal(np.concatenate([xh for _, xh, _ in blocks]), Xh)
     assert_report_equals_per_window_means(
-        real_windows(n=2 * REPORT_BLOCK + 7, seed=1).data())
+        X, Xh, report(blocks, cfg), cfg, masks=windows.masks)
+
+
+def test_report_of_no_windows_is_a_metric_error():
+    with pytest.raises(MetricError, match="non-empty"):
+        report([], LossConfig())
 
 
 # -------------------------------------------------------------------- adam
@@ -465,7 +511,7 @@ def test_predict_labels_are_argmax_minus_one():
         p[:] = 0.0
     head.params["head.W"][:] = 0.0
     head.params["head.b"][:] = [0.0, 0.0, 1.0]
-    preds = predict_labels(model, head, tiny_windows(5, seed=9).data())
+    preds = predict_labels(model, head, tiny_windows(5, seed=9))
     assert np.all(preds == 1)
 
 
