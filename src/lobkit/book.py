@@ -188,15 +188,21 @@ def validate_snapshot(row: np.ndarray,
     return out
 
 
-def invalid_rows(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
+def invalid_rows(data: np.ndarray) -> np.ndarray:
     """(N,) bool: which rows of an (N, 4l) series break a
     constraint of `validate_snapshot`, by the same comparisons (so a NaN
     entry breaks none, exactly as in the scalar check)."""
+    l = levels_of(data)
     b_p, a_p = data[:, :l], data[:, 2 * l:3 * l]
     return ((b_p[:, 1:] >= b_p[:, :-1]).any(axis=1)
             | (a_p[:, 1:] <= a_p[:, :-1]).any(axis=1)
             | (b_p[:, 0] >= a_p[:, 0])
             | (data <= 0).any(axis=1))
+
+
+def levels_of(rows) -> int:
+    """The l of (..., 4l) rows: the only place l is read from a width."""
+    return np.shape(rows)[-1] // 4
 
 
 # Column index helpers for the canonical 40-column layout.
@@ -225,9 +231,9 @@ def volume_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
     return np.concatenate([bid_volume_cols(l), ask_volume_cols(l)])
 
 
-def mid_prices(data: np.ndarray, l: int = DEFAULT_LEVELS) -> np.ndarray:
+def mid_prices(data: np.ndarray) -> np.ndarray:
     """Mean of best bid and best ask of each (..., 4l) row."""
-    return (data[..., 0] + data[..., 2 * l]) / 2.0
+    return (data[..., 0] + data[..., 2 * levels_of(data)]) / 2.0
 
 
 def ladder_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:

@@ -121,12 +121,20 @@ def _split_blocks(blocks, cut):
             [(max(a, cut) - cut, b - cut) for a, b in blocks if b > cut])
 
 
-def _block_labels(series_raw, blocks, levels, label_cfg):
+def _check_width(rows, name, levels, meta_name):
+    """Reject rows that are not the (N, 4l) layout meta_name states."""
+    if rows.ndim != 2 or rows.shape[1] != 4 * levels:
+        raise PreprocessError(
+            f"{meta_name}: levels = {levels} needs {4 * levels} columns, "
+            f"but {name} has shape {rows.shape}")
+
+
+def _block_labels(series_raw, blocks, label_cfg):
     """Per-snapshot trend labels (NaN where the lookahead is unavailable or
     would cross a session-block boundary)."""
     labels = np.full(series_raw.shape[0], np.nan)
     for a, b in blocks:
-        mids = mid_prices(series_raw[a:b], levels)
+        mids = mid_prices(series_raw[a:b])
         for t in range(b - a - label_cfg.horizon):
             labels[a + t] = label_trend(mids, t, label_cfg)
     return labels
@@ -135,8 +143,10 @@ def _block_labels(series_raw, blocks, levels, label_cfg):
 def cmd_preprocess(args) -> int:
     series_path = _out_path(args.series)
     raw = lio.load_tensor(series_path)
-    meta = lio.read_kv(series_path.with_suffix(".meta.txt"))["series"]
+    meta_path = series_path.with_suffix(".meta.txt")
+    meta = lio.read_kv(meta_path)["series"]
     levels = int(meta["levels"])
+    _check_width(raw, series_path.name, levels, meta_path.name)
     blocks = _parse_blocks(meta["blocks"])
     train_raw, test_raw = split_train_test(raw)
     cut = train_raw.shape[0]
@@ -144,7 +154,7 @@ def cmd_preprocess(args) -> int:
 
     fit = fit_group_stats if args.scheme == "global" else fit_feature_stats
     fit_data = train_raw if args.scope == "train" else raw
-    stats = fit(fit_data, scope=args.scope, levels=levels)
+    stats = fit(fit_data, scope=args.scope)
 
     label_cfg = LabelConfig(horizon=args.horizon, delta=args.delta)
     out = _out_path(args.out)
@@ -153,11 +163,11 @@ def cmd_preprocess(args) -> int:
     lio.save_tensor(out / "test_series.bin", normalize(test_raw, stats))
     lio.save_tensor(
         out / "train_labels.bin",
-        _block_labels(train_raw, train_blocks, levels, label_cfg),
+        _block_labels(train_raw, train_blocks, label_cfg),
     )
     lio.save_tensor(
         out / "test_labels.bin",
-        _block_labels(test_raw, test_blocks, levels, label_cfg),
+        _block_labels(test_raw, test_blocks, label_cfg),
     )
     lio.save_norm_stats(out / "norm_stats.txt", stats)
     lio.write_kv(out / "meta.txt", {"preprocess": {
@@ -184,10 +194,16 @@ def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
     only the windows that carry one, with int labels."""
     meta = lio.read_kv(data_dir / "meta.txt")["preprocess"]
     series = lio.load_tensor(data_dir / f"{split}_series.bin")
+    labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
+    _check_width(series, f"{split}_series.bin", int(meta["levels"]),
+                 "meta.txt")
+    if labels.shape != (len(series),):
+        raise PreprocessError(
+            f"{split}_labels.bin has shape {labels.shape}, but "
+            f"{split}_series.bin has {len(series)} rows")
     if len(series) < T:
         raise PreprocessError(f"{split} split has {len(series)} rows, fewer "
                               f"than the window T={T}")
-    labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
     starts = make_windows(series, T=T, step=step,
                           blocks=_parse_blocks(meta[f"{split}_blocks"]))
     windows = Windows(window_view(series, T), starts, labels[starts + T - 1])
@@ -295,8 +311,8 @@ def cmd_train(args) -> int:
                         seed=args.seed + 1)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, loss=_loss_config(args, levels), task=task,
-        levels=levels, clip_norm=args.clip_norm,
+        seed=args.seed, loss=_loss_config(args, levels),
+        clip_norm=args.clip_norm,
     )
     trace = train(model, head, data, cfg)
 
@@ -332,7 +348,7 @@ def cmd_evaluate(args) -> int:
                   for c in (-1, 0, 1) for k in ("precision", "recall")]
     else:
         data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
-        items = report(predict(model, head, data), cfg, levels).as_items()
+        items = report(predict(model, head, data), cfg).as_items()
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +360,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_transfer(args) -> int:
     arrays = lio.load_checkpoint(_out_path(args.checkpoint))
-    model, head, T, levels = _model_from_arrays(arrays)
+    model, head, T, _ = _model_from_arrays(arrays)
     if head is None or head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
     data_dir = _out_path(args.data)
@@ -357,10 +373,8 @@ def cmd_transfer(args) -> int:
 
     encoder_before = {k: model.params[k].copy()
                       for k in ("enc.W", "enc.b")}
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, task=PREDICTION, freeze_encoder=True, levels=levels,
-    )
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                      lr=args.lr, seed=args.seed)
     finetune_frozen(model, head, data, cfg, budget=args.budget)
     for k, v in encoder_before.items():
         assert np.array_equal(model.params[k], v), "encoder changed"

@@ -1,4 +1,4 @@
-"""Evaluation metrics and training losses for T x 40 snapshot windows.
+"""Evaluation metrics and training losses for T x 4l snapshot windows.
 
 The composite loss is alpha*MSE + (1-alpha)*wMSE + lambda*L_reg. Note the
 weighted MSE sums over time without dividing by T (so it is not on the same
@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import DEFAULT_LEVELS, ladder_cols, price_cols, volume_cols
+from .book import (
+    DEFAULT_LEVELS,
+    ladder_cols,
+    levels_of,
+    price_cols,
+    volume_cols,
+)
 
 
 class MetricError(Exception):
@@ -94,11 +100,10 @@ def wmse(x: np.ndarray, xh: np.ndarray, p: WeightProfile):
     return _per_window(np.vecdot(col_sq, p.w) / p.W)
 
 
-def price_volume_losses(
-    x: np.ndarray, xh: np.ndarray, levels: int = DEFAULT_LEVELS
-) -> tuple:
-    """Mean squared error over the 20 price and 20 volume columns separately."""
+def price_volume_losses(x: np.ndarray, xh: np.ndarray) -> tuple:
+    """Mean squared error over the 2l price and 2l volume columns separately."""
     x, xh = _check(x, xh)
+    levels = levels_of(x)
     sq = (x - xh) ** 2
 
     def part(cols):
@@ -110,29 +115,29 @@ def price_volume_losses(
     return part(price_cols(levels)), part(volume_cols(levels))
 
 
-def l_reg(xh: np.ndarray, levels: int = DEFAULT_LEVELS):
+def l_reg(xh: np.ndarray):
     """Hinge penalty on adjacent inversions of the expected-ascending ladder.
 
-    Per time step the 2*levels prices are taken in the order b_p[l..1],
+    Per time step the 2l prices are taken in the order b_p[l..1],
     a_p[1..l]; each adjacent pair contributes max(0, prev - next) / (2l - 1);
     the result is averaged over time steps.
     """
     xh = np.asarray(xh, dtype=float)
-    ladder = xh[..., ladder_cols(levels)]
-    gaps = ladder[..., :-1] - ladder[..., 1:]
+    ladder = xh[..., ladder_cols(levels_of(xh))]
+    gaps = ladder[..., :-1] - ladder[..., 1:]  # 2l - 1 adjacent pairs
     # summed left to right along the ladder whatever the memory layout
     hinge = np.cumsum(np.maximum(gaps, 0.0), axis=-1)[..., -1]
-    return _per_window(np.mean(hinge / (2 * levels - 1), axis=-1))
+    return _per_window(np.mean(hinge / gaps.shape[-1], axis=-1))
 
 
-def l_reg_gradient(xh: np.ndarray, levels: int = DEFAULT_LEVELS) -> np.ndarray:
+def l_reg_gradient(xh: np.ndarray) -> np.ndarray:
     xh = np.asarray(xh, dtype=float)
     T = xh.shape[-2]
-    cols = ladder_cols(levels)
+    cols = ladder_cols(levels_of(xh))
     ladder = xh[..., cols]
     active = (ladder[..., :-1] - ladder[..., 1:]) > 0  # subgradient at 0 is 0
     g_ladder = np.zeros_like(ladder)
-    scale = 1.0 / ((2 * levels - 1) * T)
+    scale = 1.0 / (active.shape[-1] * T)
     g_ladder[..., :-1] += active * scale
     g_ladder[..., 1:] -= active * scale
     grad = np.zeros_like(xh)
@@ -140,17 +145,17 @@ def l_reg_gradient(xh: np.ndarray, levels: int = DEFAULT_LEVELS) -> np.ndarray:
     return grad
 
 
-def l_all(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
-          levels: int = DEFAULT_LEVELS):
-    return (
-        cfg.alpha * mse(x, xh)
-        + (1 - cfg.alpha) * wmse(x, xh, cfg.weights)
-        + cfg.lam * l_reg(xh, levels)
-    )
+def _compose(cfg: LossConfig, mse_, wmse_, l_reg_):
+    """L_All from its three parts."""
+    return cfg.alpha * mse_ + (1 - cfg.alpha) * wmse_ + cfg.lam * l_reg_
 
 
-def l_all_gradient(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
-                   levels: int = DEFAULT_LEVELS) -> np.ndarray:
+def l_all(x: np.ndarray, xh: np.ndarray, cfg: LossConfig):
+    return _compose(cfg, mse(x, xh), wmse(x, xh, cfg.weights), l_reg(xh))
+
+
+def l_all_gradient(x: np.ndarray, xh: np.ndarray,
+                   cfg: LossConfig) -> np.ndarray:
     """Exact d l_all / d xh, same shape as xh."""
     x, xh = _check(x, xh)
     e = xh - x
@@ -158,7 +163,7 @@ def l_all_gradient(x: np.ndarray, xh: np.ndarray, cfg: LossConfig,
     g_wmse = 2.0 * e * (cfg.weights.w / cfg.weights.W)
     grad = cfg.alpha * g_mse + (1 - cfg.alpha) * g_wmse
     if cfg.lam != 0:
-        grad = grad + cfg.lam * l_reg_gradient(xh, levels)
+        grad = grad + cfg.lam * l_reg_gradient(xh)
     return grad
 
 
@@ -230,15 +235,18 @@ class MetricsReport:
                 if getattr(self, k) is not None]
 
 
-def report(blocks, cfg: LossConfig,
-           levels: int = DEFAULT_LEVELS) -> MetricsReport:
+def _block_values(x, xh, mask, cfg: LossConfig) -> list:
+    """Each metric's per-window values over one block, report's order."""
+    m, w, r = mse(x, xh), wmse(x, xh, cfg.weights), l_reg(xh)
+    return [m, mae(x, xh), w, *price_volume_losses(x, xh), r,
+            _compose(cfg, m, w, r),
+            *([] if mask is None else [masked_mse(x, xh, mask)])]
+
+
+def report(blocks, cfg: LossConfig) -> MetricsReport:
     """Aggregate metrics over (x, xh, mask) blocks of (B, T, C) true and
     predicted windows; mask is None or each window's masked time steps."""
-    values = [[mse(x, xh), mae(x, xh), wmse(x, xh, cfg.weights),
-               *price_volume_losses(x, xh, levels), l_reg(xh, levels),
-               l_all(x, xh, cfg, levels),
-               *([] if mask is None else [masked_mse(x, xh, mask)])]
-              for x, xh, mask in blocks]
+    values = [_block_values(x, xh, mask, cfg) for x, xh, mask in blocks]
     per_window = [np.concatenate(v) for v in zip(*values)]
     if not per_window or not len(per_window[0]):
         raise MetricError("need a non-empty (N, T, C) evaluation set")

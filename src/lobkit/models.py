@@ -176,10 +176,8 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    task: str = RECONSTRUCTION
     freeze_encoder: bool = False
     clip_norm: float | None = None
-    levels: int = 10
     lr_schedule: str = "constant"  # one of LR_SCHEDULES; warmup comes first
     warmup_epochs: int = 0
     beta1: float = 0.9
@@ -245,8 +243,8 @@ def _task_loss_grad(task, Y, X, batch: Windows, cfg):
             losses = masked_mse(X, Xh, batch.masks)
             GY = masked_mse_gradient(X, Xh, batch.masks)
         else:
-            losses = l_all(X, Xh, cfg.loss, cfg.levels)
-            GY = l_all_gradient(X, Xh, cfg.loss, cfg.levels)
+            losses = l_all(X, Xh, cfg.loss)
+            GY = l_all_gradient(X, Xh, cfg.loss)
         GY = GY.reshape(B, -1)
     GY /= B
     # the per-window losses are summed one after another, in batch order
@@ -265,13 +263,15 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
           cfg: TrainConfig, max_batches: int | None = None):
     """Mini-batch Adam over the given windows; returns per-epoch loss trace.
 
-    `data` carries labels for prediction, masks for imputation, neither for
+    The task is the head's kind, reconstruction without a head. `data`
+    carries labels for prediction, masks for imputation, neither for
     reconstruction. Each batch is gathered from its view as it is used, so
     the split is never copied whole. Shuffling and batching are
     deterministic per cfg.seed. Model and head are updated in place.
     """
     if not data:
         raise ValueError("no training data")
+    task = RECONSTRUCTION if head is None else head.kind
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     trace = []
@@ -295,13 +295,13 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
             idx = order[start : start + cfg.batch_size]
             batch = data.take(idx)
             X = batch.data()
-            X_in = masked_input(X, batch.masks) if cfg.task == IMPUTATION else X
+            X_in = masked_input(X, batch.masks) if task == IMPUTATION else X
             # divergence is detected from the loss, so let overflow propagate
             # to inf/nan silently instead of spamming warnings first
             with np.errstate(over="ignore", invalid="ignore"):
                 Y, cache = _batch_forward(model, head,
                                           X_in.reshape(len(idx), -1))
-                loss, GY = _task_loss_grad(cfg.task, Y, X, batch, cfg)
+                loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
                     norm = float(np.sqrt(sum(

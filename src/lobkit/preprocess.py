@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import DEFAULT_LEVELS, price_cols, volume_cols
+from .book import DEFAULT_LEVELS, levels_of, price_cols, volume_cols
 
 FEATURE_WISE = "feature-wise"
 GLOBAL = "global"
@@ -96,25 +96,22 @@ def _fit(values: np.ndarray) -> tuple[float, float]:
     return mu, sigma
 
 
-def fit_feature_stats(
-    data: np.ndarray, scope: str = "train", levels: int = DEFAULT_LEVELS
-) -> NormStats:
+def fit_feature_stats(data: np.ndarray, scope: str = "train") -> NormStats:
     """Per-column mean/std over the fit scope."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise PreprocessError("cannot fit stats on empty data")
     mu = data.mean(axis=0)
     sigma = np.maximum(data.std(axis=0), SIGMA_FLOOR)
-    return NormStats(FEATURE_WISE, mu, sigma, scope=scope, levels=levels)
+    return NormStats(FEATURE_WISE, mu, sigma, scope, levels_of(data))
 
 
-def fit_group_stats(
-    data: np.ndarray, scope: str = "train", levels: int = DEFAULT_LEVELS
-) -> NormStats:
+def fit_group_stats(data: np.ndarray, scope: str = "train") -> NormStats:
     """Pooled (mu, sigma) over all price columns and over all volume columns."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise PreprocessError("cannot fit stats on empty data")
+    levels = levels_of(data)
     mu_p, sig_p = _fit(data[:, price_cols(levels)])
     mu_v, sig_v = _fit(data[:, volume_cols(levels)])
     return NormStats(

@@ -259,7 +259,7 @@ def replay_check(
     for lvl in book.asks.values():
         rest[ASK] += lvl.total_volume
     report = ConservationReport(sub, exe, canc, rest, unfilled, misses)
-    bad_rows = np.flatnonzero(invalid_rows(data, l))
+    bad_rows = np.flatnonzero(invalid_rows(data))
     if bad_rows.size:
         i = int(bad_rows[0])
         bad = validate_snapshot(data[i], l)

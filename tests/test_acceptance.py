@@ -77,7 +77,7 @@ def day_windows(profile, seed, label_cfg):
     out = []
     for data_raw, blocks in zip((train_raw, test_raw), splits):
         normed = normalize(data_raw, stats)
-        labels = _block_labels(data_raw, blocks, 10, label_cfg)
+        labels = _block_labels(data_raw, blocks, label_cfg)
         starts = make_windows(normed, T=100, blocks=blocks)
         out.append(_labeled(Windows(window_view(normed, 100), starts,
                                     labels[starts + 99])))
@@ -220,10 +220,10 @@ def test_criterion_05_gradients_match_finite_differences():
 
     def loss_fn():
         Y, _ = _batch_forward(model, None, w_data.ravel()[None, :])
-        return l_all(w_data, Y[0].reshape(2, 4), tiny, 1)
+        return l_all(w_data, Y[0].reshape(2, 4), tiny)
 
     Y, cache = _batch_forward(model, None, w_data.ravel()[None, :])
-    GY = l_all_gradient(w_data, Y[0].reshape(2, 4), tiny, 1).ravel()[None, :]
+    GY = l_all_gradient(w_data, Y[0].reshape(2, 4), tiny).ravel()[None, :]
     grads = _batch_backward(model, None, cache, GY, False)
     h = 1e-5
     for name, arr in model.params.items():
@@ -322,8 +322,7 @@ def test_criterion_08_frozen_encoder_transfer():
     head = TaskHead(PREDICTION, seed=1)
     train(model, head, src_train.take(balance_classes(src_train.labels, 5)),
           TrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=2,
-                      task=PREDICTION, lr_schedule="cosine",
-                      warmup_epochs=3, beta1=0.5))
+                      lr_schedule="cosine", warmup_epochs=3, beta1=0.5))
 
     labels = tgt_test.labels
     before = evaluate_classification(
@@ -334,8 +333,7 @@ def test_criterion_08_frozen_encoder_transfer():
     }
     finetune_frozen(model, head,
                     tgt_train.take(balance_classes(tgt_train.labels, 6)),
-                    TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=3,
-                                task=PREDICTION),
+                    TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=3),
                     budget=100)
     for k, raw in encoder_bytes.items():
         assert model.params[k].tobytes() == raw, f"{k} changed"

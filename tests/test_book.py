@@ -183,4 +183,4 @@ def test_invalid_rows_flags_exactly_the_scalar_violations(l, n, seed):
                 row[j] = base[j] + rng.normal(0.0, 0.02)
     with np.errstate(invalid="ignore"):  # inf - inf in a magnitude
         want = [bool(validate_snapshot(row, l)) for row in data]
-    assert invalid_rows(data, l).tolist() == want
+    assert invalid_rows(data).tolist() == want

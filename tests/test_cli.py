@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -151,11 +152,11 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
             sums["mse"] += mse(x, xh)
             sums["mae"] += mae(x, xh)
             sums["wmse"] += wmse(x, xh, cfg.weights)
-            lp, lv = price_volume_losses(x, xh, levels)
+            lp, lv = price_volume_losses(x, xh)
             sums["l_price"] += lp
             sums["l_volume"] += lv
-            sums["l_reg"] += l_reg(xh, levels)
-            sums["l_all"] += l_all(x, xh, cfg, levels)
+            sums["l_reg"] += l_reg(xh)
+            sums["l_all"] += l_all(x, xh, cfg)
         items = [("count", len(X))] + [(k, v / len(X))
                                        for k, v in sums.items()]
         if masks is not None:
@@ -519,6 +520,72 @@ def test_split_without_a_scorable_window_exits_2_naming_it(
                  "--window", "3000", "--out", str(tmp_path / "run")]) == 2
     assert ("error: train split has no window of T=3000 inside a session "
             "block" in capsys.readouterr().err)
+
+
+def _set_levels(meta_path, levels):
+    """Rewrite the levels entry of a meta sidecar's one section."""
+    sections = lio.read_kv(meta_path)
+    (section,) = sections.values()
+    section["levels"] = levels
+    lio.write_kv(meta_path, sections)
+
+
+@pytest.mark.parametrize("levels", [20, 5])
+def test_preprocess_levels_that_disagree_with_the_series_exit_2(
+        pipeline, tmp_path, capsys, levels):
+    """series.meta.txt's levels must match series.bin's 40 columns, in
+    either direction."""
+    for name in ("series.bin", "series.meta.txt"):
+        shutil.copy(pipeline / name, tmp_path / name)
+    _set_levels(tmp_path / "series.meta.txt", levels)
+    out = tmp_path / "data"
+    assert main(["preprocess", "--series", str(tmp_path / "series.bin"),
+                 "--out", str(out)]) == 2
+    assert (f"error: series.meta.txt: levels = {levels} needs {4 * levels} "
+            "columns, but series.bin has shape (4740, 40)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["labels", "levels"])
+@pytest.mark.parametrize("command", ["train-reconstruction",
+                                     "train-prediction", "evaluate",
+                                     "transfer"])
+def test_split_that_disagrees_with_its_series_exits_2_naming_it(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys, command,
+        defect):
+    """Labels cut to 100 entries, or meta.txt levels = 20 over the 40-column
+    series: the command exits 2 naming the file, before it trains or
+    scores."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    # evaluate reads only the test split; transfer reads train, then test
+    split = ("train" if command.startswith("train")
+             or (command, defect) == ("transfer", "levels") else "test")
+    rows = {"train": 3792, "test": 948}[split]
+    if defect == "labels":
+        path = data / f"{split}_labels.bin"
+        lio.save_tensor(path, lio.load_tensor(path)[:100])
+        message = (f"error: {split}_labels.bin has shape (100,), but "
+                   f"{split}_series.bin has {rows} rows")
+    else:
+        _set_levels(data / "meta.txt", 20)
+        message = ("error: meta.txt: levels = 20 needs 80 columns, but "
+                   f"{split}_series.bin has shape ({rows}, 40)")
+    ckpt = str(tiny_prediction_checkpoint)
+    argv = {
+        "train": ["train", "--data", str(data), "--task",
+                  command.partition("-")[2], "--epochs", "1",
+                  "--window", "10", "--step", "10", "--latent", "4"],
+        "evaluate": ["evaluate", "--data", str(data), "--checkpoint", ckpt,
+                     "--step", "10"],
+        "transfer": ["transfer", "--checkpoint", ckpt, "--data", str(data),
+                     "--budget", "5", "--step", "10"],
+    }[command.partition("-")[0]]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -215,6 +215,29 @@ def test_report_aggregates_means():
     assert rep.masked_mse is None
 
 
+@pytest.mark.parametrize("l", [1, 3, 20])
+def test_losses_read_the_levels_from_the_row_width(l):
+    """On (B, T, 4l) windows the ladder and price/volume losses, and report,
+    take l from the width and match the loop oracles at that l."""
+    rng = np.random.default_rng(l)
+    x, xh = rng.normal(size=(2, 5, 6, 4 * l))
+    cfg = LossConfig(weights=WeightProfile.uniform(4 * l))
+    reg = [oracle_l_reg(w, l) for w in xh]
+    pv = np.array([oracle_price_volume(a, b, l) for a, b in zip(x, xh)])
+    assert np.max(np.abs(l_reg(xh) - reg)) < 1e-12
+    lp, lv = price_volume_losses(x, xh)
+    assert np.max(np.abs(lp - pv[:, 0])) < 1e-12
+    assert np.max(np.abs(lv - pv[:, 1])) < 1e-12
+    rep = report([(x, xh, None)], cfg)
+    composed = [cfg.alpha * oracle_mse(a, b)
+                + (1 - cfg.alpha) * oracle_wmse(a, b, cfg.weights.w)
+                + cfg.lam * r for a, b, r in zip(x, xh, reg)]
+    for got, want in [(rep.l_reg, np.mean(reg)), (rep.l_price, pv[:, 0].mean()),
+                      (rep.l_volume, pv[:, 1].mean()),
+                      (rep.l_all, np.mean(composed))]:
+        assert abs(got - want) < 1e-12
+
+
 # -------------------------------------------------- finite-difference checks
 
 def central_fd(f, xh, h=1e-5):

@@ -51,7 +51,6 @@ def tiny_cfg(**kw):
     defaults = dict(
         epochs=3, batch_size=4, lr=1e-3, seed=0,
         loss=LossConfig(weights=WeightProfile.inverse_level(TINY_L)),
-        levels=TINY_L,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -137,8 +136,8 @@ def loop_loss_grad(task, Y, windows, cfg):
                 loss += masked_mse(X[i], xh, windows.masks[i])
                 g = masked_mse_gradient(X[i], xh, windows.masks[i])
             else:
-                loss += l_all(X[i], xh, cfg.loss, cfg.levels)
-                g = l_all_gradient(X[i], xh, cfg.loss, cfg.levels)
+                loss += l_all(X[i], xh, cfg.loss)
+                g = l_all_gradient(X[i], xh, cfg.loss)
             GY[i] = g.ravel()
     return loss / B, GY / B
 
@@ -150,7 +149,7 @@ def whole_model_loss(model, head, windows, task, cfg):
 
 @pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
 def test_full_backward_pass_matches_finite_differences(task):
-    cfg = tiny_cfg(task=task)
+    cfg = tiny_cfg()
     model = LinearAutoencoder(input_dim=8, latent=3, seed=1)
     if task == PREDICTION:
         head = TaskHead(PREDICTION, latent=3, seed=2)
@@ -213,7 +212,7 @@ def day_windows():
 @pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
 def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
     """The batched loss path is bit-identical to one loss call per window."""
-    cfg = TrainConfig(task=task)
+    cfg = TrainConfig()
     out_dim = 3 if task == PREDICTION else 4000
     rng = np.random.default_rng(11)
     X = day_windows.data()
@@ -430,6 +429,17 @@ def test_train_max_batches_stops_early():
     assert trace == []
 
 
+def test_train_takes_the_task_from_the_head():
+    """A prediction head with a plain TrainConfig trains as prediction: the
+    trace is the one that stating task=prediction on the config gave."""
+    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
+    head = TaskHead(PREDICTION, latent=4, seed=1)
+    trace = train(model, head, tiny_windows(12, seed=9, labeled=True),
+                  TrainConfig(epochs=3, batch_size=4))
+    assert trace == [0.9906763320480807, 0.9852701036396502,
+                     0.9810191778236588]
+
+
 # ------------------------------------------------------------------- freeze
 
 def test_finetune_frozen_never_touches_encoder():
@@ -438,7 +448,7 @@ def test_finetune_frozen_never_touches_encoder():
     data = tiny_windows(20, seed=6, labeled=True)
     enc_before = {k: model.params[k].copy() for k in ("enc.W", "enc.b")}
     trace = finetune_frozen(model, head, data,
-                            tiny_cfg(task=PREDICTION, epochs=10), budget=12)
+                            tiny_cfg(epochs=10), budget=12)
     assert trace  # some training happened
     for k, v in enc_before.items():
         assert np.array_equal(model.params[k], v)  # byte-for-byte equal
@@ -450,8 +460,8 @@ def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
     seen = []
     monkeypatch.setattr(lobkit.models, "train",
                         lambda *args, **kw: seen.append(args[3]))
-    cfg = tiny_cfg(task=PREDICTION, lr_schedule="cosine", warmup_epochs=1,
-                   beta1=0.5, beta2=0.9)
+    cfg = tiny_cfg(lr_schedule="cosine", warmup_epochs=1, beta1=0.5,
+                   beta2=0.9)
     finetune_frozen(LinearAutoencoder(input_dim=8, latent=4, seed=0),
                     TaskHead(PREDICTION, latent=4, seed=1),
                     tiny_windows(8, seed=7, labeled=True), cfg, budget=3)
@@ -485,7 +495,7 @@ def test_finetune_budget_zero_is_a_noop():
     head = TaskHead(PREDICTION, latent=4, seed=1)
     head_before = {k: v.copy() for k, v in head.params.items()}
     trace = finetune_frozen(model, head, tiny_windows(8, seed=7, labeled=True),
-                            tiny_cfg(task=PREDICTION), budget=0)
+                            tiny_cfg(), budget=0)
     assert trace == []
     assert all(np.array_equal(head.params[k], v) for k, v in head_before.items())
 
@@ -495,7 +505,7 @@ def test_frozen_training_still_updates_head():
     head = TaskHead(PREDICTION, latent=4, seed=1)
     head_before = {k: v.copy() for k, v in head.params.items()}
     finetune_frozen(model, head, tiny_windows(8, seed=8, labeled=True),
-                    tiny_cfg(task=PREDICTION, epochs=2), budget=4)
+                    tiny_cfg(epochs=2), budget=4)
     assert any(
         not np.array_equal(head.params[k], v) for k, v in head_before.items()
     )

@@ -48,7 +48,7 @@ def valid_rows(n, seed=0, l=10):
 
 def test_feature_stats_simple_example():
     data = np.array([[1.0, 10.0], [3.0, 10.0]])
-    stats = fit_feature_stats(data, levels=1)  # shape tolerance: 2 cols
+    stats = fit_feature_stats(data)  # shape tolerance: 2 cols
     # population convention: std of {1, 3} is 1, not sqrt(2)
     assert stats.mu[0] == 2.0 and stats.sigma[0] == 1.0
     # constant column hits the sigma floor instead of zero

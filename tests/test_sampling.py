@@ -118,13 +118,13 @@ def test_day_series_roundtrip_and_mid_prices(tmp_path):
     back = load_tensor(tmp_path / "day.bin")
     assert back.shape == (3, 12)
     assert np.array_equal(back, data)
-    assert np.allclose(mid_prices(back, 3), 10.005)
+    assert np.allclose(mid_prices(back), 10.005)
     rows = np.stack([make_snapshot(bid0=1383 + i, ask0=1385 + i)
                      for i in range(4)])
     save_tensor(tmp_path / "rows.bin", rows)
     back = load_tensor(tmp_path / "rows.bin")
     assert np.array_equal(back[2], rows[2])
-    assert np.allclose(mid_prices(back, 10),
+    assert np.allclose(mid_prices(back),
                        [13.84 + 0.01 * i for i in range(4)])
 
 

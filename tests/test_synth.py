@@ -106,7 +106,7 @@ def test_mid_prices_stay_within_profile_bounds():
     p = small_profile()
     stream = generate_day(p, seed=4, calendar=SMALL_CAL)
     data, _ = replay_check(stream, SMALL_CAL)
-    mids = mid_prices(data, 10)
+    mids = mid_prices(data)
     assert mids.min() >= p.price_min - 1.0  # padding slack of a few ticks
     assert mids.max() <= p.price_max + 1.0
 
@@ -129,7 +129,7 @@ def test_full_day_replay_sz000001():
     data, rep = replay_check(stream)
     assert len(data) == 4740
     assert rep.balanced()
-    mids = mid_prices(data, 10)
+    mids = mid_prices(data)
     # headline statistics are in a loose per-day band around the targets
     assert abs(mids.mean() - 13.83) < 3 * 1.91
     assert 9.10 - 1 <= mids.min() and mids.max() <= 18.29 + 1
