@@ -19,9 +19,9 @@ import numpy as np
 from . import io as lio
 from .book import BookError, mid_prices
 from .metrics import (
+    WEIGHTS,
     LossConfig,
     MetricError,
-    WeightProfile,
     cross_entropy,
     report,
 )
@@ -231,12 +231,8 @@ def _prepare_task_data(windows: Windows, task, seed, mask_ratio=0.2):
     return windows
 
 
-def _loss_config(args, levels: int) -> LossConfig:
-    weights = (
-        WeightProfile.uniform(4 * levels) if args.weights == "uniform"
-        else WeightProfile.inverse_level(levels)
-    )
-    return LossConfig(alpha=args.alpha, lam=args.lam, weights=weights)
+def _loss_config(args) -> LossConfig:
+    return LossConfig(alpha=args.alpha, lam=args.lam, weights=args.weights)
 
 
 def _model_arrays(model, head, T, levels):
@@ -268,28 +264,59 @@ def _write_config(out: Path, args):
     lio.write_kv(out / "config.txt", {args.command: entries})
 
 
-def _scalar(a) -> float:
-    return float(np.asarray(a).ravel()[0])
+def _meta_int(arrays, name: str, key: str, lo: int, hi: float = np.inf):
+    """The checkpoint's meta.<key>: one finite whole number in [lo, hi]."""
+    field = f"meta.{key}"
+    if field not in arrays:
+        raise lio.FormatError(f"{name}: missing {field}", field=field)
+    a = np.asarray(arrays[field])
+    v = float(a.ravel()[0]) if a.size == 1 else np.nan
+    if not (np.isfinite(v) and v == int(v) and lo <= v <= hi):
+        raise lio.FormatError(
+            f"{name}: {field} must be one whole number in [{lo}, {hi}], "
+            f"got {a.ravel().tolist()}", field=field)
+    return int(v)
 
 
-def _model_from_arrays(arrays):
-    model = LinearAutoencoder(
-        input_dim=int(_scalar(arrays["meta.input_dim"])),
-        latent=int(_scalar(arrays["meta.latent"])),
-        relu=bool(_scalar(arrays["meta.relu"])),
-    )
-    for k in ("enc.W", "enc.b", "dec.W", "dec.b"):
-        model.params[k] = arrays[k].copy()
-    head = None
+def _load_model(path: Path):
+    """The checkpoint's model, head (or None), T and levels, its metadata
+    and array shapes checked against each other first."""
+    arrays, name = lio.load_checkpoint(path), path.name
+    d, k, T, levels = (_meta_int(arrays, name, key, 1) for key in
+                       ("input_dim", "latent", "T", "levels"))
+    relu = _meta_int(arrays, name, "relu", 0, 1)
+    if d != T * 4 * levels:
+        raise lio.FormatError(
+            f"{name}: meta.input_dim = {d}, but meta.T * 4 * meta.levels = "
+            f"{T * 4 * levels}", field="meta.input_dim")
+    shapes = {"enc.W": (d, k), "enc.b": (k,), "dec.W": (k, d), "dec.b": (d,)}
+    kind = None
     if "head.W" in arrays:
-        kind = HEAD_KINDS[int(_scalar(arrays["meta.head_kind"]))]
-        head = TaskHead(kind, latent=model.latent,
-                        out_dim=arrays["head.W"].shape[1])
-        head.params["head.W"] = arrays["head.W"].copy()
-        head.params["head.b"] = arrays["head.b"].copy()
-    T = int(_scalar(arrays["meta.T"]))
-    levels = int(_scalar(arrays["meta.levels"]))
+        kind = HEAD_KINDS[_meta_int(arrays, name, "head_kind", 1, 2)]
+        out_dim = 3 if kind == PREDICTION else d
+        shapes.update({"head.W": (k, out_dim), "head.b": (out_dim,)})
+    for key, shape in shapes.items():
+        got = arrays[key].shape if key in arrays else "missing"
+        if got != shape:
+            raise lio.FormatError(
+                f"{name}: {key} is {got}, but meta.input_dim = {d} and "
+                f"meta.latent = {k} need shape {shape}", field=key)
+    model = LinearAutoencoder(input_dim=d, latent=k, relu=bool(relu))
+    head = None
+    if kind is not None:
+        head = TaskHead(kind, latent=k, out_dim=shapes["head.W"][1])
+    for params in (model.params, {} if head is None else head.params):
+        for key in params:  # one at a time, each freeing its random init
+            params[key] = arrays[key].copy()
     return model, head, T, levels
+
+
+def _check_levels(ckpt: Path, levels: int, data_dir: Path, meta):
+    """Reject a checkpoint trained on rows of another level count."""
+    if levels != int(meta["levels"]):
+        raise PreprocessError(
+            f"{ckpt.name} has meta.levels = {levels}, but "
+            f"{data_dir.name}/meta.txt has levels = {meta['levels']}")
 
 
 def cmd_train(args) -> int:
@@ -311,7 +338,7 @@ def cmd_train(args) -> int:
                         seed=args.seed + 1)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, loss=_loss_config(args, levels),
+        seed=args.seed, loss=_loss_config(args),
         clip_norm=args.clip_norm,
     )
     trace = train(model, head, data, cfg)
@@ -329,12 +356,13 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data_dir = _out_path(args.data)
-    arrays = lio.load_checkpoint(_out_path(args.checkpoint))
-    model, head, T, levels = _model_from_arrays(arrays)
+    ckpt = _out_path(args.checkpoint)
+    model, head, T, levels = _load_model(ckpt)
     kind = RECONSTRUCTION if head is None else head.kind
     windows, meta = _load_split(data_dir, args.split, T, args.step,
                                 labeled=kind == PREDICTION)
-    cfg = _loss_config(args, levels)
+    _check_levels(ckpt, levels, data_dir, meta)
+    cfg = _loss_config(args)
 
     if kind == PREDICTION:
         logits = np.concatenate([Y for _, Y, _ in
@@ -359,12 +387,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    arrays = lio.load_checkpoint(_out_path(args.checkpoint))
-    model, head, T, _ = _model_from_arrays(arrays)
+    ckpt = _out_path(args.checkpoint)
+    model, head, T, levels = _load_model(ckpt)
     if head is None or head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
     data_dir = _out_path(args.data)
     windows, meta = _load_split(data_dir, "train", T, args.step, labeled=True)
+    _check_levels(ckpt, levels, data_dir, meta)
     data = _prepare_task_data(windows, PREDICTION, args.seed)
 
     usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
@@ -416,8 +445,7 @@ def _mask_ratio(s: str) -> float:
 def _add_loss_flags(p):
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--weights", choices=["inverse-level", "uniform"],
-                   default="inverse-level")
+    p.add_argument("--weights", choices=WEIGHTS, default="inverse-level")
 
 
 def build_parser() -> argparse.ArgumentParser:

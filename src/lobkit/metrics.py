@@ -13,17 +13,13 @@ input's shape. Logits, labels and masks gain the same leading batch axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .book import (
-    DEFAULT_LEVELS,
-    ladder_cols,
-    levels_of,
-    price_cols,
-    volume_cols,
-)
+from .book import ladder_cols, levels_of, price_cols, volume_cols
+
+WEIGHTS = ("inverse-level", "uniform")  # wMSE column weight profiles
 
 
 class MetricError(Exception):
@@ -43,40 +39,23 @@ def _per_window(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-@dataclass
-class WeightProfile:
-    """Per-column importance weights; default decays as 1/level."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if np.any(self.w < 0) or self.w.sum() <= 0:
-            raise MetricError("weights must be non-negative with positive sum")
-
-    @property
-    def W(self) -> float:
-        return float(self.w.sum())
-
-    @classmethod
-    def inverse_level(cls, levels: int = DEFAULT_LEVELS) -> "WeightProfile":
-        per_field = 1.0 / np.arange(1, levels + 1)
-        return cls(w=np.tile(per_field, 4))
-
-    @classmethod
-    def uniform(cls, n: int = 40) -> "WeightProfile":
-        return cls(w=np.ones(n))
+def level_weights(kind: str, levels: int) -> np.ndarray:
+    """The 4l wMSE column weights: 1/level per field, or all ones."""
+    if not isinstance(kind, str) or kind not in WEIGHTS:
+        raise MetricError(f"weights must be one of {WEIGHTS}, got {kind!r}")
+    if kind == "uniform":
+        return np.ones(4 * levels)
+    return np.tile(1.0 / np.arange(1, levels + 1), 4)
 
 
 @dataclass
 class LossConfig:
     alpha: float = 0.5
     lam: float = 1.0
-    weights: WeightProfile = field(
-        default_factory=WeightProfile.inverse_level
-    )
+    weights: str = "inverse-level"  # one of WEIGHTS, sized by the rows
 
     def __post_init__(self):
+        level_weights(self.weights, 0)  # rejects a name not in WEIGHTS
         if not 0 <= self.alpha <= 1:
             raise MetricError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0 <= self.lam < np.inf:
@@ -93,11 +72,12 @@ def mae(x: np.ndarray, xh: np.ndarray):
     return _per_window(np.mean(np.abs(x - xh), axis=(-2, -1)))
 
 
-def wmse(x: np.ndarray, xh: np.ndarray, p: WeightProfile):
+def wmse(x: np.ndarray, xh: np.ndarray, weights: str):
     """(1/W) sum_j w_j sum_i e_ij^2; the time sum is not divided by T."""
     x, xh = _check(x, xh)
+    w = level_weights(weights, levels_of(x))
     col_sq = ((x - xh) ** 2).sum(axis=-2)
-    return _per_window(np.vecdot(col_sq, p.w) / p.W)
+    return _per_window(np.vecdot(col_sq, w) / float(w.sum()))
 
 
 def price_volume_losses(x: np.ndarray, xh: np.ndarray) -> tuple:
@@ -159,8 +139,9 @@ def l_all_gradient(x: np.ndarray, xh: np.ndarray,
     """Exact d l_all / d xh, same shape as xh."""
     x, xh = _check(x, xh)
     e = xh - x
+    w = level_weights(cfg.weights, levels_of(x))
     g_mse = 2.0 * e / (e.shape[-2] * e.shape[-1])
-    g_wmse = 2.0 * e * (cfg.weights.w / cfg.weights.W)
+    g_wmse = 2.0 * e * (w / float(w.sum()))
     grad = cfg.alpha * g_mse + (1 - cfg.alpha) * g_wmse
     if cfg.lam != 0:
         grad = grad + cfg.lam * l_reg_gradient(xh)

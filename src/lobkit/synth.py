@@ -85,18 +85,27 @@ class FlowStream:
         return len(self.orders)
 
 
-def _seed_orders(p: FlowProfile, mid_ticks: int, next_id: int, t: int):
-    """Pre-open book seeding: seed_levels resting levels per side, each
-    holding the profile's side volume mean."""
-    orders = []
+def _refill_ladder(book: BookState, p: FlowProfile, anchor: int, t: int,
+                   next_id: int, orders: list) -> int:
+    """Rest the profile's side volume mean at each of the seed_levels prices
+    on either side of anchor that has no level, bid before ask per distance;
+    submit and append each order, and return the next free id."""
     for i in range(1, p.seed_levels + 1):
-        orders.append(Order(next_id, BID, LIMIT, t, price=mid_ticks - i,
-                            volume=p.bid_volume_mean))
-        next_id += 1
-        orders.append(Order(next_id, ASK, LIMIT, t, price=mid_ticks + i,
-                            volume=p.ask_volume_mean))
-        next_id += 1
-    return orders, next_id
+        bid_px = anchor - i
+        if bid_px >= 1 and bid_px not in book.bids:
+            o = Order(next_id, BID, LIMIT, t, price=bid_px,
+                      volume=p.bid_volume_mean)
+            next_id += 1
+            submit(book, o)
+            orders.append(o)
+        ask_px = anchor + i
+        if ask_px not in book.asks:
+            o = Order(next_id, ASK, LIMIT, t, price=ask_px,
+                      volume=p.ask_volume_mean)
+            next_id += 1
+            submit(book, o)
+            orders.append(o)
+    return next_id
 
 
 def generate_day(
@@ -115,14 +124,10 @@ def generate_day(
     step_std = (p.mid_std / tick) / np.sqrt(n_steps) * (1 - p.momentum)
 
     book = BookState(tick_size=tick)
-    next_id = 1
-    t0 = calendar.intervals[0][0] - 60 * NS_PER_SEC
-    stream, next_id = _seed_orders(p, mid, next_id, t0)
-    for o in stream:
-        submit(book, o)
+    orders = []
+    t0 = calendar.intervals[0][0] - 60 * NS_PER_SEC  # pre-open seeding
+    next_id = _refill_ladder(book, p, mid, t0, 1, orders)
     seed_ids = set(book.live)
-
-    orders = list(stream)
     drift = 0.0
     target = float(mid)
     for t_grid in calendar.grid():
@@ -175,22 +180,8 @@ def generate_day(
         # on each side of the target mid so the book tracks the walk and
         # never goes one-sided. Refills that cross simply execute, which is
         # what pulls the book mid toward the target after a fast move.
-        anchor = round(target)
-        for i in range(1, p.seed_levels + 1):
-            bid_px = anchor - i
-            if bid_px >= 1 and bid_px not in book.bids:
-                o = Order(next_id, BID, LIMIT, int(t_grid),
-                          price=bid_px, volume=p.bid_volume_mean)
-                next_id += 1
-                submit(book, o)
-                orders.append(o)
-            ask_px = anchor + i
-            if ask_px not in book.asks:
-                o = Order(next_id, ASK, LIMIT, int(t_grid),
-                          price=ask_px, volume=p.ask_volume_mean)
-                next_id += 1
-                submit(book, o)
-                orders.append(o)
+        next_id = _refill_ladder(book, p, round(target), int(t_grid),
+                                 next_id, orders)
     return FlowStream(profile=p.name, seed=seed, orders=orders,
                       tick_size=tick)
 

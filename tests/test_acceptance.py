@@ -16,6 +16,7 @@ from lobkit.metrics import (
     cross_entropy,
     l_all,
     l_all_gradient,
+    level_weights,
     mae,
     masked_mse,
     mse,
@@ -158,8 +159,8 @@ def test_criterion_04_losses_match_loop_oracles():
         xh = rng.normal(size=(T, 40))
         assert abs(mse(x, xh) - oracle_mse(x, xh)) < 1e-12
         assert abs(mae(x, xh) - oracle_mae(x, xh)) < 1e-12
-        assert abs(wmse(x, xh, cfg.weights)
-                   - oracle_wmse(x, xh, cfg.weights.w)) < 1e-12
+        assert abs(wmse(x, xh, cfg.weights) - oracle_wmse(
+            x, xh, level_weights(cfg.weights, 10))) < 1e-12
         lp, lv = price_volume_losses(x, xh)
         olp, olv = oracle_price_volume(x, xh)
         assert abs(lp - olp) < 1e-12 and abs(lv - olv) < 1e-12
@@ -216,7 +217,7 @@ def test_criterion_05_gradients_match_finite_differences():
 
     model = LinearAutoencoder(input_dim=8, latent=3, seed=5)
     w_data = rng.normal(size=(2, 4))
-    tiny = LossConfig(weights=type(cfg.weights).inverse_level(1))
+    tiny = LossConfig()
 
     def loss_fn():
         Y, _ = _batch_forward(model, None, w_data.ravel()[None, :])

@@ -11,14 +11,13 @@ import pytest
 from lobkit import io as lio
 from lobkit.cli import (
     _labeled,
+    _load_model,
     _load_split,
-    _model_from_arrays,
     build_parser,
     main,
 )
 from lobkit.metrics import (
     LossConfig,
-    WeightProfile,
     cross_entropy,
     l_all,
     l_reg,
@@ -124,7 +123,7 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
     """evaluate's report.txt for the test split at --step 1, computed the
     reference way: one encode and one decode (or head) pass over the whole
     split, then a loop over its windows."""
-    model, head, T, levels = _model_from_arrays(lio.load_checkpoint(ckpt))
+    model, head, T, _ = _load_model(ckpt)
     windows = _load_split(data, "test", T, 1)[0]
     if head is not None and head.kind == "prediction":
         usable = _labeled(windows)
@@ -145,7 +144,7 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
         R = model.encode(X_in.reshape(len(X), -1))
         Xh = (model.decode(R) if head is None
               else head.forward(R)).reshape(X.shape)
-        cfg = LossConfig(weights=WeightProfile.inverse_level(levels))
+        cfg = LossConfig()
         sums = dict.fromkeys(("mse", "mae", "wmse", "l_price", "l_volume",
                               "l_reg", "l_all"), 0.0)
         for x, xh in zip(X, Xh):
@@ -168,7 +167,7 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
 def _whole_split_transfer(data, ckpt, xfer, budget):
     """transfer's report.txt at --step 1, each recall from one forward pass
     over the whole labeled test split, before and after the head delta."""
-    model, head, T, _ = _model_from_arrays(lio.load_checkpoint(ckpt))
+    model, head, T, _ = _load_model(ckpt)
     usable = _labeled(_load_split(data, "test", T, 1)[0])
     X = usable.data().reshape(len(usable), -1)
     before = evaluate_classification(
@@ -613,6 +612,63 @@ def test_train_and_evaluate_on_a_20_level_day(levels20, tmp_path, task,
                  "--weights", weights, "--step", "50",
                  "--out", str(tmp_path / "eval")]) == 0
     assert "wmse=" in (tmp_path / "eval" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+def test_checkpoint_of_another_level_count_exits_2_naming_both(
+        levels20, tiny_prediction_checkpoint, tmp_path, capsys, command):
+    """A 10-level checkpoint on a 20-level data directory is rejected
+    before it scores, naming both files and both level counts."""
+    ckpt, data = str(tiny_prediction_checkpoint), str(levels20)
+    argv = {
+        "evaluate": ["evaluate", "--data", data, "--checkpoint", ckpt],
+        "transfer": ["transfer", "--checkpoint", ckpt, "--data", data,
+                     "--budget", "5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--step", "10", "--out", str(out)]) == 2
+    assert ("error: checkpoint.bin has meta.levels = 10, but data/meta.txt "
+            "has levels = 20") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_imputation_checkpoint(pipeline, tmp_path_factory):
+    run = tmp_path_factory.mktemp("tiny_imp")
+    assert main(["train", "--data", str(pipeline / "data"),
+                 "--task", "imputation", "--out", str(run), "--epochs", "1",
+                 "--window", "10", "--step", "10", "--latent", "16"]) == 0
+    return run / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("meta.head_kind", 7.0, "meta.head_kind"),
+    ("meta.T", np.nan, "meta.T"),
+    ("meta.latent", 8.0, "enc.W"),
+    ("meta.T", 50.0, "meta.input_dim"),
+    ("meta.levels", None, "meta.levels"),
+    ("meta.relu", 0.5, "meta.relu"),
+    ("enc.b", None, "enc.b"),
+])
+def test_checkpoint_with_bad_metadata_exits_2_naming_the_field(
+        pipeline, tiny_imputation_checkpoint, tmp_path, capsys, key, value,
+        field):
+    """A meta.* entry that is missing, not a whole number in range, or that
+    disagrees with the array shapes exits 2 naming the file and the field;
+    None removes the entry."""
+    arrays = lio.load_checkpoint(tiny_imputation_checkpoint)
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = np.array(value)
+    bad = tmp_path / "checkpoint.bin"
+    lio.save_checkpoint(bad, arrays)
+    assert main(["evaluate", "--data", str(pipeline / "data"),
+                 "--checkpoint", str(bad), "--step", "10",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint.bin: ")
+    assert f"(field {field})" in err
 
 
 def test_divergent_training_is_numeric_abort(pipeline, tmp_path):

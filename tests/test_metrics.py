@@ -1,6 +1,8 @@
 """Metric/loss tests: brute-force loop oracles (1e-12) and central
 finite-difference gradient checks (1e-5 relative) on random instances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from lobkit.book import ladder_cols
 from lobkit.metrics import (
     LossConfig,
     MetricError,
-    WeightProfile,
     cross_entropy,
     cross_entropy_gradient,
     l_all,
     l_all_gradient,
     l_reg,
     l_reg_gradient,
+    level_weights,
     mae,
     masked_mse,
     masked_mse_gradient,
@@ -105,7 +107,7 @@ def oracle_masked_mse(x, xh, mask):
 def test_all_metrics_match_loop_oracles_on_100_instances():
     rng = np.random.default_rng(42)
     cfg = LossConfig()
-    w = cfg.weights.w
+    w = level_weights(cfg.weights, L)
     for _ in range(100):
         x, xh = rand_pair(rng)
         assert abs(mse(x, xh) - oracle_mse(x, xh)) < 1e-12
@@ -137,16 +139,15 @@ def test_all_metrics_match_loop_oracles_on_100_instances():
 def test_wmse_with_uniform_weights_is_T_times_mse():
     rng = np.random.default_rng(0)
     x, xh = rand_pair(rng, T=7)
-    uniform = WeightProfile.uniform(N_COLS)
-    assert wmse(x, xh, uniform) == pytest.approx(7 * mse(x, xh), rel=1e-12)
+    assert wmse(x, xh, "uniform") == pytest.approx(7 * mse(x, xh), rel=1e-12)
 
 
 def test_inverse_level_weights():
-    p = WeightProfile.inverse_level()
-    assert p.w.shape == (40,)
-    assert p.w[0] == 1.0 and p.w[9] == pytest.approx(0.1)
-    assert np.array_equal(p.w[:10], p.w[10:20])  # same decay per field
-    assert p.W == pytest.approx(4 * sum(1 / k for k in range(1, 11)))
+    w = level_weights("inverse-level", L)
+    assert w.shape == (40,)
+    assert w[0] == 1.0 and w[9] == pytest.approx(0.1)
+    assert np.array_equal(w[:10], w[10:20])  # same decay per field
+    assert w.sum() == pytest.approx(4 * sum(1 / k for k in range(1, 11)))
 
 
 def test_l_reg_single_inversion_closed_form():
@@ -221,7 +222,7 @@ def test_losses_read_the_levels_from_the_row_width(l):
     take l from the width and match the loop oracles at that l."""
     rng = np.random.default_rng(l)
     x, xh = rng.normal(size=(2, 5, 6, 4 * l))
-    cfg = LossConfig(weights=WeightProfile.uniform(4 * l))
+    cfg = LossConfig(weights="uniform")
     reg = [oracle_l_reg(w, l) for w in xh]
     pv = np.array([oracle_price_volume(a, b, l) for a, b in zip(x, xh)])
     assert np.max(np.abs(l_reg(xh) - reg)) < 1e-12
@@ -230,12 +231,38 @@ def test_losses_read_the_levels_from_the_row_width(l):
     assert np.max(np.abs(lv - pv[:, 1])) < 1e-12
     rep = report([(x, xh, None)], cfg)
     composed = [cfg.alpha * oracle_mse(a, b)
-                + (1 - cfg.alpha) * oracle_wmse(a, b, cfg.weights.w)
+                + (1 - cfg.alpha)
+                * oracle_wmse(a, b, level_weights(cfg.weights, l))
                 + cfg.lam * r for a, b, r in zip(x, xh, reg)]
     for got, want in [(rep.l_reg, np.mean(reg)), (rep.l_price, pv[:, 0].mean()),
                       (rep.l_volume, pv[:, 1].mean()),
                       (rep.l_all, np.mean(composed))]:
         assert abs(got - want) < 1e-12
+
+
+def test_default_loss_config_sizes_its_weights_from_80_column_rows():
+    """A plain LossConfig on 20-level rows gives what the 20-level
+    inverse-level weight array gave: l_all per window, the gradient's
+    bytes and every report field."""
+    rng = np.random.default_rng(2020)
+    x, xh = rng.normal(size=(2, 3, 5, 80))
+    cfg = LossConfig()
+    assert l_all(x, xh, cfg).tolist() == [
+        5.907629434818886, 5.779849025174704, 7.5935108314151405]
+    assert hashlib.sha256(l_all_gradient(x, xh, cfg).tobytes()).hexdigest() \
+        == "a23765192fa72db6477ca25ca61644701f85017c0aae8fdcfb1dd4c8f464585c"
+    assert report([(x, xh, None)], cfg).as_items() == [
+        ("count", 3), ("mse", 1.943607051454535), ("mae", 1.1195743060579533),
+        ("wmse", 9.84498830827591), ("l_price", 1.9636531981065304),
+        ("l_volume", 1.9235609048025382), ("l_reg", 0.5326987506043539),
+        ("l_all", 6.426996430469576)]
+
+
+@pytest.mark.parametrize("weights", ["Uniform", "", None, np.ones(40)],
+                         ids=["Uniform", "empty", "None", "array"])
+def test_loss_config_rejects_a_weights_value_outside_the_names(weights):
+    with pytest.raises(MetricError, match="weights must be one of"):
+        LossConfig(weights=weights)
 
 
 # -------------------------------------------------- finite-difference checks

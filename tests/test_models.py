@@ -7,7 +7,6 @@ import pytest
 from lobkit.metrics import (
     LossConfig,
     MetricError,
-    WeightProfile,
     cross_entropy,
     cross_entropy_gradient,
     l_all,
@@ -50,7 +49,6 @@ TINY_T = 2  # input_dim = 8
 def tiny_cfg(**kw):
     defaults = dict(
         epochs=3, batch_size=4, lr=1e-3, seed=0,
-        loss=LossConfig(weights=WeightProfile.inverse_level(TINY_L)),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -438,6 +436,16 @@ def test_train_takes_the_task_from_the_head():
                   TrainConfig(epochs=3, batch_size=4))
     assert trace == [0.9906763320480807, 0.9852701036396502,
                      0.9810191778236588]
+
+
+def test_default_train_config_trains_on_80_column_rows():
+    """A plain TrainConfig on 20-level windows gives the trace that the
+    20-level inverse-level weight array gave."""
+    view = np.random.default_rng(7).normal(size=(6, 2, 80))
+    model = LinearAutoencoder(input_dim=160, latent=4, seed=0)
+    trace = train(model, None, Windows(view, np.arange(6)),
+                  TrainConfig(epochs=2, batch_size=4))
+    assert trace == [1.4515584857190196, 1.4020287303419354]
 
 
 # ------------------------------------------------------------------- freeze
