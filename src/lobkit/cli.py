@@ -301,13 +301,8 @@ def _load_model(path: Path):
             raise lio.FormatError(
                 f"{name}: {key} is {got}, but meta.input_dim = {d} and "
                 f"meta.latent = {k} need shape {shape}", field=key)
-    model = LinearAutoencoder(input_dim=d, latent=k, relu=bool(relu))
-    head = None
-    if kind is not None:
-        head = TaskHead(kind, latent=k, out_dim=shapes["head.W"][1])
-    for params in (model.params, {} if head is None else head.params):
-        for key in params:  # one at a time, each freeing its random init
-            params[key] = arrays[key].copy()
+    model = LinearAutoencoder.from_params(arrays, bool(relu))
+    head = None if kind is None else TaskHead.from_params(kind, arrays)
     return model, head, T, levels
 
 

@@ -8,7 +8,7 @@ directly; training is single-threaded and bit-deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,16 @@ class LinearAutoencoder:
             "dec.b": np.zeros(input_dim),
         }
 
+    @classmethod
+    def from_params(cls, params: dict, relu: bool) -> "LinearAutoencoder":
+        """The model whose parameters are these arrays; no init is drawn."""
+        model = cls.__new__(cls)
+        model.input_dim, model.latent = params["enc.W"].shape
+        model.relu = relu
+        model.params = {k: params[k] for k in ("enc.W", "enc.b", "dec.W",
+                                               "dec.b")}
+        return model
+
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.input_dim:
@@ -99,6 +109,15 @@ class TaskHead:
             "head.W": _init((latent, out_dim), latent, rng),
             "head.b": np.zeros(out_dim),
         }
+
+    @classmethod
+    def from_params(cls, kind: str, params: dict) -> "TaskHead":
+        """The head whose parameters are these arrays; no init is drawn."""
+        head = cls.__new__(cls)
+        head.kind = kind
+        head.latent, head.out_dim = params["head.W"].shape
+        head.params = {k: params[k] for k in ("head.W", "head.b")}
+        return head
 
     def forward(self, r: np.ndarray) -> np.ndarray:
         r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -176,7 +195,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    freeze_encoder: bool = False
     clip_norm: float | None = None
     lr_schedule: str = "constant"  # one of LR_SCHEDULES; warmup comes first
     warmup_epochs: int = 0
@@ -212,22 +230,26 @@ def _batch_forward(model, head, X):
     return Y, (X, R)
 
 
-def _batch_backward(model, head, cache, GY, freeze_encoder: bool):
+def _batch_backward(model, head, cache, GY, frozen: bool):
+    """Gradients of the output layer, and of the encoder unless frozen (the
+    cache's X is then not read)."""
     X, R = cache
-    grads = {}
-    if head is None:
-        grads["dec.W"] = R.T @ GY
-        grads["dec.b"] = GY.sum(axis=0)
-        GR = GY @ model.params["dec.W"].T
-    else:
-        grads["head.W"] = R.T @ GY
-        grads["head.b"] = GY.sum(axis=0)
-        GR = GY @ head.params["head.W"].T
-    if not freeze_encoder:
-        GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
-        grads["enc.W"] = X.T @ GH
-        grads["enc.b"] = GH.sum(axis=0)
+    owner, name = (model, "dec") if head is None else (head, "head")
+    grads = {f"{name}.W": R.T @ GY, f"{name}.b": GY.sum(axis=0)}
+    if frozen:
+        return grads
+    GR = GY @ owner.params[f"{name}.W"].T
+    GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
+    grads["enc.W"] = X.T @ GH
+    grads["enc.b"] = GH.sum(axis=0)
     return grads
+
+
+def _model_input(X, batch: Windows, task):
+    """The (B, T*C) encoder input of the (B, T, C) windows X: the masked
+    time steps zeroed for imputation."""
+    X_in = masked_input(X, batch.masks) if task == IMPUTATION else X
+    return X_in.reshape(len(X), -1)
 
 
 def _task_loss_grad(task, Y, X, batch: Windows, cfg):
@@ -260,7 +282,8 @@ def _clip(grads: dict, max_norm: float):
 
 
 def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
-          cfg: TrainConfig, max_batches: int | None = None):
+          cfg: TrainConfig, max_batches: int | None = None,
+          latents: np.ndarray | None = None):
     """Mini-batch Adam over the given windows; returns per-epoch loss trace.
 
     The task is the head's kind, reconstruction without a head. `data`
@@ -268,6 +291,10 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
     reconstruction. Each batch is gathered from its view as it is used, so
     the split is never copied whole. Shuffling and batching are
     deterministic per cfg.seed. Model and head are updated in place.
+
+    Given `latents`, the encoder's fixed (len(data), latent) output for
+    `data`, only the head is fitted: a batch gathers its rows of `latents`
+    and never runs or updates the encoder.
     """
     if not data:
         raise ValueError("no training data")
@@ -294,13 +321,20 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
                 return trace
             idx = order[start : start + cfg.batch_size]
             batch = data.take(idx)
-            X = batch.data()
-            X_in = masked_input(X, batch.masks) if task == IMPUTATION else X
+            # rows of `latents` were encoded in blocks, and a row encoded
+            # alone rounds differently, so a one-window batch is encoded
+            # alone; a prediction loss reads no window, so none is gathered
+            fixed = latents is not None and len(idx) > 1
+            X = None if fixed and task == PREDICTION else batch.data()
             # divergence is detected from the loss, so let overflow propagate
             # to inf/nan silently instead of spamming warnings first
             with np.errstate(over="ignore", invalid="ignore"):
-                Y, cache = _batch_forward(model, head,
-                                          X_in.reshape(len(idx), -1))
+                if fixed:
+                    R = latents[idx]
+                    Y, cache = head.forward(R), (None, R)
+                else:
+                    Y, cache = _batch_forward(model, head,
+                                              _model_input(X, batch, task))
                 loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -309,7 +343,7 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
                     )))
                 raise NumericError(batch_id, norm)
             grads = _batch_backward(model, head, cache, GY,
-                                    cfg.freeze_encoder)
+                                    latents is not None)
             if cfg.clip_norm is not None:
                 _clip(grads, cfg.clip_norm)
             adam.update(all_params, grads)
@@ -322,13 +356,23 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
 
 def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                     cfg: TrainConfig, budget: int):
-    """Fine-tune only the head for at most `budget` optimizer steps."""
+    """Fit only the head, for at most `budget` optimizer steps, on the
+    encoder's fixed representations of `data`, each computed once."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0:
         return []
-    return train(model, head, data, replace(cfg, freeze_encoder=True),
-                 max_batches=budget)
+    n = len(data)
+    starts = list(range(0, n, REPORT_BLOCK))
+    if n > 1 and n % REPORT_BLOCK == 1:
+        del starts[-1]  # a lone row would encode bitwise unlike a block's
+    latents = np.empty((n, model.latent))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in zip(starts, starts[1:] + [n]):
+            block = data.take(slice(i, j))
+            latents[i:j] = model.encode(
+                _model_input(block.data(), block, head.kind))
+    return train(model, head, data, cfg, max_batches=budget, latents=latents)
 
 
 def logit_classes(logits: np.ndarray) -> np.ndarray:

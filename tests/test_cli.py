@@ -342,6 +342,33 @@ def tiny_prediction_checkpoint(pipeline, tmp_path_factory):
     return run / "checkpoint.bin"
 
 
+def test_loaded_checkpoint_draws_no_random_init(
+        pipeline, tiny_prediction_checkpoint, tmp_path, monkeypatch):
+    """evaluate and transfer build the model and head from the checkpoint's
+    arrays: with the random init disabled they write the same files."""
+    import lobkit.models
+
+    data, ckpt = str(pipeline / "data"), str(tiny_prediction_checkpoint)
+
+    def run(root):
+        assert main(["evaluate", "--data", data, "--checkpoint", ckpt,
+                     "--step", "10", "--out", str(root / "eval")]) == 0
+        assert main(["transfer", "--checkpoint", ckpt, "--data", data,
+                     "--budget", "5", "--step", "10",
+                     "--out", str(root / "xfer")]) == 0
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    want = run(tmp_path / "a")
+
+    def no_init(*args):
+        raise AssertionError("a random init was drawn")
+
+    monkeypatch.setattr(lobkit.models, "_init", no_init)
+    got = run(tmp_path / "b")
+    assert len(got) == 5 and got == want
+
+
 @pytest.mark.parametrize("command,flag,value,message", [
     ("train", "--window", "0", "window must be >= 1, got 0"),
     ("train", "--window", "-2", "window must be >= 1, got -2"),

@@ -28,6 +28,7 @@ from lobkit.models import (
     REPORT_BLOCK,
     AdamState,
     LinearAutoencoder,
+    NumericError,
     TaskHead,
     TrainConfig,
     _batch_backward,
@@ -463,20 +464,145 @@ def test_finetune_frozen_never_touches_encoder():
 
 
 def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
+    """The caller's config reaches train as it is; freezing comes from the
+    fixed latents passed beside it."""
     import lobkit.models
 
     seen = []
     monkeypatch.setattr(lobkit.models, "train",
-                        lambda *args, **kw: seen.append(args[3]))
-    cfg = tiny_cfg(lr_schedule="cosine", warmup_epochs=1, beta1=0.5,
-                   beta2=0.9)
+                        lambda *args, **kw: seen.append((args[3], kw)))
+    fields = dict(lr_schedule="cosine", warmup_epochs=1, beta1=0.5,
+                  beta2=0.9, clip_norm=0.5)
+    cfg = tiny_cfg(**fields)
     finetune_frozen(LinearAutoencoder(input_dim=8, latent=4, seed=0),
                     TaskHead(PREDICTION, latent=4, seed=1),
                     tiny_windows(8, seed=7, labeled=True), cfg, budget=3)
-    (got,) = seen
-    assert got.freeze_encoder and not cfg.freeze_encoder
-    assert (got.lr_schedule, got.warmup_epochs, got.beta1, got.beta2) == (
-        "cosine", 1, 0.5, 0.9)
+    ((got, kw),) = seen
+    assert got is cfg and got == tiny_cfg(**fields)
+    assert kw["max_batches"] == 3 and kw["latents"].shape == (8, 4)
+
+
+def frozen_oracle(model, head, data, cfg, budget):
+    """The per-batch frozen fit that finetune_frozen replaced, kept as its
+    byte-equality oracle: every batch runs the encoder on its own windows,
+    and only the head's gradients reach Adam."""
+    task = head.kind
+    rng = np.random.default_rng(cfg.seed)
+    adam = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    trace, batch_id = [], 0
+    all_params = {**model.params, **head.params}
+    for epoch in range(cfg.epochs):
+        if epoch < cfg.warmup_epochs:
+            adam.lr = cfg.lr * (epoch + 1) / cfg.warmup_epochs
+        elif cfg.lr_schedule == "cosine":
+            t = (epoch - cfg.warmup_epochs) / max(
+                cfg.epochs - cfg.warmup_epochs, 1)
+            adam.lr = cfg.lr * 0.5 * (1 + np.cos(np.pi * t))
+        order = rng.permutation(len(data))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(data), cfg.batch_size):
+            if batch_id >= budget:
+                return trace
+            batch = data.take(order[start : start + cfg.batch_size])
+            X = batch.data()
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y, cache = _batch_forward(model, head,
+                                          model_inputs(task, batch))
+                loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
+            if not np.isfinite(loss):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    norm = float(np.sqrt(sum(
+                        float((p * p).sum()) for p in all_params.values())))
+                raise NumericError(batch_id, norm)
+            grads = {"head.W": cache[1].T @ GY, "head.b": GY.sum(axis=0)}
+            if cfg.clip_norm is not None:
+                _clip(grads, cfg.clip_norm)
+            adam.update(all_params, grads)
+            epoch_loss += loss
+            n_batches += 1
+            batch_id += 1
+        trace.append(epoch_loss / max(n_batches, 1))
+    return trace
+
+
+def frozen_pair(kind, relu, n, shape=(TINY_T, 4 * TINY_L), latent=4):
+    """Two identical (model, head) pairs and n windows for kind."""
+    rng = np.random.default_rng(n)
+    view = rng.normal(size=(n, *shape))
+    labels = rng.integers(-1, 2, size=n) if kind == PREDICTION else None
+    masks = rng.integers(shape[0], size=(n, 1)) if kind == IMPUTATION else None
+    data = Windows(view, np.arange(n), labels, masks)
+    d = shape[0] * shape[1]
+    out_dim = 3 if kind == PREDICTION else d
+    return [(LinearAutoencoder(input_dim=d, latent=latent, relu=relu, seed=0),
+             TaskHead(kind, latent=latent, out_dim=out_dim, seed=1))
+            for _ in range(2)], data
+
+
+def run_both(kind, relu, n, cfg, budget, poison=None, **shape):
+    """finetune_frozen's and the oracle's traces (or NumericErrors), after
+    checking that both leave the same head bytes and the encoder as it was.
+    A `poison` window is set to inf."""
+    ((model, head), (o_model, o_head)), data = frozen_pair(kind, relu, n,
+                                                           **shape)
+    if poison is not None:
+        data.view[poison] = np.inf
+    enc = {k: model.params[k].copy() for k in ("enc.W", "enc.b")}
+    results = []
+    for fit, m, h in ((finetune_frozen, model, head),
+                      (frozen_oracle, o_model, o_head)):
+        try:
+            results.append(fit(m, h, data, cfg, budget))
+        except NumericError as exc:
+            results.append((exc.batch_id, exc.param_norm))
+    for k in ("head.W", "head.b"):
+        assert np.array_equal(head.params[k], o_head.params[k]), k
+    for k, v in enc.items():
+        assert np.array_equal(model.params[k], v), k
+    return results
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", [PREDICTION, IMPUTATION])
+@pytest.mark.parametrize("n, cfg, budget", [
+    (21, tiny_cfg(batch_size=4), 100),  # each epoch ends on a lone window
+    (6, tiny_cfg(batch_size=1, epochs=2), 100),
+    (65, tiny_cfg(batch_size=10, epochs=2), 100),  # 65 % REPORT_BLOCK == 1
+    (129, tiny_cfg(batch_size=16, epochs=2), 100),
+    (20, tiny_cfg(batch_size=4, epochs=4), 7),  # budget ends mid-epoch
+    (21, tiny_cfg(batch_size=4, epochs=4, lr=1e-2, lr_schedule="cosine",
+                  warmup_epochs=1, clip_norm=0.05), 100),
+], ids=["lone-last-batch", "batch-1", "block-remainder", "two-blocks+1",
+        "mid-epoch-budget", "cosine-warmup-clip"])
+def test_finetune_frozen_matches_per_batch_oracle(kind, relu, n, cfg,
+                                                  budget):
+    """Fitting the head on latents encoded once gives the bytes of the fit
+    that re-encoded every batch."""
+    got, want = run_both(kind, relu, n, cfg, budget)
+    assert got == want and len(got) == min(cfg.epochs,
+                                           budget // -(-n // cfg.batch_size))
+
+
+def test_finetune_frozen_matches_per_batch_oracle_at_default_width():
+    """The benchmark's shapes (4000 inputs, 256 latents, batches of 64) with
+    a lone last batch and a lone row past the last encode block."""
+    got, want = run_both(PREDICTION, False, 129,
+                         tiny_cfg(batch_size=64, epochs=2), 100,
+                         shape=(100, 40), latent=256)
+    assert got == want and len(got) == 2
+
+
+@pytest.mark.parametrize("kind", [PREDICTION, IMPUTATION])
+@pytest.mark.parametrize("lr, poison, batch_id", [(1e308, None, 1),
+                                                  (1e-3, 13, 3)])
+def test_finetune_frozen_divergence_matches_per_batch_oracle(kind, lr,
+                                                             poison, batch_id):
+    """A fit whose loss turns non-finite, from a huge step (the norm
+    overflows) or from an inf window (it does not), raises NumericError at
+    the oracle's batch and parameter norm."""
+    got, want = run_both(kind, False, 21, tiny_cfg(lr=lr), 100, poison)
+    assert got == want and got[0] == batch_id
+    assert np.isfinite(got[1]) == (poison is not None)
 
 
 @pytest.mark.parametrize("name, bad, good, message", [
