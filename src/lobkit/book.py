@@ -202,7 +202,10 @@ def invalid_rows(data: np.ndarray) -> np.ndarray:
 
 def levels_of(rows) -> int:
     """The l of (..., 4l) rows: the only place l is read from a width."""
-    return np.shape(rows)[-1] // 4
+    width = np.shape(rows)[-1]
+    if width % 4:
+        raise ValueError(f"rows of width {width} are not (..., 4l) rows")
+    return width // 4
 
 
 # Column index helpers for the canonical 40-column layout.

@@ -33,6 +33,7 @@ from .models import (
     NumericError,
     TaskHead,
     TrainConfig,
+    encode_windows,
     evaluate_classification,
     finetune_frozen,
     logit_classes,
@@ -99,16 +100,12 @@ def cmd_build(args) -> int:
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lio.save_tensor(out, data)
-    sizes = [(end - start) // calendar.period
-             for start, end in calendar.intervals]
-    edges = np.cumsum([0] + sizes).tolist()
-    blocks = list(zip(edges[:-1], edges[1:]))
     lio.write_kv(out.with_suffix(".meta.txt"), {"series": {
         "instrument": stream.profile,
         "day": args.day,
         "levels": args.levels,
         "snapshots": len(data),
-        "blocks": _blocks_str(blocks),
+        "blocks": _blocks_str(calendar.blocks()),
         "flow_file": flow.name,
         "flow_sha256": lio.file_sha256(flow),
     }})
@@ -248,6 +245,17 @@ def _model_arrays(model, head, T, levels):
     return arrays
 
 
+def _write_record(args, items) -> Path:
+    """report.txt, the (name, value) items as key=repr(value), and
+    config.txt, in --out; returns that directory."""
+    out = _out_path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    Path(out / "report.txt").write_text(
+        " ".join(f"{k}={v!r}" for k, v in items) + "\n")
+    _write_config(out, args)
+    return out
+
+
 def _write_config(out: Path, args):
     """config.txt: every parsed flag but --out, in parser order, floats by
     repr and input paths by file name; a checkpoint read adds its sha256."""
@@ -371,13 +379,8 @@ def cmd_evaluate(args) -> int:
                   for c in (-1, 0, 1) for k in ("precision", "recall")]
     else:
         data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
-        items = report(predict(model, head, data), cfg).as_items()
-
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    Path(out / "report.txt").write_text(
-        " ".join(f"{k}={v!r}" for k, v in items) + "\n")
-    _write_config(out, args)
+        items = report(predict(model, head, data), cfg)
+    _write_record(args, items)
     return 0
 
 
@@ -392,7 +395,8 @@ def cmd_transfer(args) -> int:
     data = _prepare_task_data(windows, PREDICTION, args.seed)
 
     usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
-    before = evaluate_classification(predict_labels(model, head, usable),
+    latents = encode_windows(model, usable)
+    before = evaluate_classification(predict_labels(head, latents),
                                      usable.labels)
 
     encoder_before = {k: model.params[k].copy()
@@ -403,26 +407,17 @@ def cmd_transfer(args) -> int:
     for k, v in encoder_before.items():
         assert np.array_equal(model.params[k], v), "encoder changed"
 
-    after = evaluate_classification(predict_labels(model, head, usable),
+    after = evaluate_classification(predict_labels(head, latents),
                                     usable.labels)
-
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_record(args, [("budget", args.budget)] + [
+        (f"macro_{k}_{when}", stats[f"macro_{k}"])
+        for k in ("recall", "precision")
+        for when, stats in (("before", before), ("after", after))])
     # head-only delta checkpoint
+    arrays = _model_arrays(model, head, T, levels)
     lio.save_checkpoint(out / "head_delta.bin", {
-        "head.W": head.params["head.W"],
-        "head.b": head.params["head.b"],
-        "meta.head_kind": np.array(1.0),
-        "meta.latent": np.array(float(model.latent)),
-    })
-    Path(out / "report.txt").write_text(
-        f"budget={args.budget} "
-        f"macro_recall_before={before['macro_recall']!r} "
-        f"macro_recall_after={after['macro_recall']!r} "
-        f"macro_precision_before={before['macro_precision']!r} "
-        f"macro_precision_after={after['macro_precision']!r}\n"
-    )
-    _write_config(out, args)
+        k: arrays[k]
+        for k in ("head.W", "head.b", "meta.head_kind", "meta.latent")})
     return 0
 
 

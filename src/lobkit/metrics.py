@@ -194,45 +194,29 @@ def masked_mse_gradient(x: np.ndarray, xh: np.ndarray,
     return grad
 
 
-@dataclass
-class MetricsReport:
-    """One evaluation record; serialized by the cli module."""
-
-    mse: float
-    mae: float
-    wmse: float
-    l_price: float
-    l_volume: float
-    l_reg: float
-    l_all: float
-    count: int
-    masked_mse: float | None = None
-
-    def as_items(self) -> list[tuple[str, object]]:
-        """count first, then the metrics; masked_mse when present."""
-        names = ("count", "mse", "mae", "wmse", "l_price", "l_volume",
-                 "l_reg", "l_all", "masked_mse")
-        return [(k, getattr(self, k)) for k in names
-                if getattr(self, k) is not None]
+REPORT_METRICS = ("mse", "mae", "wmse", "l_price", "l_volume", "l_reg",
+                  "l_all", "masked_mse")
 
 
 def _block_values(x, xh, mask, cfg: LossConfig) -> list:
-    """Each metric's per-window values over one block, report's order."""
+    """Each metric's per-window values over one block, REPORT_METRICS order."""
     m, w, r = mse(x, xh), wmse(x, xh, cfg.weights), l_reg(xh)
     return [m, mae(x, xh), w, *price_volume_losses(x, xh), r,
             _compose(cfg, m, w, r),
             *([] if mask is None else [masked_mse(x, xh, mask)])]
 
 
-def report(blocks, cfg: LossConfig) -> MetricsReport:
-    """Aggregate metrics over (x, xh, mask) blocks of (B, T, C) true and
-    predicted windows; mask is None or each window's masked time steps."""
+def report(blocks, cfg: LossConfig) -> list[tuple[str, object]]:
+    """The (name, value) items of one evaluation record over (x, xh, mask)
+    blocks of (B, T, C) true and predicted windows, mask None or each
+    window's masked time steps: count, then each metric's mean over the
+    windows, masked_mse only where the windows carry masks."""
     values = [_block_values(x, xh, mask, cfg) for x, xh, mask in blocks]
     per_window = [np.concatenate(v) for v in zip(*values)]
     if not per_window or not len(per_window[0]):
         raise MetricError("need a non-empty (N, T, C) evaluation set")
-    n, masked = len(per_window[0]), per_window[7:]
-    return MetricsReport(
-        # each mean sums its per-window values one after another
-        *(float(np.cumsum(v)[-1]) / n for v in per_window[:7]), count=n,
-        masked_mse=float(np.mean(masked[0])) if masked else None)
+    n = len(per_window[0])
+    # each mean but masked_mse sums its per-window values one after another
+    means = [float(np.cumsum(v)[-1]) / n for v in per_window[:7]]
+    means += [float(np.mean(v)) for v in per_window[7:]]
+    return [("count", n), *zip(REPORT_METRICS, means)]

@@ -245,10 +245,10 @@ def _batch_backward(model, head, cache, GY, frozen: bool):
     return grads
 
 
-def _model_input(X, batch: Windows, task):
-    """The (B, T*C) encoder input of the (B, T, C) windows X: the masked
-    time steps zeroed for imputation."""
-    X_in = masked_input(X, batch.masks) if task == IMPUTATION else X
+def _model_input(X, masks):
+    """The (B, T*C) encoder input of the (B, T, C) windows X: their masked
+    time steps zeroed where the windows carry masks."""
+    X_in = X if masks is None else masked_input(X, masks)
     return X_in.reshape(len(X), -1)
 
 
@@ -334,7 +334,7 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
                     Y, cache = head.forward(R), (None, R)
                 else:
                     Y, cache = _batch_forward(model, head,
-                                              _model_input(X, batch, task))
+                                              _model_input(X, batch.masks))
                 loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -354,6 +354,22 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
     return trace
 
 
+def encode_windows(model: LinearAutoencoder, windows: Windows) -> np.ndarray:
+    """The encoder's (N, latent) representations of the windows, masked
+    input rows zeroed, computed REPORT_BLOCK windows at a time."""
+    n = len(windows)
+    starts = list(range(0, n, REPORT_BLOCK))
+    if n > 1 and n % REPORT_BLOCK == 1:
+        del starts[-1]  # a lone row would encode bitwise unlike a block's
+    latents = np.empty((n, model.latent))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in zip(starts, starts[1:] + [n]):
+            block = windows.take(slice(i, j))
+            latents[i:j] = model.encode(_model_input(block.data(),
+                                                     block.masks))
+    return latents
+
+
 def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                     cfg: TrainConfig, budget: int):
     """Fit only the head, for at most `budget` optimizer steps, on the
@@ -362,17 +378,8 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0:
         return []
-    n = len(data)
-    starts = list(range(0, n, REPORT_BLOCK))
-    if n > 1 and n % REPORT_BLOCK == 1:
-        del starts[-1]  # a lone row would encode bitwise unlike a block's
-    latents = np.empty((n, model.latent))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in zip(starts, starts[1:] + [n]):
-            block = data.take(slice(i, j))
-            latents[i:j] = model.encode(
-                _model_input(block.data(), block, head.kind))
-    return train(model, head, data, cfg, max_batches=budget, latents=latents)
+    return train(model, head, data, cfg, max_batches=budget,
+                 latents=encode_windows(model, data))
 
 
 def logit_classes(logits: np.ndarray) -> np.ndarray:
@@ -388,17 +395,15 @@ def predict(model: LinearAutoencoder, head: TaskHead | None,
     for i in range(0, len(windows), REPORT_BLOCK):
         block = windows.take(slice(i, i + REPORT_BLOCK))
         X = block.data()
-        X_in = X if block.masks is None else masked_input(X, block.masks)
-        Y, _ = _batch_forward(model, head, X_in.reshape(len(X), -1))
+        Y, _ = _batch_forward(model, head, _model_input(X, block.masks))
         if head is None or head.kind != PREDICTION:
             Y = Y.reshape(X.shape)
         yield X, Y, block.masks
 
 
-def predict_labels(model: LinearAutoencoder, head: TaskHead,
-                   windows: Windows) -> np.ndarray:
-    return logit_classes(np.concatenate(
-        [Y for _, Y, _ in predict(model, head, windows)]))
+def predict_labels(head: TaskHead, latents: np.ndarray) -> np.ndarray:
+    """Trend class of each row of the encoder's (N, latent) output."""
+    return logit_classes(head.forward(latents))
 
 
 def evaluate_classification(preds, labels) -> dict:

@@ -54,9 +54,15 @@ class SessionCalendar:
         ]
         return np.concatenate(parts)
 
+    def blocks(self) -> list:
+        """(first, end) rows of each session in the day's series."""
+        edges = np.cumsum([0] + [(end - start) // self.period
+                                 for start, end in self.intervals]).tolist()
+        return list(zip(edges[:-1], edges[1:]))
+
     @property
     def points_per_day(self) -> int:
-        return sum((end - start) // self.period for start, end in self.intervals)
+        return sum(b - a for a, b in self.blocks())
 
 
 def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:

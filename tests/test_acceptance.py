@@ -29,6 +29,7 @@ from lobkit.models import (
     LinearAutoencoder,
     TaskHead,
     TrainConfig,
+    encode_windows,
     evaluate_classification,
     finetune_frozen,
     predict_labels,
@@ -326,9 +327,8 @@ def test_criterion_08_frozen_encoder_transfer():
                       lr_schedule="cosine", warmup_epochs=3, beta1=0.5))
 
     labels = tgt_test.labels
-    before = evaluate_classification(
-        predict_labels(model, head, tgt_test), labels
-    )
+    latents = encode_windows(model, tgt_test)
+    before = evaluate_classification(predict_labels(head, latents), labels)
     encoder_bytes = {
         k: model.params[k].tobytes() for k in ("enc.W", "enc.b")
     }
@@ -338,9 +338,7 @@ def test_criterion_08_frozen_encoder_transfer():
                     budget=100)
     for k, raw in encoder_bytes.items():
         assert model.params[k].tobytes() == raw, f"{k} changed"
-    after = evaluate_classification(
-        predict_labels(model, head, tgt_test), labels
-    )
+    after = evaluate_classification(predict_labels(head, latents), labels)
     assert after["macro_recall"] >= before["macro_recall"], (
         f"after {after['macro_recall']:.4f} < before "
         f"{before['macro_recall']:.4f}"

@@ -26,6 +26,7 @@ from lobkit.book import (
     volume_cols,
 )
 from lobkit.engine import submit
+from lobkit.metrics import l_reg, price_volume_losses
 from lobkit.sampling import snapshot_padded
 
 
@@ -120,6 +121,16 @@ def test_mid_price_is_mean_of_best_quotes():
     assert mid_prices(s) == pytest.approx(13.84)
     rows = np.stack([s, make_snapshot(bid0=1384, ask0=1386)])
     assert np.allclose(mid_prices(rows), [13.84, 13.85])
+
+
+@pytest.mark.parametrize("f", [
+    invalid_rows, mid_prices, l_reg,
+    lambda rows: price_volume_losses(rows, rows),
+], ids=["invalid_rows", "mid_prices", "l_reg", "price_volume_losses"])
+def test_a_width_that_is_not_4l_is_named_not_floored(f):
+    """41-column rows are not read as 10 levels: the error names the width."""
+    with pytest.raises(ValueError, match="width 41"):
+        f(np.ones((3, 41)))
 
 
 def test_mid_price_ignores_deep_levels():

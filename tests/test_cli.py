@@ -13,6 +13,7 @@ from lobkit.cli import (
     _labeled,
     _load_model,
     _load_split,
+    _model_arrays,
     build_parser,
     main,
 )
@@ -27,8 +28,18 @@ from lobkit.metrics import (
     price_volume_losses,
     wmse,
 )
-from lobkit.models import evaluate_classification, logit_classes
-from lobkit.preprocess import mask_for_imputation, masked_input
+from lobkit.models import (
+    LinearAutoencoder,
+    TaskHead,
+    evaluate_classification,
+    logit_classes,
+    predict,
+)
+from lobkit.preprocess import (
+    balance_classes,
+    mask_for_imputation,
+    masked_input,
+)
 
 FAST_TRAIN = [
     "--epochs", "2", "--step", "50", "--latent", "16", "--batch-size", "16",
@@ -216,6 +227,72 @@ def test_blocked_scoring_equals_whole_split_oracle(pipeline, tmp_path, latent):
                                  / "checkpoint.bin", xfer, 3)
     assert_values_match(_report_values(xfer / "report.txt"), want,
                         exact=latent == "256")
+
+
+def blocked_scoring_oracle(model, head, windows):
+    """The trend labels of the windows as transfer scored them before it
+    encoded its test split once: the argmax over predict's blocks."""
+    return logit_classes(np.concatenate(
+        [Y for _, Y, _ in predict(model, head, windows)]))
+
+
+def transfer_inputs(root, n_test, T, levels, latent, relu):
+    """A preprocessed directory whose test split holds n_test labeled
+    windows at --step 1, and an untrained prediction checkpoint for it."""
+    rng = np.random.default_rng(n_test)
+    data = root / "data"
+    data.mkdir()
+    meta = {"levels": levels}
+    for split, rows in (("train", 300), ("test", n_test + T - 1)):
+        lio.save_tensor(data / f"{split}_series.bin",
+                        rng.normal(size=(rows, 4 * levels)))
+        lio.save_tensor(data / f"{split}_labels.bin",
+                        rng.integers(-1, 2, size=rows).astype(float))
+        meta[f"{split}_blocks"] = f"0:{rows}"
+    lio.write_kv(data / "meta.txt", {"preprocess": meta})
+    model = LinearAutoencoder(input_dim=T * 4 * levels, latent=latent,
+                              relu=relu, seed=0)
+    head = TaskHead("prediction", latent=latent, seed=1)
+    ckpt = root / "checkpoint.bin"
+    lio.save_checkpoint(ckpt, _model_arrays(model, head, T, levels))
+    return data, ckpt
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("n_test", [128, 129, 140])  # N % 64: 0, 1, 12
+@pytest.mark.parametrize("T, levels, latent", [(100, 10, 256), (2, 1, 4)],
+                         ids=["4000x256", "8x4"])
+def test_transfer_labels_equal_the_blocked_scoring_oracle(
+        tmp_path, monkeypatch, T, levels, latent, n_test, relu):
+    """transfer scores its head before and after the fit on one encoding of
+    the test split: its labels are the oracle's, and every train and test
+    window goes through the encoder exactly once."""
+    import lobkit.cli
+
+    data, ckpt = transfer_inputs(tmp_path, n_test, T, levels, latent, relu)
+    labels, encoded = [], []
+    score, encode = lobkit.cli.predict_labels, LinearAutoencoder.encode
+    monkeypatch.setattr(lobkit.cli, "predict_labels", lambda head, latents:
+                        labels.append(score(head, latents)) or labels[-1])
+    monkeypatch.setattr(LinearAutoencoder, "encode", lambda self, x:
+                        encoded.append(len(x)) or encode(self, x))
+    xfer = tmp_path / "xfer"
+    assert main(["transfer", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--budget", "3", "--batch-size", "16", "--step", "1",
+                 "--out", str(xfer)]) == 0
+    train_windows = _load_split(data, "train", T, 1, labeled=True)[0]
+    n_train = len(balance_classes(train_windows.labels, 0))
+    assert sum(encoded) == n_train + n_test
+
+    model, head, _, _ = _load_model(ckpt)
+    usable = _load_split(data, "test", T, 1, labeled=True)[0]
+    assert len(usable) == n_test and len(labels) == 2
+    assert np.array_equal(labels[0], blocked_scoring_oracle(model, head,
+                                                            usable))
+    delta = lio.load_checkpoint(xfer / "head_delta.bin")
+    head.params.update({k: delta[k] for k in ("head.W", "head.b")})
+    assert np.array_equal(labels[1], blocked_scoring_oracle(model, head,
+                                                            usable))
 
 
 def assert_values_match(got, want, exact):

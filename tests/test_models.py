@@ -35,6 +35,7 @@ from lobkit.models import (
     _batch_forward,
     _clip,
     _task_loss_grad,
+    encode_windows,
     evaluate_classification,
     finetune_frozen,
     predict,
@@ -231,7 +232,7 @@ def in_blocks(X, Xh, masks=None):
             for i in range(0, len(X), REPORT_BLOCK)]
 
 
-def assert_report_equals_per_window_means(X, Xh, rep, cfg, masks=None):
+def assert_report_equals_per_window_means(X, Xh, items, cfg, masks=None):
     sums = dict.fromkeys(
         ("mse", "mae", "wmse", "l_price", "l_volume", "l_reg", "l_all"), 0.0)
     for x, xh in zip(X, Xh):
@@ -243,14 +244,15 @@ def assert_report_equals_per_window_means(X, Xh, rep, cfg, masks=None):
         sums["l_volume"] += lv
         sums["l_reg"] += l_reg(xh)
         sums["l_all"] += l_all(x, xh, cfg)
-    assert rep.count == len(X)
+    rep = dict(items)
+    assert rep["count"] == len(X)
     for key, total in sums.items():
-        got = getattr(rep, key)
+        got = rep[key]
         assert type(got) is float and got == total / len(X), key
     if masks is None:
-        assert rep.masked_mse is None
+        assert "masked_mse" not in rep
     else:
-        assert rep.masked_mse == float(np.mean(
+        assert rep["masked_mse"] == float(np.mean(
             [masked_mse(x, xh, m) for x, xh, m in zip(X, Xh, masks)]))
 
 
@@ -293,6 +295,29 @@ def test_report_of_predict_equals_whole_split_forward():
     assert np.array_equal(np.concatenate([xh for _, xh, _ in blocks]), Xh)
     assert_report_equals_per_window_means(
         X, Xh, report(blocks, cfg), cfg, masks=windows.masks)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_train_predict_and_encode_windows_build_one_encoder_input(masked,
+                                                                  monkeypatch):
+    """Whichever of the three runs the encoder, windows that carry masks
+    have their masked steps zeroed and windows without masks are read
+    whole; the task does not enter into it."""
+    data = tiny_windows(6, seed=10, masked=masked)
+    X = data.data()
+    want = (masked_input(X, data.masks) if masked else X).reshape(6, -1)
+    seen = []
+    encode = LinearAutoencoder.encode
+    monkeypatch.setattr(LinearAutoencoder, "encode",
+                        lambda self, x: seen.append(x) or encode(self, x))
+    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
+    encode_windows(model, data)
+    list(predict(model, None, data))
+    train(model, None, data, tiny_cfg(batch_size=6, epochs=1))
+    order = np.random.default_rng(0).permutation(6)
+    assert [x.shape for x in seen] == [(6, 8)] * 3
+    assert np.array_equal(seen[0], want) and np.array_equal(seen[1], want)
+    assert np.array_equal(seen[2], want[order])
 
 
 def test_report_of_no_windows_is_a_metric_error():
@@ -655,7 +680,8 @@ def test_predict_labels_are_argmax_minus_one():
         p[:] = 0.0
     head.params["head.W"][:] = 0.0
     head.params["head.b"][:] = [0.0, 0.0, 1.0]
-    preds = predict_labels(model, head, tiny_windows(5, seed=9))
+    preds = predict_labels(head,
+                           encode_windows(model, tiny_windows(5, seed=9)))
     assert np.all(preds == 1)
 
 

@@ -47,8 +47,8 @@ def valid_rows(n, seed=0, l=10):
 # ---------------------------------------------------------------- fitting
 
 def test_feature_stats_simple_example():
-    data = np.array([[1.0, 10.0], [3.0, 10.0]])
-    stats = fit_feature_stats(data)  # shape tolerance: 2 cols
+    data = np.array([[1.0, 10.0, 2.0, 5.0], [3.0, 10.0, 2.0, 7.0]])
+    stats = fit_feature_stats(data)  # one level: 4 columns
     # population convention: std of {1, 3} is 1, not sqrt(2)
     assert stats.mu[0] == 2.0 and stats.sigma[0] == 1.0
     # constant column hits the sigma floor instead of zero
