@@ -73,14 +73,6 @@ def _blocks_str(blocks) -> str:
     return ",".join(f"{a}:{b}" for a, b in blocks)
 
 
-def _parse_blocks(s: str):
-    out = []
-    for part in s.split(","):
-        a, _, b = part.partition(":")
-        out.append((int(a), int(b)))
-    return out
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
@@ -118,12 +110,41 @@ def _split_blocks(blocks, cut):
             [(max(a, cut) - cut, b - cut) for a, b in blocks if b > cut])
 
 
-def _check_width(rows, name, levels, meta_name):
-    """Reject rows that are not the (N, 4l) layout meta_name states."""
+def _read_rows(path: Path, meta_path: Path, section: str, blocks_key: str,
+               keys=()):
+    """The rows in path, the [section] of meta_path, its levels l and the
+    session blocks under blocks_key. Exits 2 naming meta_path when a key,
+    one of keys too, is missing, when levels or the blocks are not whole
+    numbers, when the rows are not (N, 4l), or unless the blocks a:b are
+    ordered, disjoint and 0 <= a < b <= N."""
+    rows, name = lio.load_tensor(path), meta_path.name
+    meta = lio.read_kv(meta_path).get(section, {})
+    for key in ("levels", blocks_key, *keys):
+        if key not in meta:
+            raise PreprocessError(f"{name}: [{section}] has no {key}")
+    try:
+        levels = int(meta["levels"])
+    except ValueError:
+        raise PreprocessError(f"{name}: levels = {meta['levels']} is not a "
+                              "whole number") from None
     if rows.ndim != 2 or rows.shape[1] != 4 * levels:
         raise PreprocessError(
-            f"{meta_name}: levels = {levels} needs {4 * levels} columns, "
-            f"but {name} has shape {rows.shape}")
+            f"{name}: levels = {levels} needs {4 * levels} columns, "
+            f"but {path.name} has shape {rows.shape}")
+    value = meta[blocks_key]
+    try:
+        blocks = [(int(a), int(b))
+                  for a, b in (part.split(":") for part in value.split(","))]
+    except ValueError:  # not whole numbers, or not a:b
+        blocks = []
+    ends = [0] + [b for _, b in blocks]
+    if not blocks or not all(end <= a < b <= len(rows)
+                             for end, (a, b) in zip(ends, blocks)):
+        raise PreprocessError(
+            f"{name}: {blocks_key} = {value} must be ordered, disjoint "
+            f"blocks a:b of whole numbers with 0 <= a < b <= {len(rows)} "
+            f"(the rows of {path.name})")
+    return rows, meta, levels, blocks
 
 
 def _block_labels(series_raw, blocks, label_cfg):
@@ -139,12 +160,9 @@ def _block_labels(series_raw, blocks, label_cfg):
 
 def cmd_preprocess(args) -> int:
     series_path = _out_path(args.series)
-    raw = lio.load_tensor(series_path)
-    meta_path = series_path.with_suffix(".meta.txt")
-    meta = lio.read_kv(meta_path)["series"]
-    levels = int(meta["levels"])
-    _check_width(raw, series_path.name, levels, meta_path.name)
-    blocks = _parse_blocks(meta["blocks"])
+    raw, meta, levels, blocks = _read_rows(
+        series_path, series_path.with_suffix(".meta.txt"), "series",
+        "blocks", keys=("instrument", "day"))
     train_raw, test_raw = split_train_test(raw)
     cut = train_raw.shape[0]
     train_blocks, test_blocks = _split_blocks(blocks, cut)
@@ -188,12 +206,12 @@ def cmd_preprocess(args) -> int:
 def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
     """The split's windows (none crossing a session block), each carrying
     the label of its last row: NaN where that row has none, or, if labeled,
-    only the windows that carry one, with int labels."""
-    meta = lio.read_kv(data_dir / "meta.txt")["preprocess"]
-    series = lio.load_tensor(data_dir / f"{split}_series.bin")
+    only the windows that carry one, with int labels; and the split's
+    levels."""
+    series, _, levels, blocks = _read_rows(
+        data_dir / f"{split}_series.bin", data_dir / "meta.txt",
+        "preprocess", f"{split}_blocks")
     labels = lio.load_tensor(data_dir / f"{split}_labels.bin")
-    _check_width(series, f"{split}_series.bin", int(meta["levels"]),
-                 "meta.txt")
     if labels.shape != (len(series),):
         raise PreprocessError(
             f"{split}_labels.bin has shape {labels.shape}, but "
@@ -201,14 +219,13 @@ def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
     if len(series) < T:
         raise PreprocessError(f"{split} split has {len(series)} rows, fewer "
                               f"than the window T={T}")
-    starts = make_windows(series, T=T, step=step,
-                          blocks=_parse_blocks(meta[f"{split}_blocks"]))
+    starts = make_windows(series, T=T, step=step, blocks=blocks)
     windows = Windows(window_view(series, T), starts, labels[starts + T - 1])
     windows = _labeled(windows) if labeled else windows
     if not windows:
         raise PreprocessError(f"{split} split has no {'labeled ' * labeled}"
                               f"window of T={T} inside a session block")
-    return windows, meta
+    return windows, levels
 
 
 def _labeled(windows: Windows) -> Windows:
@@ -314,21 +331,20 @@ def _load_model(path: Path):
     return model, head, T, levels
 
 
-def _check_levels(ckpt: Path, levels: int, data_dir: Path, meta):
+def _check_levels(ckpt: Path, levels: int, data_dir: Path, data_levels):
     """Reject a checkpoint trained on rows of another level count."""
-    if levels != int(meta["levels"]):
+    if levels != data_levels:
         raise PreprocessError(
             f"{ckpt.name} has meta.levels = {levels}, but "
-            f"{data_dir.name}/meta.txt has levels = {meta['levels']}")
+            f"{data_dir.name}/meta.txt has levels = {data_levels}")
 
 
 def cmd_train(args) -> int:
     data_dir = _out_path(args.data)
     task = args.task
-    windows, meta = _load_split(data_dir, "train", args.window, args.step,
-                                labeled=task == PREDICTION)
+    windows, levels = _load_split(data_dir, "train", args.window, args.step,
+                                  labeled=task == PREDICTION)
     data = _prepare_task_data(windows, task, args.seed, args.mask_ratio)
-    levels = int(meta["levels"])
     input_dim = args.window * 4 * levels
 
     model = LinearAutoencoder(input_dim=input_dim, latent=args.latent,
@@ -362,9 +378,9 @@ def cmd_evaluate(args) -> int:
     ckpt = _out_path(args.checkpoint)
     model, head, T, levels = _load_model(ckpt)
     kind = RECONSTRUCTION if head is None else head.kind
-    windows, meta = _load_split(data_dir, args.split, T, args.step,
-                                labeled=kind == PREDICTION)
-    _check_levels(ckpt, levels, data_dir, meta)
+    windows, data_levels = _load_split(data_dir, args.split, T, args.step,
+                                       labeled=kind == PREDICTION)
+    _check_levels(ckpt, levels, data_dir, data_levels)
     cfg = _loss_config(args)
 
     if kind == PREDICTION:
@@ -390,8 +406,9 @@ def cmd_transfer(args) -> int:
     if head is None or head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
     data_dir = _out_path(args.data)
-    windows, meta = _load_split(data_dir, "train", T, args.step, labeled=True)
-    _check_levels(ckpt, levels, data_dir, meta)
+    windows, data_levels = _load_split(data_dir, "train", T, args.step,
+                                       labeled=True)
+    _check_levels(ckpt, levels, data_dir, data_levels)
     data = _prepare_task_data(windows, PREDICTION, args.seed)
 
     usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
@@ -423,6 +440,17 @@ def cmd_transfer(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _seed(s: str) -> int:
+    """--seed seeds NumPy, which takes no negative seed."""
+    try:
+        v = int(s)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
+    return v
+
+
 def _mask_ratio(s: str) -> float:
     """--mask-ratio is checked for every task, not only where masks are
     drawn."""
@@ -448,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize one day of order flow")
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -476,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--window", type=int, default=100)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--latent", type=int, default=256)
@@ -491,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
     _add_loss_flags(p)
@@ -506,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer)

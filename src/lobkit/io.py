@@ -68,15 +68,29 @@ def write_flow(stream: FlowStream, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-class _LineFault(ValueError):
-    """A flow line's fault, raised before its byte offset is worked out."""
+def _lines(path):
+    """(byte offset, line) for each line of a UTF-8 text file, split as
+    str.splitlines splits, read in blocks of whole lines; a byte that is not
+    UTF-8 raises FormatError at the offset of its line."""
+    offset = 0
+    with open(path, "rb") as f:
+        while block := b"".join(f.readlines(1 << 16)):
+            try:
+                text, bad = block.decode(), None
+            except UnicodeDecodeError as exc:
+                # keep the lines before the bad byte's line, the line that a
+                # character appended to the text before the byte would end
+                head = (block[:exc.start].decode() + "x").splitlines(True)
+                text, bad = "".join(head[:-1]), block[exc.start]
+            for line, kept in zip(text.splitlines(), text.splitlines(True)):
+                yield offset, line
+                offset += len(kept.encode())
+            if bad is not None:
+                raise FormatError(f"byte 0x{bad:02x} is not UTF-8",
+                                  offset=offset)
 
-    def __init__(self, msg: str, field: str | None = None):
-        super().__init__(msg)
-        self.field = field
 
-
-def _header_value(key: str, val: str):
+def _header_value(key: str, val: str, offset: int):
     """A header's seed as an int or tick_size as a finite float > 0."""
     try:
         value = int(val) if key == "seed" else float(val)
@@ -85,26 +99,8 @@ def _header_value(key: str, val: str):
     except ValueError:
         pass
     kind = "an int" if key == "seed" else "a finite float > 0"
-    raise _LineFault(f"{key} must be {kind}, got {val!r}", field=key)
-
-
-def _line_offset(text: str, i: int) -> int:
-    """Byte offset in the UTF-8 file of line i of text.splitlines()."""
-    return len("".join(text.splitlines(keepends=True)[:i]).encode())
-
-
-def _flow_text(path) -> str:
-    """A flow file's UTF-8 text; a byte that is not UTF-8 raises FormatError
-    at the byte offset of its line."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start].decode()
-        # the bad byte's line is the one a character appended to head ends
-        line = len((head + "x").splitlines()) - 1
-        raise FormatError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
-                          offset=_line_offset(head, line)) from exc
+    raise FormatError(f"{key} must be {kind}, got {val!r}", offset=offset,
+                      field=key)
 
 
 def read_flow(path) -> FlowStream:
@@ -113,22 +109,23 @@ def read_flow(path) -> FlowStream:
     profile, seed, tick = "", 0, 0.01
     orders = []
     seen_ids = set()
-    for i, line in enumerate(_flow_text(path).splitlines()):
+    for offset, line in _lines(path):
+        if line.startswith("#"):
+            if "=" in line:
+                key, _, val = line[1:].partition("=")
+                key, val = key.strip(), val.strip()
+                if key == "profile":
+                    profile = val
+                elif key == "seed":
+                    seed = _header_value(key, val, offset)
+                elif key == "tick_size":
+                    tick = _header_value(key, val, offset)
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise FormatError(f"expected 7 fields, got {len(parts)}",
+                              offset=offset)
         try:
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, val = line[1:].partition("=")
-                    key, val = key.strip(), val.strip()
-                    if key == "profile":
-                        profile = val
-                    elif key == "seed":
-                        seed = _header_value(key, val)
-                    elif key == "tick_size":
-                        tick = _header_value(key, val)
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise _LineFault(f"expected 7 fields, got {len(parts)}")
             order = Order(
                 timestamp=int(parts[0]),
                 id=int(parts[1]),
@@ -138,17 +135,15 @@ def read_flow(path) -> FlowStream:
                 volume=int(parts[5]) if parts[5] else None,
                 target_id=int(parts[6]) if parts[6] else None,
             )
-            if orders and order.timestamp < orders[-1].timestamp:
-                raise _LineFault(f"timestamp {order.timestamp} precedes the "
-                                 f"previous order's {orders[-1].timestamp}",
-                                 field="timestamp")
-            if order.id in seen_ids:
-                raise _LineFault(f"order id {order.id} is reused", field="id")
         except (ValueError, BookError) as exc:
-            # the text is read again here so that the parse does not hold it
-            offset = _line_offset(_flow_text(path), i)
-            raise FormatError(str(exc), offset=offset,
-                              field=getattr(exc, "field", None)) from exc
+            raise FormatError(str(exc), offset=offset) from exc
+        if orders and order.timestamp < orders[-1].timestamp:
+            raise FormatError(f"timestamp {order.timestamp} precedes the "
+                              f"previous order's {orders[-1].timestamp}",
+                              offset=offset, field="timestamp")
+        if order.id in seen_ids:
+            raise FormatError(f"order id {order.id} is reused",
+                              offset=offset, field="id")
         seen_ids.add(order.id)
         orders.append(order)
     return FlowStream(profile=profile, seed=seed, orders=orders,
@@ -191,7 +186,11 @@ def load_tensor(path) -> np.ndarray:
             f"payload is {len(raw) - start} bytes, expected {expected}",
             offset=start, field="data",
         )
-    return np.frombuffer(raw[start:], dtype="<f8").reshape(dims).copy()
+    try:
+        return np.frombuffer(raw[start:], dtype="<f8").reshape(dims).copy()
+    except ValueError as exc:  # e.g. over 64 dims
+        raise FormatError(f"bad shape: {exc}", offset=12,
+                          field="dims") from None
 
 
 # --------------------------------------------------------------- key / value
@@ -210,7 +209,7 @@ def write_kv(path, sections: dict):
 def read_kv(path) -> dict:
     sections: dict = {}
     current = None
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for offset, line in _lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -219,11 +218,11 @@ def read_kv(path) -> dict:
             sections[current] = {}
         elif "=" in line:
             if current is None:
-                raise FormatError(f"entry before any section (line {i + 1})")
+                raise FormatError("entry before any section", offset=offset)
             key, _, val = line.partition("=")
             sections[current][key.strip()] = val.strip()
         else:
-            raise FormatError(f"unparseable line {i + 1}: {line!r}")
+            raise FormatError(f"unparseable line {line!r}", offset=offset)
     return sections
 
 

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobkit import io as lio
 from lobkit.cli import (
@@ -471,6 +473,10 @@ def test_loaded_checkpoint_draws_no_random_init(
      "argument --mask-ratio: must be in (0, 1), got nan"),
     ("preprocess", "--horizon", "0", "horizon must be >= 1, got 0"),
     ("preprocess", "--delta", "nan", "delta must be finite and >= 0, got nan"),
+    ("generate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("train", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("evaluate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("transfer", "--seed", "-2", "argument --seed: must be >= 0, got -2"),
 ])
 def test_training_flags_out_of_range_exit_2_naming_them(
         pipeline, tiny_prediction_checkpoint, tmp_path, capsys,
@@ -478,6 +484,7 @@ def test_training_flags_out_of_range_exit_2_naming_them(
     data, ckpt = str(pipeline / "data"), str(tiny_prediction_checkpoint)
     out = tmp_path / "out"
     argv = {
+        "generate": ["generate", "--profile", "sz000001"],
         "preprocess": ["preprocess", "--series", str(pipeline / "series.bin")],
         "train": ["train", "--data", data, "--task", "prediction",
                   "--epochs", "1", "--window", "10", "--step", "10",
@@ -625,12 +632,14 @@ def test_split_without_a_scorable_window_exits_2_naming_it(
             "block" in capsys.readouterr().err)
 
 
-def _set_levels(meta_path, levels):
-    """Rewrite the levels entry of a meta sidecar's one section."""
-    sections = lio.read_kv(meta_path)
-    (section,) = sections.values()
-    section["levels"] = levels
-    lio.write_kv(meta_path, sections)
+def _set_entry(meta_path, key, value):
+    """Rewrite the key = value line of a meta sidecar, or delete it if value
+    is None."""
+    lines = meta_path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(f"{key} = "))
+    lines[i] = "" if value is None else f"{key} = {value}\n"
+    meta_path.write_text("".join(lines))
 
 
 @pytest.mark.parametrize("levels", [20, 5])
@@ -640,7 +649,7 @@ def test_preprocess_levels_that_disagree_with_the_series_exit_2(
     either direction."""
     for name in ("series.bin", "series.meta.txt"):
         shutil.copy(pipeline / name, tmp_path / name)
-    _set_levels(tmp_path / "series.meta.txt", levels)
+    _set_entry(tmp_path / "series.meta.txt", "levels", levels)
     out = tmp_path / "data"
     assert main(["preprocess", "--series", str(tmp_path / "series.bin"),
                  "--out", str(out)]) == 2
@@ -672,7 +681,7 @@ def test_split_that_disagrees_with_its_series_exits_2_naming_it(
         message = (f"error: {split}_labels.bin has shape (100,), but "
                    f"{split}_series.bin has {rows} rows")
     else:
-        _set_levels(data / "meta.txt", 20)
+        _set_entry(data / "meta.txt", "levels", 20)
         message = ("error: meta.txt: levels = 20 needs 80 columns, but "
                    f"{split}_series.bin has shape ({rows}, 40)")
     ckpt = str(tiny_prediction_checkpoint)
@@ -689,6 +698,120 @@ def test_split_that_disagrees_with_its_series_exits_2_naming_it(
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def sidecars(pipeline, tmp_path_factory):
+    """Copies of the pipeline's series and data directory whose sidecars a
+    test rewrites, and a pristine copy of each sidecar's text."""
+    root = tmp_path_factory.mktemp("sidecars")
+    for name in ("series.bin", "series.meta.txt"):
+        shutil.copy(pipeline / name, root / name)
+    shutil.copytree(pipeline / "data", root / "data")
+    return root, {name: (root / name).read_text()
+                  for name in ("series.meta.txt", "data/meta.txt")}
+
+
+def _sidecar_run(root, name, key, ckpt):
+    """The command that reads key from the sidecar name under root."""
+    if name == "series.meta.txt":
+        return ["preprocess", "--series", str(root / "series.bin"),
+                "--out", str(root / "out")]
+    if key == "test_blocks":
+        return ["evaluate", "--data", str(root / "data"), "--checkpoint",
+                str(ckpt), "--step", "10", "--out", str(root / "out")]
+    return ["train", "--data", str(root / "data"), "--task",
+            "reconstruction", "--epochs", "1", "--window", "10", "--step",
+            "10", "--latent", "4", "--out", str(root / "out")]
+
+
+@pytest.mark.parametrize("name,key,value,message", [
+    ("data/meta.txt", "train_blocks", "0:2400,2400:9999",
+     "meta.txt: train_blocks = 0:2400,2400:9999 must be ordered, disjoint "
+     "blocks a:b of whole numbers with 0 <= a < b <= 3792 "
+     "(the rows of train_series.bin)"),
+    ("data/meta.txt", "train_blocks", "-3000:2400,2400:3792",
+     "meta.txt: train_blocks = -3000:2400,2400:3792 must be ordered, "
+     "disjoint blocks a:b of whole numbers with 0 <= a < b <= 3792"),
+    ("data/meta.txt", "test_blocks", "0:500,400:948",
+     "meta.txt: test_blocks = 0:500,400:948 must be ordered, disjoint "
+     "blocks a:b of whole numbers with 0 <= a < b <= 948 "
+     "(the rows of test_series.bin)"),
+    ("series.meta.txt", "blocks", "0:2400,2400:4741",
+     "series.meta.txt: blocks = 0:2400,2400:4741 must be ordered, disjoint "
+     "blocks a:b of whole numbers with 0 <= a < b <= 4740 "
+     "(the rows of series.bin)"),
+    ("series.meta.txt", "blocks", "0:2400,2400:x",
+     "series.meta.txt: blocks = 0:2400,2400:x must be ordered, disjoint "
+     "blocks a:b of whole numbers"),
+    ("series.meta.txt", "levels", "ten",
+     "series.meta.txt: levels = ten is not a whole number"),
+    ("data/meta.txt", "levels", "1.5",
+     "meta.txt: levels = 1.5 is not a whole number"),
+    ("series.meta.txt", "instrument", None,
+     "series.meta.txt: [series] has no instrument"),
+    ("series.meta.txt", "day", None, "series.meta.txt: [series] has no day"),
+    ("series.meta.txt", "blocks", None,
+     "series.meta.txt: [series] has no blocks"),
+    ("data/meta.txt", "train_blocks", None,
+     "meta.txt: [preprocess] has no train_blocks"),
+    ("data/meta.txt", "levels", None, "meta.txt: [preprocess] has no levels"),
+])
+def test_sidecar_faults_exit_2_naming_the_file_and_key(
+        sidecars, tiny_prediction_checkpoint, capsys, name, key, value,
+        message):
+    """Session blocks that leave their split, start before the previous
+    block's end or are not a:b, a levels that is not a whole number, and a
+    missing key are each rejected before a command writes anything."""
+    root, pristine = sidecars
+    try:
+        _set_entry(root / name, key, value)
+        argv = _sidecar_run(root, name, key, tiny_prediction_checkpoint)
+        assert main(argv) == 2
+    finally:
+        (root / name).write_text(pristine[name])
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (root / "out").exists()
+
+
+def test_sidecar_without_its_section_exits_2_naming_the_file(
+        sidecars, capsys):
+    root, pristine = sidecars
+    try:
+        (root / "series.meta.txt").write_text(
+            pristine["series.meta.txt"].replace("[series]", "[other]"))
+        assert main(_sidecar_run(root, "series.meta.txt", None, None)) == 2
+    finally:
+        (root / "series.meta.txt").write_text(pristine["series.meta.txt"])
+    assert ("error: series.meta.txt: [series] has no levels"
+            in capsys.readouterr().err)
+
+
+_FUZZED = [("series.meta.txt", key)
+           for key in ("levels", "blocks", "instrument", "day")]
+_FUZZED += [("data/meta.txt", key)
+            for key in ("levels", "train_blocks", "test_blocks")]
+_BLOCKS = st.lists(st.tuples(st.integers(-5000, 5000),
+                             st.integers(-5000, 5000)),
+                   min_size=1, max_size=3).map(
+    lambda blocks: ",".join(f"{a}:{b}" for a, b in blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FUZZED),
+       st.none() | st.text("-0123456789:,x ", max_size=12) | _BLOCKS)
+def test_fuzzed_sidecar_value_exits_0_or_2(
+        sidecars, tiny_prediction_checkpoint, target, value):
+    """One value that preprocess, train or evaluate reads from a sidecar,
+    replaced or its line deleted: the command succeeds or exits 2."""
+    root, pristine = sidecars
+    name, key = target
+    try:
+        _set_entry(root / name, key, value)
+        assert main(_sidecar_run(root, name, key,
+                                 tiny_prediction_checkpoint)) in (0, 2)
+    finally:
+        (root / name).write_text(pristine[name])
 
 
 @pytest.fixture(scope="module")

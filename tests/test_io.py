@@ -2,10 +2,12 @@
 
 import math
 import struct
+from contextlib import nullcontext
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobkit import io as lio
@@ -123,6 +125,58 @@ def test_flow_undecodable_byte_reports_its_line_offset(tmp_path):
     assert "0xff" in str(exc.value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12),
+       st.text(alphabet="ab,#\u00e9\u20ac\n\r\v\f\x1c\x1d\x1e\x85"
+                        "\u2028\u2029", max_size=40),
+       st.none() | st.integers(0, 60))
+@example(1, "\r\nb", None)  # a line end across 64 KiB
+@example(1, "\u00e9\nb", None)  # a character across 64 KiB
+def test_line_walker_splits_as_splitlines_at_byte_offsets(
+        tmp_path_factory, pad, text, bad):
+    """The lines are splitlines() of the text, each at the count of UTF-8
+    bytes before it, also past the walker's first 64 KiB block; a byte
+    that is not UTF-8 ends the walk at the offset of its line."""
+    raw = ("a" * (2**16 - pad) + text).encode()
+    if bad is not None:
+        at = min(2**16 - pad + bad, len(raw))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path = tmp_path_factory.mktemp("lines") / "t.txt"
+    path.write_bytes(raw)
+    try:
+        text, fault = raw.decode(), None
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is the one a character appended to the text
+        # before the byte ends
+        text = "".join(
+            (raw[:exc.start].decode() + "x").splitlines(True)[:-1])
+        fault = (f"byte 0x{raw[exc.start]:02x} is not UTF-8 "
+                 f"at byte {len(text.encode())}")
+    sizes = [len(line.encode()) for line in text.splitlines(True)]
+    want = list(zip(accumulate([0] + sizes[:-1]), text.splitlines()))
+    got = []
+    with pytest.raises(lio.FormatError) if fault else nullcontext() as exc:
+        got.extend(lio._lines(path))
+    assert got == want
+    assert fault is None or str(exc.value) == fault
+
+
+def test_flow_fault_reads_the_file_once(tmp_path, monkeypatch):
+    """The offset of a bad line comes from the one pass over the file."""
+    path = tmp_path / "reused.csv"
+    path.write_text("0,1,bid,limit,100,5,\n1,1,bid,limit,100,5,\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(lio, "open", counting_open, raising=False)
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert (exc.value.offset, opened) == (21, [path])
+
+
 # ------------------------------------------------------------------ tensors
 
 @pytest.mark.parametrize("shape", [(7,), (4, 40), (2, 3, 5)])
@@ -145,6 +199,16 @@ def test_tensor_bad_magic(tmp_path):
     with pytest.raises(lio.FormatError) as exc:
         lio.load_tensor(path)
     assert exc.value.field == "magic"
+
+
+def test_tensor_shape_numpy_cannot_build_reports_the_dims_offset(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(lio.TENSOR_MAGIC + struct.pack("<II", 1, 65)
+                     + struct.pack("<65I", *[1] * 65) + struct.pack("<d", 1))
+    with pytest.raises(lio.FormatError) as exc:
+        lio.load_tensor(path)
+    assert (exc.value.offset, exc.value.field) == (12, "dims")
+    assert "maximum supported dimension" in str(exc.value)
 
 
 def test_tensor_bad_version_and_truncated_payload(tmp_path):
@@ -177,16 +241,18 @@ def test_kv_roundtrip_preserves_order_and_bytes(tmp_path):
 
 def test_kv_entry_before_section_raises(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("x = 1\n")
-    with pytest.raises(lio.FormatError):
+    path.write_bytes(b"# note\r\nx = 1\n")
+    with pytest.raises(lio.FormatError) as exc:
         lio.read_kv(path)
+    assert str(exc.value) == "entry before any section at byte 8"
 
 
 def test_kv_unparseable_line_raises(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("[s]\nnot an entry\n")
-    with pytest.raises(lio.FormatError):
+    path.write_bytes("[s]\na = \u00e9\n\nnot an entry\n".encode())
+    with pytest.raises(lio.FormatError) as exc:
         lio.read_kv(path)
+    assert str(exc.value) == "unparseable line 'not an entry' at byte 12"
 
 
 # -------------------------------------------------------------- checkpoints
