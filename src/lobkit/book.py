@@ -34,7 +34,7 @@ class BookError(Exception):
     """Invalid operation against a book (stale timestamp, bad order, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Order:
     """One inbound market event.
 
@@ -71,7 +71,7 @@ class Order:
             raise BookError(f"bad kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PriceLevel:
     """All resting volume at one price, queued in arrival order."""
 

@@ -422,7 +422,8 @@ def cmd_transfer(args) -> int:
                       lr=args.lr, seed=args.seed)
     finetune_frozen(model, head, data, cfg, budget=args.budget)
     for k, v in encoder_before.items():
-        assert np.array_equal(model.params[k], v), "encoder changed"
+        if not np.array_equal(model.params[k], v):
+            raise RuntimeError(f"frozen fine-tune changed {k}")
 
     after = evaluate_classification(predict_labels(head, latents),
                                     usable.labels)
@@ -440,24 +441,25 @@ def cmd_transfer(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _seed(s: str) -> int:
-    """--seed seeds NumPy, which takes no negative seed."""
-    try:
-        v = int(s)
-    except ValueError:  # argparse's own message for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
+def _bounded(cast, ok, bound: str):
+    """An argparse type: cast the string, with argparse's own message for
+    one that does not parse, then require ok(value)."""
+    def parse(s: str):
+        try:
+            v = cast(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {s!r}") from None
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {v}")
+        return v
+    return parse
 
 
-def _mask_ratio(s: str) -> float:
-    """--mask-ratio is checked for every task, not only where masks are
-    drawn."""
-    v = float(s)
-    if not 0 < v < 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {v}")
-    return v
+# --seed seeds NumPy, which takes no negative seed; --mask-ratio is checked
+# for every task, not only where masks are drawn.
+_seed = _bounded(int, lambda v: v >= 0, ">= 0")
+_mask_ratio = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _add_loss_flags(p):

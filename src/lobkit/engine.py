@@ -22,7 +22,7 @@ from .book import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EngineEvent:
     """One engine outcome. A trade's order_id is the taker, price the
     maker's resting price, volume the executed volume and maker_id the

@@ -195,6 +195,9 @@ def mask_for_imputation(n: int, T: int, ratio: float = 0.2,
     if not 0 < ratio < 1:
         raise PreprocessError(f"ratio must be in (0, 1), got {ratio}")
     k = int(ratio * T)
+    if k == 0:
+        raise PreprocessError(f"mask ratio {ratio} masks no step of a "
+                              f"window of T={T}")
     draws = [np.random.default_rng(seed + i).choice(T, size=k, replace=False)
              for i in range(n)]
     return np.sort(np.array(draws, dtype=np.intp).reshape(n, k), axis=1)

@@ -134,8 +134,8 @@ def generate_day(
         drift = p.momentum * drift + rng.normal(0.0, step_std)
         target += drift
         if not lo + p.seed_levels < target < hi - p.seed_levels:
-            target = float(np.clip(target, lo + p.seed_levels,
-                                   hi - p.seed_levels))
+            target = float(min(max(target, lo + p.seed_levels),
+                               hi - p.seed_levels))
             drift = 0.0
         n_orders = rng.poisson(p.arrival_rate * calendar.period / NS_PER_SEC)
         if n_orders == 0:
@@ -170,7 +170,7 @@ def generate_day(
                     round(target) - offset if side == BID
                     else round(target) + offset
                 )
-                price = int(np.clip(price, 1, hi + p.seed_levels))
+                price = min(max(price, 1), hi + p.seed_levels)
                 o = Order(next_id, side, LIMIT, int(ts), price=price,
                           volume=volume)
             next_id += 1

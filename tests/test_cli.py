@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobkit import cli
 from lobkit import io as lio
 from lobkit.cli import (
     _labeled,
@@ -471,6 +472,9 @@ def test_loaded_checkpoint_draws_no_random_init(
      "argument --mask-ratio: must be in (0, 1), got 5.0"),
     ("evaluate", "--mask-ratio", "nan",
      "argument --mask-ratio: must be in (0, 1), got nan"),
+    ("train", "--mask-ratio", "abc",
+     "argument --mask-ratio: invalid float value: 'abc'"),
+    ("evaluate", "--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
     ("preprocess", "--horizon", "0", "horizon must be >= 1, got 0"),
     ("preprocess", "--delta", "nan", "delta must be finite and >= 0, got nan"),
     ("generate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
@@ -896,6 +900,44 @@ def test_checkpoint_with_bad_metadata_exits_2_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint.bin: ")
     assert f"(field {field})" in err
+
+
+def test_mask_ratio_that_masks_no_step_exits_2_naming_it(
+        pipeline, tiny_imputation_checkpoint, tmp_path, capsys):
+    """int(0.05 * 10) masks no step of a 10-row window, in train and in
+    evaluate of an imputation checkpoint."""
+    data = str(pipeline / "data")
+    message = "error: mask ratio 0.05 masks no step of a window of T=10"
+    assert main(["train", "--data", data, "--task", "imputation",
+                 "--epochs", "1", "--window", "10", "--step", "10",
+                 "--latent", "4", "--mask-ratio", "0.05",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["evaluate", "--data", data,
+                 "--checkpoint", str(tiny_imputation_checkpoint),
+                 "--step", "10", "--mask-ratio", "0.05",
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "eval").exists()
+
+
+def test_transfer_that_moves_the_encoder_raises(
+        pipeline, tiny_prediction_checkpoint, tmp_path, monkeypatch):
+    """The frozen-encoder check is an explicit raise, so it holds under
+    python -O too; an internal fault, not an input one, so no exit 2."""
+    fit = cli.finetune_frozen
+
+    def nudging_fit(model, *args, **kwargs):
+        trace = fit(model, *args, **kwargs)
+        model.params["enc.W"][0, 0] += 1e-9
+        return trace
+
+    monkeypatch.setattr(cli, "finetune_frozen", nudging_fit)
+    with pytest.raises(RuntimeError, match="changed enc.W"):
+        main(["transfer", "--checkpoint", str(tiny_prediction_checkpoint),
+              "--data", str(pipeline / "data"), "--budget", "5",
+              "--step", "10", "--out", str(tmp_path / "xfer")])
 
 
 def test_divergent_training_is_numeric_abort(pipeline, tmp_path):

@@ -15,6 +15,7 @@ from lobkit.book import (
     BookError,
     BookState,
     Order,
+    PriceLevel,
 )
 from lobkit.engine import EngineEvent, submit
 from lobkit.sampling import SamplingError, snapshot_padded
@@ -29,6 +30,17 @@ def seeded_book(levels=12, bid0=1000, ask0=1001, vol=50):
         submit(book, Order(oid, ASK, LIMIT, 0, price=ask0 + i, volume=vol))
         oid += 1
     return book, oid
+
+
+# ----------------------------------------------------------------- records
+
+def test_engine_records_are_slotted():
+    """The engine builds an Order, an EngineEvent and a PriceLevel per order,
+    outcome and level; a per-instance dict would double their cost."""
+    for record in (Order(1, BID, LIMIT, 0, price=100, volume=10),
+                   EngineEvent("rest", 1, price=100, volume=10),
+                   PriceLevel(price=100)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 # ------------------------------------------------------------ worked cases

@@ -294,3 +294,6 @@ def test_mask_ratio_bounds():
         mask_for_imputation(1, 50, ratio=0.0)
     with pytest.raises(PreprocessError):
         mask_for_imputation(1, 50, ratio=1.0)
+    with pytest.raises(PreprocessError, match="masks no step of a window "
+                                              "of T=10"):
+        mask_for_imputation(1, 10, ratio=0.05)

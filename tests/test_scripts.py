@@ -93,3 +93,68 @@ def test_bench_rejects_output_without_environment_line():
     bench = load_bench()
     with pytest.raises(ValueError, match="no environment line"):
         bench.parse_run(json.dumps({"metrics": {}}) + "\n")
+
+
+def test_bench_pairs_each_end_to_end_metric_with_its_bound():
+    bench = load_bench()
+
+    def run(walk_cal, rss):
+        return canned_run({"deep-day.walk_cal": {"value": walk_cal,
+                                                  "unit": "cal"},
+                           "deep-day.peak_rss_mb": {"value": rss,
+                                                    "unit": "MB"},
+                           "deep-day.walk_s": {"value": 9.0, "unit": "s"}})
+
+    runs = [("parent", run(40.0, 150.0), run(30.0, 145.0)),
+            ("change", run(44.0, 150.0), run(33.0, 200.0)),
+            ("parent", run(48.0, 151.0), run(48.0, 144.0))]
+    section = bench.paired("../parent", runs)
+    assert (section["against"], section["pairs"], section["correct"]) == (
+        "../parent", 3, True)
+    assert list(section["workloads"]) == ["deep-day"]
+    deep = section["workloads"]["deep-day"]
+    assert list(deep) == ["walk_cal", "peak_rss_mb"]  # BENCHMARK.json order
+    cal = deep["walk_cal"]
+    assert cal["pairs"] == [
+        {"first": "parent", "parent": 40.0, "change": 30.0},
+        {"first": "change", "parent": 44.0, "change": 33.0},
+        {"first": "parent", "parent": 48.0, "change": 48.0}]
+    assert cal["parent"] == {"median": 44.0, "q1": 42.0, "q3": 46.0}
+    assert cal["change"] == {"median": 33.0, "q1": 31.5, "q3": 40.5}
+    assert cal["ratio"] == 0.75  # 33 / 44
+    assert cal["change_won"] == 2  # a tie is no win
+    assert (cal["unit"], cal["better"], cal["within_bound"],
+            cal["unresolved"]) == ("cal", "lower", True, False)
+    rss = deep["peak_rss_mb"]
+    assert rss["ratio"] == 145.0 / 150.0
+    assert rss["change_won"] == 2
+    bound = next(m["bound"] for m in bench.BENCHMARK["end_to_end"]
+                 if m["name"] == "peak_rss_mb")
+    assert rss["bound"] == bound
+    runs[0] = ("parent", run(40.0, 100.0), run(30.0, 200.0))
+    runs[2] = ("parent", run(48.0, 100.0), run(48.0, 200.0))
+    assert not bench.paired("p", runs)["workloads"]["deep-day"][
+        "peak_rss_mb"]["within_bound"]
+
+    def cal_of(pairs):
+        runs = [("parent", run(p, 150.0), run(c, 150.0)) for p, c in pairs]
+        return bench.paired("p", runs)["workloads"]["deep-day"]["walk_cal"]
+
+    # The per-pair ratios 2.6, 0.95 and 29/30 have a median below 1, but
+    # the change's median is 1.3 times the parent's: beyond the 0.25 bound.
+    cal = cal_of([(10.0, 26.0), (20.0, 19.0), (30.0, 29.0)])
+    assert (cal["change_won"], cal["ratio"], cal["within_bound"]) == (
+        2, 1.3, False)
+    assert cal["unresolved"]  # the parent's (25 - 15) / 20 exceeds 0.25
+    # as wide a parent spread, but every change run beats every parent run
+    cal = cal_of([(10.0, 5.0), (20.0, 6.0), (30.0, 7.0)])
+    assert (cal["within_bound"], cal["unresolved"]) == (True, False)
+
+
+def test_bench_paired_is_not_correct_when_a_run_fails():
+    bench = load_bench()
+    good = canned_run({"deep-day.walk_cal": {"value": 40.0, "unit": "cal"}})
+    bad = canned_run({"deep-day.walk_cal": {"value": 40.0, "unit": "cal"}},
+                     failed=1)
+    assert not bench.paired("p", [("parent", bad, good),
+                                  ("change", good, good)])["correct"]
