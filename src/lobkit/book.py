@@ -126,30 +126,6 @@ class BookState:
         prices = self.side_prices(side)
         del prices[bisect_left(prices, price)]
 
-    def best_bid(self) -> int | None:
-        return self.bid_prices[-1] if self.bid_prices else None
-
-    def best_ask(self) -> int | None:
-        return self.ask_prices[0] if self.ask_prices else None
-
-    def check_invariants(self):
-        """Raise BookError on any structural violation. O(levels log levels)."""
-        for name, levels, prices in (("bid", self.bids, self.bid_prices),
-                                     ("ask", self.asks, self.ask_prices)):
-            if prices != sorted(levels):
-                raise BookError(f"{name} price list out of step with levels")
-        bb, ba = self.best_bid(), self.best_ask()
-        if bb is not None and ba is not None and bb >= ba:
-            raise BookError(f"crossed book: best bid {bb} >= best ask {ba}")
-        for levels in (self.bids, self.asks):
-            for price, lvl in levels.items():
-                if lvl.price != price:
-                    raise BookError(f"level keyed {price} holds price {lvl.price}")
-                if lvl.total_volume <= 0:
-                    raise BookError(f"empty level retained at {price}")
-                if lvl.total_volume != sum(v for _, v in lvl.queue):
-                    raise BookError(f"volume mismatch at {price}")
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -22,8 +22,9 @@ from .metrics import (
     WEIGHTS,
     LossConfig,
     MetricError,
-    cross_entropy,
+    prediction_report,
     report,
+    transfer_report,
 )
 from .models import (
     IMPUTATION,
@@ -34,9 +35,7 @@ from .models import (
     TaskHead,
     TrainConfig,
     encode_windows,
-    evaluate_classification,
     finetune_frozen,
-    logit_classes,
     predict,
     predict_labels,
     train,
@@ -207,7 +206,7 @@ def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
     """The split's windows (none crossing a session block), each carrying
     the label of its last row: NaN where that row has none, or, if labeled,
     only the windows that carry one, with int labels; and the split's
-    levels."""
+    levels. Exits 2 at the first label that is not -1, 0, 1 or NaN."""
     series, _, levels, blocks = _read_rows(
         data_dir / f"{split}_series.bin", data_dir / "meta.txt",
         "preprocess", f"{split}_blocks")
@@ -216,6 +215,12 @@ def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
         raise PreprocessError(
             f"{split}_labels.bin has shape {labels.shape}, but "
             f"{split}_series.bin has {len(series)} rows")
+    bad = np.flatnonzero(~(np.isnan(labels) | np.isin(labels, (-1, 0, 1))))
+    if len(bad):
+        row = int(bad[0])
+        raise lio.FormatError(
+            f"{split}_labels.bin: row {row} holds {float(labels[row])!r}, "
+            "not a trend label -1, 0, 1 or NaN", offset=16 + 8 * row)
     if len(series) < T:
         raise PreprocessError(f"{split} split has {len(series)} rows, fewer "
                               f"than the window T={T}")
@@ -381,18 +386,11 @@ def cmd_evaluate(args) -> int:
     windows, data_levels = _load_split(data_dir, args.split, T, args.step,
                                        labeled=kind == PREDICTION)
     _check_levels(ckpt, levels, data_dir, data_levels)
-    cfg = _loss_config(args)
+    cfg = _loss_config(args)  # rejected for every task, read by report
 
     if kind == PREDICTION:
-        logits = np.concatenate([Y for _, Y, _ in
-                                 predict(model, head, windows)])
-        stats = evaluate_classification(logit_classes(logits), windows.labels)
-        items = [("count", len(windows)),
-                 ("ce", float(np.mean(cross_entropy(logits, windows.labels))))]
-        items += [(k, stats[k])
-                  for k in ("accuracy", "macro_precision", "macro_recall")]
-        items += [(f"{k}[{c}]", stats[k][c])
-                  for c in (-1, 0, 1) for k in ("precision", "recall")]
+        items = prediction_report(np.concatenate(
+            [Y for _, Y, _ in predict(model, head, windows)]), windows.labels)
     else:
         data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
         items = report(predict(model, head, data), cfg)
@@ -413,8 +411,7 @@ def cmd_transfer(args) -> int:
 
     usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
     latents = encode_windows(model, usable)
-    before = evaluate_classification(predict_labels(head, latents),
-                                     usable.labels)
+    before = predict_labels(head, latents)
 
     encoder_before = {k: model.params[k].copy()
                       for k in ("enc.W", "enc.b")}
@@ -425,12 +422,9 @@ def cmd_transfer(args) -> int:
         if not np.array_equal(model.params[k], v):
             raise RuntimeError(f"frozen fine-tune changed {k}")
 
-    after = evaluate_classification(predict_labels(head, latents),
-                                    usable.labels)
-    out = _write_record(args, [("budget", args.budget)] + [
-        (f"macro_{k}_{when}", stats[f"macro_{k}"])
-        for k in ("recall", "precision")
-        for when, stats in (("before", before), ("after", after))])
+    after = predict_labels(head, latents)
+    out = _write_record(args, [("budget", args.budget),
+                               *transfer_report(usable.labels, before, after)])
     # head-only delta checkpoint
     arrays = _model_arrays(model, head, T, levels)
     lio.save_checkpoint(out / "head_delta.bin", {

@@ -169,6 +169,63 @@ def cross_entropy_gradient(logits: np.ndarray, label) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True) - onehot
 
 
+def logit_classes(logits: np.ndarray) -> np.ndarray:
+    """Trend class per logit row; columns are classes -1, 0, +1 in order."""
+    return logits.argmax(axis=1) - 1
+
+
+def evaluate_classification(preds, labels) -> dict:
+    """Confusion-matrix statistics over trend classes {-1, 0, +1}, keyed by
+    their record names in record order: accuracy, macro_precision,
+    macro_recall, then precision[c] and recall[c] for c = -1, 0, 1.
+
+    Recall is absent (None) for classes missing from the labels, precision
+    for classes never predicted; macro averages skip absent entries.
+    """
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.size == 0 or preds.shape != labels.shape:
+        raise MetricError("need matching non-empty prediction/label arrays, "
+                          f"got shapes {preds.shape} and {labels.shape}")
+    per_class = {}
+    for c in (-1, 0, 1):
+        tp = int(np.sum((preds == c) & (labels == c)))
+        pred_c = int(np.sum(preds == c))
+        true_c = int(np.sum(labels == c))
+        per_class[f"precision[{c}]"] = tp / pred_c if pred_c else None
+        per_class[f"recall[{c}]"] = tp / true_c if true_c else None
+
+    def macro(kind):
+        defined = [v for k, v in per_class.items()
+                   if k.startswith(kind) and v is not None]
+        return float(np.mean(defined)) if defined else None
+
+    return {"accuracy": float(np.mean(preds == labels)),
+            "macro_precision": macro("precision"),
+            "macro_recall": macro("recall"), **per_class}
+
+
+def prediction_report(logits, labels) -> list[tuple[str, object]]:
+    """The (name, value) items of a prediction record over (N, 3) logits
+    and their N trend labels: count, the mean cross-entropy ce, then the
+    confusion statistics of the logits' classes."""
+    logits = np.asarray(logits, dtype=float)
+    stats = evaluate_classification(logit_classes(logits), labels)
+    return [("count", len(logits)),
+            ("ce", float(np.mean(cross_entropy(logits, labels)))),
+            *stats.items()]
+
+
+def transfer_report(labels, before, after) -> list[tuple[str, object]]:
+    """The macro recall and precision of a head's predicted classes before
+    and after a fit, over the same labels: macro_recall_before,
+    macro_recall_after, macro_precision_before, macro_precision_after."""
+    stats = {"before": evaluate_classification(before, labels),
+             "after": evaluate_classification(after, labels)}
+    return [(f"macro_{k}_{when}", stats[when][f"macro_{k}"])
+            for k in ("recall", "precision") for when in ("before", "after")]
+
+
 def _masked_error(x, xh, mask):
     """The int mask and xh - x at the masked time steps, (k, C) or (B, k, C)."""
     x, xh = _check(x, xh)

@@ -18,6 +18,7 @@ from .metrics import (
     cross_entropy_gradient,
     l_all,
     l_all_gradient,
+    logit_classes,
     masked_mse,
     masked_mse_gradient,
 )
@@ -382,11 +383,6 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                  latents=encode_windows(model, data))
 
 
-def logit_classes(logits: np.ndarray) -> np.ndarray:
-    """Trend class per logit row; columns are classes -1, 0, +1 in order."""
-    return logits.argmax(axis=1) - 1
-
-
 def predict(model: LinearAutoencoder, head: TaskHead | None,
             windows: Windows):
     """Run the training forward on REPORT_BLOCK windows at a time, masked
@@ -404,33 +400,3 @@ def predict(model: LinearAutoencoder, head: TaskHead | None,
 def predict_labels(head: TaskHead, latents: np.ndarray) -> np.ndarray:
     """Trend class of each row of the encoder's (N, latent) output."""
     return logit_classes(head.forward(latents))
-
-
-def evaluate_classification(preds, labels) -> dict:
-    """Confusion-matrix statistics over trend classes {-1, 0, +1}.
-
-    Recall is absent (None) for classes missing from the labels, precision
-    for classes never predicted; macro averages skip absent entries.
-    """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size == 0 or preds.shape != labels.shape:
-        raise ValueError("need matching non-empty prediction/label arrays")
-    classes = (-1, 0, 1)
-    precision = {}
-    recall = {}
-    for c in classes:
-        tp = int(np.sum((preds == c) & (labels == c)))
-        pred_c = int(np.sum(preds == c))
-        true_c = int(np.sum(labels == c))
-        precision[c] = tp / pred_c if pred_c else None
-        recall[c] = tp / true_c if true_c else None
-    defined_p = [v for v in precision.values() if v is not None]
-    defined_r = [v for v in recall.values() if v is not None]
-    return {
-        "precision": precision,
-        "recall": recall,
-        "macro_precision": float(np.mean(defined_p)) if defined_p else None,
-        "macro_recall": float(np.mean(defined_r)) if defined_r else None,
-        "accuracy": float(np.mean(preds == labels)),
-    }

@@ -14,6 +14,7 @@ from lobkit.cli import _block_labels, _labeled, _split_blocks, main
 from lobkit.metrics import (
     LossConfig,
     cross_entropy,
+    evaluate_classification,
     l_all,
     l_all_gradient,
     level_weights,
@@ -30,7 +31,6 @@ from lobkit.models import (
     TaskHead,
     TrainConfig,
     encode_windows,
-    evaluate_classification,
     finetune_frozen,
     predict_labels,
     train,

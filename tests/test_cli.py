@@ -23,8 +23,10 @@ from lobkit.cli import (
 from lobkit.metrics import (
     LossConfig,
     cross_entropy,
+    evaluate_classification,
     l_all,
     l_reg,
+    logit_classes,
     mae,
     masked_mse,
     mse,
@@ -34,8 +36,6 @@ from lobkit.metrics import (
 from lobkit.models import (
     LinearAutoencoder,
     TaskHead,
-    evaluate_classification,
-    logit_classes,
     predict,
 )
 from lobkit.preprocess import (
@@ -148,7 +148,7 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
                  ("ce", float(np.mean(cross_entropy(logits, usable.labels))))]
         items += [(k, stats[k])
                   for k in ("accuracy", "macro_precision", "macro_recall")]
-        items += [(f"{k}[{c}]", stats[k][c])
+        items += [(f"{k}[{c}]", stats[f"{k}[{c}]"])
                   for c in (-1, 0, 1) for k in ("precision", "recall")]
     else:
         X = windows.data()
@@ -701,6 +701,39 @@ def test_split_that_disagrees_with_its_series_exits_2_naming_it(
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2.0, -2.0, 0.5, math.inf])
+@pytest.mark.parametrize("command", ["train", "evaluate", "transfer"])
+def test_label_outside_the_trend_classes_exits_2_at_its_byte(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys, command,
+        value):
+    """A label that is neither NaN nor -1, 0 or 1, in the row that the
+    first 10-row window scores, exits 2 naming the file, the row, the value
+    and its byte offset, before anything is trained or scored."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    split = "test" if command == "evaluate" else "train"
+    path = data / f"{split}_labels.bin"
+    labels = lio.load_tensor(path)
+    assert labels[9] in (-1, 0, 1)
+    labels[9] = value
+    lio.save_tensor(path, labels)
+    ckpt = str(tiny_prediction_checkpoint)
+    argv = {
+        "train": ["train", "--data", str(data), "--task", "prediction",
+                  "--epochs", "1", "--window", "10", "--step", "10",
+                  "--latent", "4"],
+        "evaluate": ["evaluate", "--data", str(data), "--checkpoint", ckpt,
+                     "--step", "10"],
+        "transfer": ["transfer", "--checkpoint", ckpt, "--data", str(data),
+                     "--budget", "5", "--step", "10"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert (f"error: {split}_labels.bin: row 9 holds {value!r}, not a trend "
+            "label -1, 0, 1 or NaN at byte 88" in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -49,7 +49,7 @@ def test_limit_rests_when_not_crossing():
     book = BookState()
     _, ev = submit(book, Order(1, BID, LIMIT, 0, price=100, volume=10))
     assert [e.kind for e in ev] == ["rest"]
-    assert book.best_bid() == 100 and book.bids[100].total_volume == 10
+    assert book.bid_prices == [100] and book.bids[100].total_volume == 10
 
 
 def test_crossing_limit_trades_at_maker_price_then_rests_remainder():
@@ -62,7 +62,7 @@ def test_crossing_limit_trades_at_maker_price_then_rests_remainder():
     assert (tr.price, tr.volume, tr.maker_id, tr.order_id) == (101, 50, 1, 2)
     # remainder rests at the taker's own limit price
     assert ev[1].price == 102 and ev[1].volume == 30
-    assert book.best_bid() == 102 and book.best_ask() is None
+    assert book.bid_prices == [102] and not book.ask_prices
 
 
 def test_fifo_within_price_level():
@@ -218,7 +218,7 @@ def conservation(orders, book, events):
 def test_fuzz_conservation_no_cross_determinism(seed, n):
     orders = random_stream(seed, n)
     book, events = replay(orders)
-    book.check_invariants()  # includes the no-cross check
+    check_invariants(book)  # includes the no-cross check
     sub, out = conservation(orders, book, events)
     assert sub == out
     # byte-for-byte determinism of a second replay
@@ -257,6 +257,29 @@ def test_fuzz_price_time_priority(seed):
 
 
 # ------------------------------------------------ differential engine oracle
+
+def check_invariants(book):
+    """Raise BookError on any structural violation of a BookState: price
+    lists out of step with the levels, a crossed book, a level keyed under
+    another price, an empty level kept, or a level total that is not the
+    sum of its queue."""
+    for name, levels, prices in (("bid", book.bids, book.bid_prices),
+                                 ("ask", book.asks, book.ask_prices)):
+        if prices != sorted(levels):
+            raise BookError(f"{name} price list out of step with levels")
+    if book.bid_prices and book.ask_prices:
+        bb, ba = book.bid_prices[-1], book.ask_prices[0]
+        if bb >= ba:
+            raise BookError(f"crossed book: best bid {bb} >= best ask {ba}")
+    for levels in (book.bids, book.asks):
+        for price, lvl in levels.items():
+            if lvl.price != price:
+                raise BookError(f"level keyed {price} holds price {lvl.price}")
+            if lvl.total_volume <= 0:
+                raise BookError(f"empty level retained at {price}")
+            if lvl.total_volume != sum(v for _, v in lvl.queue):
+                raise BookError(f"volume mismatch at {price}")
+
 
 class NaiveBook:
     """A deliberately naive reference book: each side is one list of resting
@@ -364,7 +387,7 @@ def test_engine_matches_naive_reference_book(specs, centre, l):
             continue
         _, got = submit(book, o)
         assert got == expected
-        book.check_invariants()
+        check_invariants(book)
         assert book.bid_prices == sorted(book.bids)
         assert book.ask_prices == sorted(book.asks)
         if ref.resting[BID] and ref.resting[ASK]:
@@ -382,11 +405,11 @@ def test_engine_matches_naive_reference_book(specs, centre, l):
 
 def test_check_invariants_rejects_price_lists_out_of_step():
     book, _ = seeded_book(levels=3)
-    book.check_invariants()
+    check_invariants(book)
     book.ask_prices.append(book.ask_prices[0] - 5)
     with pytest.raises(BookError, match="ask price list"):
-        book.check_invariants()
+        check_invariants(book)
     book.ask_prices.pop()
-    book.bid_prices.remove(book.best_bid())
+    book.bid_prices.remove(book.bid_prices[-1])
     with pytest.raises(BookError, match="bid price list"):
-        book.check_invariants()
+        check_invariants(book)

@@ -12,6 +12,7 @@ from lobkit.metrics import (
     MetricError,
     cross_entropy,
     cross_entropy_gradient,
+    evaluate_classification,
     l_all,
     l_all_gradient,
     l_reg,
@@ -21,8 +22,10 @@ from lobkit.metrics import (
     masked_mse,
     masked_mse_gradient,
     mse,
+    prediction_report,
     price_volume_losses,
     report,
+    transfer_report,
     wmse,
 )
 
@@ -215,6 +218,125 @@ def test_report_aggregates_means():
         np.mean([l_all(p[0], p[1], cfg) for p in pairs]), rel=1e-12
     )
     assert "masked_mse" not in rep
+
+
+# -------------------------------------------------------- prediction records
+
+def oracle_prediction_items(logits, labels):
+    """The prediction record as evaluate built it by hand: nested per-class
+    confusion statistics, then each item listed by name."""
+    preds = logits.argmax(axis=1) - 1
+    precision, recall = {}, {}
+    for c in (-1, 0, 1):
+        tp = int(np.sum((preds == c) & (labels == c)))
+        pred_c = int(np.sum(preds == c))
+        true_c = int(np.sum(labels == c))
+        precision[c] = tp / pred_c if pred_c else None
+        recall[c] = tp / true_c if true_c else None
+    defined_p = [v for v in precision.values() if v is not None]
+    defined_r = [v for v in recall.values() if v is not None]
+    stats = {
+        "precision": precision,
+        "recall": recall,
+        "macro_precision": float(np.mean(defined_p)) if defined_p else None,
+        "macro_recall": float(np.mean(defined_r)) if defined_r else None,
+        "accuracy": float(np.mean(preds == labels)),
+    }
+    items = [("count", len(labels)),
+             ("ce", float(np.mean(cross_entropy(logits, labels))))]
+    items += [(k, stats[k])
+              for k in ("accuracy", "macro_precision", "macro_recall")]
+    items += [(f"{k}[{c}]", stats[k][c])
+              for c in (-1, 0, 1) for k in ("precision", "recall")]
+    return items
+
+
+def logits_for(preds, rng):
+    """Random (N, 3) logits whose argmax picks each trend class in preds."""
+    logits = rng.normal(size=(len(preds), 3))
+    logits[np.arange(len(preds)), np.asarray(preds) + 1] += 10.0
+    return logits
+
+
+@pytest.mark.parametrize("case", ["random", "all-correct", "never-predicted",
+                                  "absent-label"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prediction_report_equals_the_hand_built_record(case, seed):
+    """Every item's name, order, type and repr equal the hand-built list's:
+    report.txt writes key=repr(value)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(-1, 2, size=50)
+    preds = {"random": rng.integers(-1, 2, size=50),
+             "all-correct": labels,
+             "never-predicted": np.where(labels == 1, 0, labels),
+             "absent-label": rng.integers(-1, 2, size=50)}[case]
+    if case == "absent-label":
+        labels = np.where(labels == -1, 0, labels)
+    logits = (rng.normal(size=(50, 3)) if case == "random"
+              else logits_for(preds, rng))
+    got = prediction_report(logits, labels)
+    want = oracle_prediction_items(logits, labels)
+    assert repr(got) == repr(want)
+    record = dict(got)
+    if case == "all-correct":
+        assert record["accuracy"] == 1.0
+    if case == "never-predicted":
+        assert record["precision[1]"] is None
+    if case == "absent-label":
+        assert record["recall[-1]"] is None
+
+
+def test_transfer_report_takes_each_macro_from_the_statistics():
+    rng = np.random.default_rng(7)
+    labels = rng.integers(-1, 2, size=40)
+    before, after = rng.integers(-1, 2, size=40), labels.copy()
+    b, a = (evaluate_classification(p, labels) for p in (before, after))
+    assert transfer_report(labels, before, after) == [
+        ("macro_recall_before", b["macro_recall"]),
+        ("macro_recall_after", a["macro_recall"]),
+        ("macro_precision_before", b["macro_precision"]),
+        ("macro_precision_after", a["macro_precision"])]
+
+
+def test_evaluate_classification_perfect_predictions():
+    labels = np.array([-1, 0, 1, -1, 0, 1])
+    stats = evaluate_classification(labels.copy(), labels)
+    assert stats["accuracy"] == 1.0
+    assert stats["macro_precision"] == 1.0 and stats["macro_recall"] == 1.0
+    assert all(stats[f"recall[{c}]"] == 1.0 for c in (-1, 0, 1))
+
+
+def test_evaluate_classification_single_class_predictor():
+    labels = np.array([-1, -1, 0, 0, 1, 1])  # balanced three classes
+    preds = np.zeros(6, dtype=int)
+    stats = evaluate_classification(preds, labels)
+    assert [stats[f"recall[{c}]"] for c in (-1, 0, 1)] == [0.0, 1.0, 0.0]
+    assert stats["macro_recall"] == pytest.approx(1 / 3)
+    # never-predicted classes have undefined precision, skipped by the macro
+    assert stats["precision[-1]"] is None and stats["precision[1]"] is None
+    assert stats["macro_precision"] == pytest.approx(2 / 6)
+
+
+def test_evaluate_classification_absent_label_class():
+    labels = np.array([1, 1, 0])
+    preds = np.array([1, 0, 0])
+    stats = evaluate_classification(preds, labels)
+    assert stats["recall[-1]"] is None  # class absent from labels
+    assert stats["macro_recall"] == pytest.approx((0.5 + 1.0) / 2)
+
+
+def test_evaluate_classification_shape_errors():
+    with pytest.raises(MetricError):
+        evaluate_classification(np.array([]), np.array([]))
+    with pytest.raises(MetricError):
+        evaluate_classification(np.array([1]), np.array([1, 0]))
+
+
+@pytest.mark.parametrize("n_logits, n_labels", [(0, 0), (3, 2), (2, 3)])
+def test_prediction_report_rejects_empty_or_mismatched_arrays(n_logits,
+                                                              n_labels):
+    with pytest.raises(MetricError, match="matching non-empty"):
+        prediction_report(np.zeros((n_logits, 3)), np.zeros(n_labels))
 
 
 @pytest.mark.parametrize("l", [1, 3, 20])

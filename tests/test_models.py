@@ -1,5 +1,5 @@
 """Model tests: forward shapes, whole-model gradient vs finite differences,
-optimizer behavior, freeze invariant, determinism, classification stats."""
+optimizer behavior, freeze invariant, determinism, predicted labels."""
 
 import numpy as np
 import pytest
@@ -36,7 +36,6 @@ from lobkit.models import (
     _clip,
     _task_loss_grad,
     encode_windows,
-    evaluate_classification,
     finetune_frozen,
     predict,
     predict_labels,
@@ -684,36 +683,3 @@ def test_predict_labels_are_argmax_minus_one():
                            encode_windows(model, tiny_windows(5, seed=9)))
     assert np.all(preds == 1)
 
-
-def test_evaluate_classification_perfect_predictions():
-    labels = np.array([-1, 0, 1, -1, 0, 1])
-    stats = evaluate_classification(labels.copy(), labels)
-    assert stats["accuracy"] == 1.0
-    assert stats["macro_precision"] == 1.0 and stats["macro_recall"] == 1.0
-    assert all(stats["recall"][c] == 1.0 for c in (-1, 0, 1))
-
-
-def test_evaluate_classification_single_class_predictor():
-    labels = np.array([-1, -1, 0, 0, 1, 1])  # balanced three classes
-    preds = np.zeros(6, dtype=int)
-    stats = evaluate_classification(preds, labels)
-    assert stats["recall"] == {-1: 0.0, 0: 1.0, 1: 0.0}
-    assert stats["macro_recall"] == pytest.approx(1 / 3)
-    # never-predicted classes have undefined precision, skipped by the macro
-    assert stats["precision"][-1] is None and stats["precision"][1] is None
-    assert stats["macro_precision"] == pytest.approx(2 / 6)
-
-
-def test_evaluate_classification_absent_label_class():
-    labels = np.array([1, 1, 0])
-    preds = np.array([1, 0, 0])
-    stats = evaluate_classification(preds, labels)
-    assert stats["recall"][-1] is None  # class absent from labels
-    assert stats["macro_recall"] == pytest.approx((0.5 + 1.0) / 2)
-
-
-def test_evaluate_classification_shape_errors():
-    with pytest.raises(ValueError):
-        evaluate_classification(np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        evaluate_classification(np.array([1]), np.array([1, 0]))
