@@ -389,8 +389,8 @@ def cmd_evaluate(args) -> int:
     cfg = _loss_config(args)  # rejected for every task, read by report
 
     if kind == PREDICTION:
-        items = prediction_report(np.concatenate(
-            [Y for _, Y, _ in predict(model, head, windows)]), windows.labels)
+        items = prediction_report(head.forward(encode_windows(model, windows)),
+                                  windows.labels)
     else:
         data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
         items = report(predict(model, head, data), cfg)

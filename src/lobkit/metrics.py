@@ -149,10 +149,16 @@ def l_all_gradient(x: np.ndarray, xh: np.ndarray,
 
 
 def _softmax_parts(logits, label):
-    """Max-subtracted logits and the one-hot of class index label + 1."""
+    """Max-subtracted logits and the one-hot of class index label + 1; a
+    label that is not one of the ints -1, 0, 1 is a MetricError."""
+    label = np.asarray(label)
+    bad = label[(label < -1) | (label > 1) | (label != np.round(label))]
+    if bad.size or label.dtype.kind not in "iu":
+        got = repr(bad.flat[0].item()) if bad.size else f"{label.dtype} labels"
+        raise MetricError(f"trend labels must be the ints -1, 0, 1, got {got}")
     logits = np.asarray(logits, dtype=float)
     z = logits - logits.max(axis=-1, keepdims=True)
-    return z, np.eye(z.shape[-1], dtype=bool)[np.asarray(label) + 1]
+    return z, np.eye(z.shape[-1], dtype=bool)[label + 1]
 
 
 def cross_entropy(logits: np.ndarray, label):

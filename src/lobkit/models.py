@@ -355,19 +355,28 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
     return trace
 
 
-def encode_windows(model: LinearAutoencoder, windows: Windows) -> np.ndarray:
-    """The encoder's (N, latent) representations of the windows, masked
-    input rows zeroed, computed REPORT_BLOCK windows at a time."""
+def _encoded_blocks(model: LinearAutoencoder, windows: Windows):
+    """Yield each scoring block's row slice, (B, T, C) windows, masks and
+    (B, latent) encodings: REPORT_BLOCK windows at a time, masked input rows
+    zeroed, a lone last window folded into the block before it."""
     n = len(windows)
     starts = list(range(0, n, REPORT_BLOCK))
     if n > 1 and n % REPORT_BLOCK == 1:
         del starts[-1]  # a lone row would encode bitwise unlike a block's
-    latents = np.empty((n, model.latent))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in zip(starts, starts[1:] + [n]):
-            block = windows.take(slice(i, j))
-            latents[i:j] = model.encode(_model_input(block.data(),
-                                                     block.masks))
+    for i, j in zip(starts, starts[1:] + [n]):
+        block = windows.take(slice(i, j))
+        X = block.data()
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = model.encode(_model_input(X, block.masks))
+        yield slice(i, j), X, block.masks, R
+
+
+def encode_windows(model: LinearAutoencoder, windows: Windows) -> np.ndarray:
+    """The encoder's (N, latent) representations of the windows, masked
+    input rows zeroed, computed one scoring block at a time."""
+    latents = np.empty((len(windows), model.latent))
+    for rows, _, _, R in _encoded_blocks(model, windows):
+        latents[rows] = R
     return latents
 
 
@@ -385,16 +394,11 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
 
 def predict(model: LinearAutoencoder, head: TaskHead | None,
             windows: Windows):
-    """Run the training forward on REPORT_BLOCK windows at a time, masked
-    input rows zeroed, and yield each block's (X, Y, masks): Y is the (B, 3)
-    logits of a prediction head, else the (B, T, C) output."""
-    for i in range(0, len(windows), REPORT_BLOCK):
-        block = windows.take(slice(i, i + REPORT_BLOCK))
-        X = block.data()
-        Y, _ = _batch_forward(model, head, _model_input(X, block.masks))
-        if head is None or head.kind != PREDICTION:
-            Y = Y.reshape(X.shape)
-        yield X, Y, block.masks
+    """Yield each scoring block's (X, Xh, masks): the (B, T, C) windows and
+    their decoding, or the imputation head's output, from its encodings."""
+    for _, X, masks, R in _encoded_blocks(model, windows):
+        Y = model.decode(R) if head is None else head.forward(R)
+        yield X, Y.reshape(X.shape), masks
 
 
 def predict_labels(head: TaskHead, latents: np.ndarray) -> np.ndarray:

@@ -34,9 +34,9 @@ from lobkit.metrics import (
     wmse,
 )
 from lobkit.models import (
+    REPORT_BLOCK,
     LinearAutoencoder,
     TaskHead,
-    predict,
 )
 from lobkit.preprocess import (
     balance_classes,
@@ -234,9 +234,12 @@ def test_blocked_scoring_equals_whole_split_oracle(pipeline, tmp_path, latent):
 
 def blocked_scoring_oracle(model, head, windows):
     """The trend labels of the windows as transfer scored them before it
-    encoded its test split once: the argmax over predict's blocks."""
+    encoded its test split once: the argmax of the head's logits over each
+    REPORT_BLOCK-window slice's encodings, a lone last window alone."""
+    X = windows.data().reshape(len(windows), -1)
     return logit_classes(np.concatenate(
-        [Y for _, Y, _ in predict(model, head, windows)]))
+        [head.forward(model.encode(X[i:i + REPORT_BLOCK]))
+         for i in range(0, len(X), REPORT_BLOCK)]))
 
 
 def transfer_inputs(root, n_test, T, levels, latent, relu):

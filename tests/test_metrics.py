@@ -192,6 +192,19 @@ def test_cross_entropy_stability_under_large_logits():
     assert np.isfinite(val) and val == pytest.approx(np.log(3), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-2, 2, 0.5])
+def test_a_label_outside_the_trend_classes_is_a_metric_error(bad):
+    """Neither taken as another class (-2 would pick class +1) nor left to
+    an IndexError: every loss and the prediction record name the value."""
+    logits = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0]])
+    labels = np.array([0, bad])
+    for score in (cross_entropy, cross_entropy_gradient, prediction_report):
+        with pytest.raises(MetricError, match=f"got {bad!r}$"):
+            score(logits, labels)
+    with pytest.raises(MetricError, match=f"got {bad!r}$"):
+        cross_entropy(logits[0], bad)
+
+
 def test_mse_scaling_property():
     rng = np.random.default_rng(2)
     x, xh = rand_pair(rng)

@@ -277,20 +277,27 @@ def test_report_blocks_equal_per_window_means():
                                           cfg)
 
 
-def test_report_of_predict_equals_whole_split_forward():
-    """Masked windows scored through predict, REPORT_BLOCK at a time, give
-    the report of one encode/head pass over the whole masked split. (At the
-    default latent; at latents such as 4 or 16, OpenBLAS computes a short
-    block's encodings with its small-matrix kernel, which rounds apart.)"""
-    windows = real_windows(n=2 * REPORT_BLOCK + 7, seed=2)
+@pytest.mark.parametrize("n, sizes", [
+    (2 * REPORT_BLOCK + 7, [REPORT_BLOCK, REPORT_BLOCK, 7]),
+    (2 * REPORT_BLOCK + 1, [REPORT_BLOCK, REPORT_BLOCK + 1]),
+], ids=["short-last", "lone-last"])
+def test_report_of_predict_equals_whole_split_forward(n, sizes):
+    """Masked windows scored through predict, REPORT_BLOCK at a time and a
+    lone last window folded into the block before it, give the encodings
+    and the report of one encode/head pass over the whole masked split. (At
+    the default latent; at latents such as 4 or 16, OpenBLAS computes a
+    short block's encodings with its small-matrix kernel, which rounds
+    apart.)"""
+    windows = real_windows(n=n, seed=2)
     model = LinearAutoencoder(input_dim=4000, relu=True, seed=0)
     head = TaskHead(IMPUTATION, out_dim=4000, seed=1)
     cfg = LossConfig()
     blocks = list(predict(model, head, windows))
-    assert [len(x) for x, _, _ in blocks] == [REPORT_BLOCK, REPORT_BLOCK, 7]
+    assert [len(x) for x, _, _ in blocks] == sizes
     X = windows.data()
     R = model.encode(masked_input(X, windows.masks).reshape(len(X), -1))
     Xh = head.forward(R).reshape(X.shape)
+    assert np.array_equal(encode_windows(model, windows), R)
     assert np.array_equal(np.concatenate([xh for _, xh, _ in blocks]), Xh)
     assert_report_equals_per_window_means(
         X, Xh, report(blocks, cfg), cfg, masks=windows.masks)
