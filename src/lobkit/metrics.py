@@ -9,6 +9,8 @@ exact; the hinge subgradient at zero is taken as 0.
 Each loss maps one (T, C) window to a float and a (B, T, C) batch to its (B,)
 per-window values, bit-identical to one call per window; gradients keep their
 input's shape. Logits, labels and masks gain the same leading batch axis.
+`report` scores MSE, MAE, wMSE and the price and volume MSEs from one error
+and one square per block, formed by the helper that `l_all` uses too.
 """
 
 from __future__ import annotations
@@ -62,29 +64,30 @@ class LossConfig:
             raise MetricError(f"lam must be finite and >= 0, got {self.lam}")
 
 
-def mse(x: np.ndarray, xh: np.ndarray):
+def _errors(x: np.ndarray, xh: np.ndarray):
+    """The error x - xh and its square, formed once for every loss on them."""
     x, xh = _check(x, xh)
-    return _per_window(np.mean((x - xh) ** 2, axis=(-2, -1)))
+    d = x - xh
+    return d, d ** 2
 
 
-def mae(x: np.ndarray, xh: np.ndarray):
-    x, xh = _check(x, xh)
-    return _per_window(np.mean(np.abs(x - xh), axis=(-2, -1)))
+def _mse(sq):
+    return _per_window(np.mean(sq, axis=(-2, -1)))
 
 
-def wmse(x: np.ndarray, xh: np.ndarray, weights: str):
+def _mae(d):
+    return _per_window(np.mean(np.abs(d), axis=(-2, -1)))
+
+
+def _wmse(sq, weights: str):
     """(1/W) sum_j w_j sum_i e_ij^2; the time sum is not divided by T."""
-    x, xh = _check(x, xh)
-    w = level_weights(weights, levels_of(x))
-    col_sq = ((x - xh) ** 2).sum(axis=-2)
-    return _per_window(np.vecdot(col_sq, w) / float(w.sum()))
+    w = level_weights(weights, levels_of(sq))
+    return _per_window(np.vecdot(sq.sum(axis=-2), w) / float(w.sum()))
 
 
-def price_volume_losses(x: np.ndarray, xh: np.ndarray) -> tuple:
+def _price_volume(sq) -> tuple:
     """Mean squared error over the 2l price and 2l volume columns separately."""
-    x, xh = _check(x, xh)
-    levels = levels_of(x)
-    sq = (x - xh) ** 2
+    levels = levels_of(sq)
 
     def part(cols):
         # each window's selected columns laid out column-major, as the
@@ -131,20 +134,30 @@ def _compose(cfg: LossConfig, mse_, wmse_, l_reg_):
 
 
 def l_all(x: np.ndarray, xh: np.ndarray, cfg: LossConfig):
-    return _compose(cfg, mse(x, xh), wmse(x, xh, cfg.weights), l_reg(xh))
+    sq = _errors(x, xh)[1]
+    return _compose(cfg, _mse(sq), _wmse(sq, cfg.weights), l_reg(xh))
 
 
 def l_all_gradient(x: np.ndarray, xh: np.ndarray,
                    cfg: LossConfig) -> np.ndarray:
-    """Exact d l_all / d xh, same shape as xh."""
+    """Exact d l_all / d xh, same shape as xh.
+
+    The error xh - x is formed once and the terms are built in place, with
+    the ufuncs and operand order of ``a * (2e / TC) + (1 - a) * (2e * w/W)
+    + lam * d l_reg``, so every element is that expression's."""
     x, xh = _check(x, xh)
-    e = xh - x
     w = level_weights(cfg.weights, levels_of(x))
-    g_mse = 2.0 * e / (e.shape[-2] * e.shape[-1])
-    g_wmse = 2.0 * e * (w / float(w.sum()))
-    grad = cfg.alpha * g_mse + (1 - cfg.alpha) * g_wmse
+    grad = np.subtract(xh, x)
+    np.multiply(grad, 2.0, out=grad)  # 2e
+    g_wmse = np.multiply(grad, w / float(w.sum()))
+    np.divide(grad, grad.shape[-2] * grad.shape[-1], out=grad)  # g_mse
+    np.multiply(grad, cfg.alpha, out=grad)
+    np.multiply(g_wmse, 1 - cfg.alpha, out=g_wmse)
+    np.add(grad, g_wmse, out=grad)
     if cfg.lam != 0:
-        grad = grad + cfg.lam * l_reg_gradient(xh)
+        g_reg = l_reg_gradient(xh)
+        np.multiply(g_reg, cfg.lam, out=g_reg)
+        np.add(grad, g_reg, out=grad)
     return grad
 
 
@@ -263,9 +276,9 @@ REPORT_METRICS = ("mse", "mae", "wmse", "l_price", "l_volume", "l_reg",
 
 def _block_values(x, xh, mask, cfg: LossConfig) -> list:
     """Each metric's per-window values over one block, REPORT_METRICS order."""
-    m, w, r = mse(x, xh), wmse(x, xh, cfg.weights), l_reg(xh)
-    return [m, mae(x, xh), w, *price_volume_losses(x, xh), r,
-            _compose(cfg, m, w, r),
+    d, sq = _errors(x, xh)
+    m, w, r = _mse(sq), _wmse(sq, cfg.weights), l_reg(xh)
+    return [m, _mae(d), w, *_price_volume(sq), r, _compose(cfg, m, w, r),
             *([] if mask is None else [masked_mse(x, xh, mask)])]
 
 

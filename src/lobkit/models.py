@@ -3,11 +3,19 @@
 The model is deliberately a linear (optionally single-ReLU) autoencoder with
 a 256-dimensional latent, so every gradient is hand-derivable and checkable
 against finite differences. Adam and the backward pass are implemented here
-directly; training is single-threaded and bit-deterministic per seed.
+directly; training is bit-deterministic per seed.
+
+A training step runs on two lanes: the caller and one daemon helper thread,
+started on first use. The helper takes half of Adam's blocks and, in the
+backward pass, the output layer's gradient products, while the caller does
+the rest; NumPy releases the GIL inside these ufuncs and matmuls. Each
+element is computed by the same operations in the same order on either lane,
+so the outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,14 +139,101 @@ ADAM_CHUNK = 1 << 14  # float64 per block: six blocks stay in L2
 REPORT_BLOCK = 64  # windows per block when a model is scored
 
 
+class _Helper:
+    """A daemon thread that runs one job at a time for the caller."""
+
+    def __init__(self):
+        self._job = self._result = None
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="lobkit-helper")
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            job, self._job = self._job, None
+            try:
+                self._result = job(), None
+            except BaseException as exc:  # handed back to the caller
+                self._result = None, exc
+            del job  # its closure holds the step's arrays
+            self._done.release()
+
+    def start(self, job):
+        self._job = job
+        self._go.release()
+
+    def wait(self):
+        """The job's (result, exception), once it has finished."""
+        self._done.acquire()
+        result, self._result = self._result, None
+        return result
+
+
+_HELPER: _Helper | None = None
+_LANE = threading.Lock()  # held by the caller whose job the helper runs
+
+
+def _two_lanes(theirs, mine):
+    """(theirs(), mine()), with theirs run on the helper thread while the
+    caller runs mine. Both run inline when another caller holds the helper.
+    The helper never calls a module-level name that a tracer may wrap."""
+    global _HELPER
+    if not _LANE.acquire(blocking=False):
+        return theirs(), mine()
+    try:
+        if _HELPER is None or not _HELPER.thread.is_alive():
+            _HELPER = _Helper()  # first use, or a forked child without it
+        _HELPER.start(theirs)
+        try:
+            own = mine()
+        finally:
+            other, exc = _HELPER.wait()
+    finally:
+        _LANE.release()
+    if exc is not None:
+        raise exc
+    return other, own
+
+
+def _adam_blocks(blocks, s1, s2, c1, c2, b1t, b2t, lr, eps):
+    """Adam's step over (p, g, m, v) blocks of flat views, in place, through
+    the scratch blocks s1 and s2."""
+    for pc, gc, mc, vc in blocks:
+        a, b = s1[: pc.size], s2[: pc.size]
+        np.subtract(gc, mc, out=a)
+        np.multiply(a, c1, out=a)
+        np.add(mc, a, out=mc)
+        np.multiply(gc, gc, out=a)
+        np.subtract(a, vc, out=a)
+        np.multiply(a, c2, out=a)
+        np.add(vc, a, out=vc)
+        np.divide(mc, b1t, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(vc, b2t, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(pc, a, out=pc)
+
+
+def _scratch():
+    return field(default_factory=lambda: np.empty(ADAM_CHUNK), init=False,
+                 repr=False, compare=False)
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one pair per parameter array.
 
-    `update` walks each parameter in ADAM_CHUNK-sized blocks of its flat
-    view and writes every step into two scratch blocks or in place, so a
-    step allocates nothing the size of a parameter. Per element it applies
-    the same ufuncs to the same operands, in the same order, as
+    `update` cuts each parameter's flat view into ADAM_CHUNK-sized blocks
+    and writes every step into two scratch blocks or in place, so a step
+    allocates nothing the size of a parameter. The helper thread takes the
+    first half of the blocks, with its own scratch blocks, unless the step
+    has no more than one block's worth of elements. Per element it
+    applies the same ufuncs to the same operands, in the same order, as
     ``m += (1-b1)*(g-m); v += (1-b2)*(g*g-v);
     p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)``, so the result is bit-identical.
     """
@@ -150,43 +245,37 @@ class AdamState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    _s1: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK),
-                            init=False, repr=False, compare=False)
-    _s2: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK),
-                            init=False, repr=False, compare=False)
+    _s1: np.ndarray = _scratch()
+    _s2: np.ndarray = _scratch()
+    _h1: np.ndarray = _scratch()  # the helper thread's
+    _h2: np.ndarray = _scratch()
 
     def update(self, params: dict, grads: dict):
+        for name in grads:  # a rejected step moves nothing
+            if not params[name].flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} must be C-contiguous")
         self.t += 1
         b1t = 1 - self.beta1**self.t
         b2t = 1 - self.beta2**self.t
-        c1, c2, lr, eps = 1 - self.beta1, 1 - self.beta2, self.lr, self.eps
+        step = (1 - self.beta1, 1 - self.beta2, b1t, b2t, self.lr, self.eps)
+        blocks = []
         for name, g in grads.items():
             p = params[name]
-            if not p.flags.c_contiguous:
-                raise ValueError(f"parameter {name!r} must be C-contiguous")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
             p, g = p.reshape(-1), np.ravel(g)
-            for i in range(0, p.size, ADAM_CHUNK):
-                j = min(i + ADAM_CHUNK, p.size)
-                pc, gc, mc, vc = p[i:j], g[i:j], m[i:j], v[i:j]
-                s1, s2 = self._s1[: j - i], self._s2[: j - i]
-                np.subtract(gc, mc, out=s1)
-                np.multiply(s1, c1, out=s1)
-                np.add(mc, s1, out=mc)
-                np.multiply(gc, gc, out=s1)
-                np.subtract(s1, vc, out=s1)
-                np.multiply(s1, c2, out=s1)
-                np.add(vc, s1, out=vc)
-                np.divide(mc, b1t, out=s1)
-                np.multiply(s1, lr, out=s1)
-                np.divide(vc, b2t, out=s2)
-                np.sqrt(s2, out=s2)
-                np.add(s2, eps, out=s2)
-                np.divide(s1, s2, out=s1)
-                np.subtract(pc, s1, out=pc)
+            blocks += [(p[i:i + ADAM_CHUNK], g[i:i + ADAM_CHUNK],
+                        m[i:i + ADAM_CHUNK], v[i:i + ADAM_CHUNK])
+                       for i in range(0, p.size, ADAM_CHUNK)]
+        if sum(b[0].size for b in blocks) <= ADAM_CHUNK:  # a small head
+            _adam_blocks(blocks, self._s1, self._s2, *step)
+            return
+        half = len(blocks) // 2
+        _two_lanes(
+            lambda: _adam_blocks(blocks[:half], self._h1, self._h2, *step),
+            lambda: _adam_blocks(blocks[half:], self._s1, self._s2, *step))
 
 
 @dataclass
@@ -233,17 +322,26 @@ def _batch_forward(model, head, X):
 
 def _batch_backward(model, head, cache, GY, frozen: bool):
     """Gradients of the output layer, and of the encoder unless frozen (the
-    cache's X is then not read)."""
+    cache's X is then not read). Unfrozen, the output layer's products run
+    on the helper thread while the caller forms the encoder's."""
     X, R = cache
     owner, name = (model, "dec") if head is None else (head, "head")
-    grads = {f"{name}.W": R.T @ GY, f"{name}.b": GY.sum(axis=0)}
+    # allocated by the caller, so the helper's malloc arena holds no copy
+    gW = np.empty((R.shape[1], GY.shape[1]))
+
+    def output_layer():
+        return np.matmul(R.T, GY, out=gW), GY.sum(axis=0)
+
+    def encoder():
+        GR = GY @ owner.params[f"{name}.W"].T
+        GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
+        return X.T @ GH, GH.sum(axis=0)
+
     if frozen:
-        return grads
-    GR = GY @ owner.params[f"{name}.W"].T
-    GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
-    grads["enc.W"] = X.T @ GH
-    grads["enc.b"] = GH.sum(axis=0)
-    return grads
+        gW, gb = output_layer()
+        return {f"{name}.W": gW, f"{name}.b": gb}
+    (gW, gb), (eW, eb) = _two_lanes(output_layer, encoder)
+    return {f"{name}.W": gW, f"{name}.b": gb, "enc.W": eW, "enc.b": eb}
 
 
 def _model_input(X, masks):

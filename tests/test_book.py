@@ -26,7 +26,7 @@ from lobkit.book import (
     volume_cols,
 )
 from lobkit.engine import submit
-from lobkit.metrics import l_reg, price_volume_losses
+from lobkit.metrics import LossConfig, l_reg, report
 from lobkit.sampling import snapshot_padded
 
 
@@ -125,8 +125,8 @@ def test_mid_price_is_mean_of_best_quotes():
 
 @pytest.mark.parametrize("f", [
     invalid_rows, mid_prices, l_reg,
-    lambda rows: price_volume_losses(rows, rows),
-], ids=["invalid_rows", "mid_prices", "l_reg", "price_volume_losses"])
+    lambda rows: report([(rows[None], rows[None], None)], LossConfig()),
+], ids=["invalid_rows", "mid_prices", "l_reg", "report"])
 def test_a_width_that_is_not_4l_is_named_not_floored(f):
     """41-column rows are not read as 10 levels: the error names the width."""
     with pytest.raises(ValueError, match="width 41"):

@@ -27,11 +27,7 @@ from lobkit.metrics import (
     l_all,
     l_reg,
     logit_classes,
-    mae,
     masked_mse,
-    mse,
-    price_volume_losses,
-    wmse,
 )
 from lobkit.models import (
     REPORT_BLOCK,
@@ -43,6 +39,7 @@ from lobkit.preprocess import (
     mask_for_imputation,
     masked_input,
 )
+from tests.test_metrics import mae, mse, price_volume_losses, wmse
 
 FAST_TRAIN = [
     "--epochs", "2", "--step", "50", "--latent", "16", "--batch-size", "16",

@@ -6,8 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from lobkit.book import ladder_cols
+from lobkit.book import ladder_cols, price_cols, volume_cols
 from lobkit.metrics import (
+    WEIGHTS,
     LossConfig,
     MetricError,
     cross_entropy,
@@ -18,15 +19,11 @@ from lobkit.metrics import (
     l_reg,
     l_reg_gradient,
     level_weights,
-    mae,
     masked_mse,
     masked_mse_gradient,
-    mse,
     prediction_report,
-    price_volume_losses,
     report,
     transfer_report,
-    wmse,
 )
 
 L = 10
@@ -37,6 +34,44 @@ def rand_pair(rng, T=6):
     x = rng.normal(size=(T, N_COLS))
     xh = rng.normal(size=(T, N_COLS))
     return x, xh
+
+
+# ------------------------------------------------------ per-window formulas
+# Whole-array formulas of the per-window report metrics, each forming its own
+# error: oracles for report, which forms one error and one square per block.
+
+def _value(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def mse(x, xh):
+    return _value(np.mean((x - xh) ** 2, axis=(-2, -1)))
+
+
+def mae(x, xh):
+    return _value(np.mean(np.abs(x - xh), axis=(-2, -1)))
+
+
+def wmse(x, xh, weights):
+    w = level_weights(weights, x.shape[-1] // 4)
+    col_sq = ((x - xh) ** 2).sum(axis=-2)
+    return _value(np.vecdot(col_sq, w) / float(w.sum()))
+
+
+def price_volume_losses(x, xh):
+    levels = x.shape[-1] // 4
+    sq = (x - xh) ** 2
+
+    def part(cols):
+        sel = np.ascontiguousarray(np.swapaxes(sq[..., cols], -2, -1))
+        return _value(np.mean(sel, axis=(-2, -1)))
+
+    return part(price_cols(levels)), part(volume_cols(levels))
+
+
+def window_report(x, xh, cfg):
+    """report's record of one (T, C) window x and its reconstruction xh."""
+    return dict(report([(x[None], xh[None], None)], cfg))
 
 
 # -------------------------------------------------------------- loop oracles
@@ -113,13 +148,14 @@ def test_all_metrics_match_loop_oracles_on_100_instances():
     w = level_weights(cfg.weights, L)
     for _ in range(100):
         x, xh = rand_pair(rng)
-        assert abs(mse(x, xh) - oracle_mse(x, xh)) < 1e-12
-        assert abs(mae(x, xh) - oracle_mae(x, xh)) < 1e-12
-        assert abs(wmse(x, xh, cfg.weights) - oracle_wmse(x, xh, w)) < 1e-12
+        rep = window_report(x, xh, cfg)
+        assert abs(rep["mse"] - oracle_mse(x, xh)) < 1e-12
+        assert abs(rep["mae"] - oracle_mae(x, xh)) < 1e-12
+        assert abs(rep["wmse"] - oracle_wmse(x, xh, w)) < 1e-12
         assert abs(l_reg(xh) - oracle_l_reg(xh)) < 1e-12
-        lp, lv = price_volume_losses(x, xh)
         olp, olv = oracle_price_volume(x, xh)
-        assert abs(lp - olp) < 1e-12 and abs(lv - olv) < 1e-12
+        assert abs(rep["l_price"] - olp) < 1e-12
+        assert abs(rep["l_volume"] - olv) < 1e-12
         expected = (
             cfg.alpha * oracle_mse(x, xh)
             + (1 - cfg.alpha) * oracle_wmse(x, xh, w)
@@ -137,12 +173,64 @@ def test_all_metrics_match_loop_oracles_on_100_instances():
         ) < 1e-12
 
 
+# -------------------------------------------------------------- byte oracles
+
+def formula_l_all(x, xh, cfg):
+    """l_all from the per-window formulas, each term forming its own error."""
+    return (cfg.alpha * mse(x, xh) + (1 - cfg.alpha) * wmse(x, xh, cfg.weights)
+            + cfg.lam * l_reg(xh))
+
+
+def formula_l_all_gradient(x, xh, cfg):
+    """d l_all / d xh as whole-array expressions, one temporary each."""
+    e = xh - x
+    w = level_weights(cfg.weights, x.shape[-1] // 4)
+    g_mse = 2.0 * e / (e.shape[-2] * e.shape[-1])
+    g_wmse = 2.0 * e * (w / float(w.sum()))
+    grad = cfg.alpha * g_mse + (1 - cfg.alpha) * g_wmse
+    if cfg.lam != 0:
+        grad = grad + cfg.lam * l_reg_gradient(xh)
+    return grad
+
+
+def byte_oracle_cases(l):
+    """(x, xh) pairs of 4l-column windows: a noisy batch, two batches whose
+    reconstruction is exact (the second with zeros of the opposite sign),
+    and one (T, C) window."""
+    rng = np.random.default_rng(100 + l)
+    x = rng.normal(size=(5, 7, 4 * l))
+    noisy = x + 0.3 * rng.normal(size=x.shape)
+    zeros = x.copy()
+    zeros[..., ::3] = 0.0
+    signed = zeros.copy()
+    signed[..., ::3] = -0.0
+    return [(x, noisy), (x, x.copy()), (zeros, signed), (x[0], noisy[0])]
+
+
+@pytest.mark.parametrize("l", [1, 10, 20])
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_l_all_and_its_gradient_equal_the_formulas_byte_for_byte(l, weights,
+                                                                  alpha, lam):
+    """Compared by bytes: array_equal would let a -0.0 pass for a 0.0."""
+    cfg = LossConfig(alpha=alpha, lam=lam, weights=weights)
+    for x, xh in byte_oracle_cases(l):
+        got, want = l_all(x, xh, cfg), formula_l_all(x, xh, cfg)
+        assert type(got) is (float if x.ndim == 2 else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        grad = l_all_gradient(x, xh, cfg)
+        assert grad.shape == xh.shape and grad.dtype == np.float64
+        assert grad.tobytes() == formula_l_all_gradient(x, xh, cfg).tobytes()
+
+
 # -------------------------------------------------------------- closed forms
 
 def test_wmse_with_uniform_weights_is_T_times_mse():
     rng = np.random.default_rng(0)
     x, xh = rand_pair(rng, T=7)
-    assert wmse(x, xh, "uniform") == pytest.approx(7 * mse(x, xh), rel=1e-12)
+    rep = window_report(x, xh, LossConfig(weights="uniform"))
+    assert rep["wmse"] == pytest.approx(7 * rep["mse"], rel=1e-12)
 
 
 def test_inverse_level_weights():
@@ -208,12 +296,18 @@ def test_a_label_outside_the_trend_classes_is_a_metric_error(bad):
 def test_mse_scaling_property():
     rng = np.random.default_rng(2)
     x, xh = rand_pair(rng)
-    assert mse(3 * x, 3 * xh) == pytest.approx(9 * mse(x, xh), rel=1e-12)
+    cfg = LossConfig()
+    assert window_report(3 * x, 3 * xh, cfg)["mse"] == pytest.approx(
+        9 * window_report(x, xh, cfg)["mse"], rel=1e-12)
 
 
 def test_shape_mismatch_raises():
-    with pytest.raises(MetricError):
-        mse(np.zeros((2, 40)), np.zeros((3, 40)))
+    x, xh = np.zeros((2, 40)), np.zeros((3, 40))
+    cfg = LossConfig()
+    for score in (l_all, l_all_gradient,
+                  lambda x, xh, cfg: report([(x[None], xh[None], None)], cfg)):
+        with pytest.raises(MetricError):
+            score(x, xh, cfg)
     with pytest.raises(MetricError):
         masked_mse(np.zeros((2, 40)), np.zeros((2, 40)), np.array([], dtype=int))
 
@@ -362,7 +456,9 @@ def test_losses_read_the_levels_from_the_row_width(l):
     reg = [oracle_l_reg(w, l) for w in xh]
     pv = np.array([oracle_price_volume(a, b, l) for a, b in zip(x, xh)])
     assert np.max(np.abs(l_reg(xh) - reg)) < 1e-12
-    lp, lv = price_volume_losses(x, xh)
+    per_window = [window_report(a, b, cfg) for a, b in zip(x, xh)]
+    lp = [r["l_price"] for r in per_window]
+    lv = [r["l_volume"] for r in per_window]
     assert np.max(np.abs(lp - pv[:, 0])) < 1e-12
     assert np.max(np.abs(lv - pv[:, 1])) < 1e-12
     rep = dict(report([(x, xh, None)], cfg))

@@ -1,6 +1,9 @@
 """Model tests: forward shapes, whole-model gradient vs finite differences,
 optimizer behavior, freeze invariant, determinism, predicted labels."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,9 @@ from lobkit.metrics import (
     l_all,
     l_all_gradient,
     l_reg,
-    mae,
     masked_mse,
     masked_mse_gradient,
-    mse,
-    price_volume_losses,
     report,
-    wmse,
 )
 from lobkit.models import (
     ADAM_CHUNK,
@@ -34,7 +33,9 @@ from lobkit.models import (
     _batch_backward,
     _batch_forward,
     _clip,
+    _model_input,
     _task_loss_grad,
+    _two_lanes,
     encode_windows,
     finetune_frozen,
     predict,
@@ -42,6 +43,7 @@ from lobkit.models import (
     train,
 )
 from lobkit.preprocess import Windows, masked_input
+from tests.test_metrics import mae, mse, price_volume_losses, wmse
 
 TINY_L = 1  # 4 columns per snapshot row in the tiny fixtures
 TINY_T = 2  # input_dim = 8
@@ -224,6 +226,42 @@ def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
     assert np.array_equal(GY, want_GY)
 
 
+def serial_backward(model, head, cache, GY, frozen):
+    """The backward pass as serial products on the calling thread: the
+    oracle for _batch_backward, which runs the output layer's on the
+    helper thread."""
+    X, R = cache
+    owner, name = (model, "dec") if head is None else (head, "head")
+    grads = {f"{name}.W": R.T @ GY, f"{name}.b": GY.sum(axis=0)}
+    if frozen:
+        return grads
+    GR = GY @ owner.params[f"{name}.W"].T
+    GH = GR * (R > 0) if model.relu else GR
+    grads["enc.W"] = X.T @ GH
+    grads["enc.b"] = GH.sum(axis=0)
+    return grads
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
+def test_two_lane_backward_equals_serial_products(task, relu, frozen,
+                                                  day_windows):
+    """Every gradient, in the same key order, byte for byte, at the
+    default model size."""
+    model = LinearAutoencoder(relu=relu, seed=1)
+    head = None if task == RECONSTRUCTION else TaskHead(task, seed=2)
+    X = day_windows.data()
+    Y, cache = _batch_forward(model, head, _model_input(X, (
+        day_windows.masks if task == IMPUTATION else None)))
+    _, GY = _task_loss_grad(task, Y, X, day_windows, TrainConfig())
+    got = _batch_backward(model, head, cache, GY, frozen)
+    want = serial_backward(model, head, cache, GY, frozen)
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 def in_blocks(X, Xh, masks=None):
     """(x, xh, mask) triples of REPORT_BLOCK windows, as predict yields."""
     return [(X[i:i + REPORT_BLOCK], Xh[i:i + REPORT_BLOCK],
@@ -388,15 +426,22 @@ def cosine_lr(step, steps=40, warmup=5, lr=1e-2):
     return lr * 0.5 * (1 + np.cos(np.pi * (step - warmup) / (steps - warmup)))
 
 
-@pytest.mark.parametrize("case", ["constant", "schedule", "frozen", "clipped"])
+@pytest.mark.parametrize("case", ["constant", "schedule", "frozen", "clipped",
+                                  "three-blocks"])
 def test_blocked_adam_equals_reference_update(case):
+    """Blocks are shared between the caller and the helper thread, except
+    in the frozen case: its head (2 blocks, 13 elements) steps inline. The
+    three-blocks case gives the two lanes an odd block count."""
     rng = np.random.default_rng(21)
     start = {k: rng.uniform(-0.1, 0.1, size=s) for k, s in ADAM_SHAPES.items()}
     params, want = ({k: v.copy() for k, v in start.items()} for _ in range(2))
     adam = AdamState(lr=1e-2, beta1=0.8, beta2=0.99)
     oracle = AdamState(lr=1e-2, beta1=0.8, beta2=0.99)
-    trained = [k for k in ADAM_SHAPES
-               if case != "frozen" or not k.startswith("enc.")]
+    if case == "three-blocks":
+        trained = ["enc.b", "head.W"]  # ADAM_CHUNK + 1, then 3 elements
+    else:
+        trained = [k for k in ADAM_SHAPES
+                   if case != "frozen" or not k.startswith("enc.")]
     for step in range(40):
         grads = {k: rng.normal(scale=10.0 ** (step % 5 - 2),
                                size=ADAM_SHAPES[k]) for k in trained}
@@ -413,15 +458,86 @@ def test_blocked_adam_equals_reference_update(case):
     for k in trained:
         assert np.array_equal(adam.m[k], oracle.m[k]), k
         assert np.array_equal(adam.v[k], oracle.v[k]), k
-    if case == "frozen":
-        assert all(np.array_equal(params[k], start[k]) for k in ("enc.W",
-                                                                 "enc.b"))
+    for k in ADAM_SHAPES:
+        if k not in trained:
+            assert np.array_equal(params[k], start[k]), k
 
 
 def test_adam_rejects_a_non_contiguous_parameter():
-    params = {"w": np.zeros((4, 6))[:, ::2]}
+    """A rejected step moves nothing: not t, the moments or any parameter,
+    including those listed before the rejected one."""
+    adam = AdamState(lr=0.1)
+    params = {"a": np.zeros(3), "w": np.zeros((4, 6))[:, ::2]}
+    adam.update(params, {"a": np.array([1.0, -2.0, 0.5])})
+    before = {k: v.copy() for k, v in params.items()}
+    moments = (adam.m["a"].copy(), adam.v["a"].copy())
     with pytest.raises(ValueError, match="'w' must be C-contiguous"):
-        AdamState().update(params, {"w": np.ones((4, 3))})
+        adam.update(params, {"a": np.ones(3), "w": np.ones((4, 3))})
+    assert adam.t == 1
+    assert list(adam.m) == list(adam.v) == ["a"]
+    assert adam.m["a"].tobytes() == moments[0].tobytes()
+    assert adam.v["a"].tobytes() == moments[1].tobytes()
+    for k, v in before.items():
+        assert params[k].tobytes() == v.tobytes(), k
+
+
+def test_a_helper_job_that_raises_reaches_the_caller():
+    with pytest.raises(ZeroDivisionError):
+        _two_lanes(lambda: 1 / 0, lambda: "mine")
+    assert _two_lanes(lambda: "theirs", lambda: "mine") == ("theirs", "mine")
+
+
+def test_the_helper_keeps_nothing_of_a_finished_step():
+    """A finished job and its result hold none of a step's arrays alive:
+    they are gradients and moments the size of the model. A job's error
+    holds them only until the garbage collector frees its traceback."""
+    import gc
+    import weakref
+
+    def step(job):
+        arr = np.ones(8)
+        try:
+            _two_lanes(lambda: job(arr), lambda: None)
+        except ZeroDivisionError:
+            pass
+        return weakref.ref(arr)
+
+    assert step(np.sum)() is None
+    ref = step(lambda a: 1 / (a.size - 8))
+    gc.collect()
+    assert ref() is None
+
+
+def test_concurrent_callers_share_the_helper_without_lost_updates():
+    """More callers than CPUs, switching threads every few microseconds:
+    a caller that finds the helper busy runs both halves itself, and every
+    caller's Adam steps equal the reference update."""
+    rng = np.random.default_rng(5)
+    shape = (3 * ADAM_CHUNK + 7,)
+    grads = [rng.normal(size=shape) for _ in range(6)]
+    want, oracle = np.zeros(shape), AdamState(lr=1e-2)
+    for g in grads:
+        reference_adam_update(oracle, {"w": want}, {"w": g})
+    got = [np.zeros(shape) for _ in range(4)]
+
+    def steps(params):
+        adam = AdamState(lr=1e-2)
+        for g in grads:
+            adam.update({"w": params}, {"w": g})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=steps, args=(p,)) for p in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for params in got:
+        assert params.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- training

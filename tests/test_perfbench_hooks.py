@@ -24,3 +24,40 @@ def test_tracer_finds_and_restores_every_hook(monkeypatch):
     finally:
         tr.uninstall()
     assert all(getattr(o, a) is fn for o, a, fn in patches)
+
+
+def test_traced_training_counts_every_batch_and_keeps_the_checkpoint(
+        monkeypatch, tmp_path):
+    """Training runs half its work on a helper thread, which must never
+    enter a wrapped name: the tracer's span stack is not thread-safe. Traced,
+    every batch is one Adam step and one backward pass, the stack ends
+    empty, and the checkpoint is the untraced run's byte for byte."""
+    import numpy as np
+
+    import lobkit.models as models
+    from lobkit.io import save_checkpoint
+    from lobkit.preprocess import Windows
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    view = np.random.default_rng(3).normal(size=(40, 10, 40))
+    cfg = models.TrainConfig(epochs=2, batch_size=8)
+    batches = cfg.epochs * -(-len(view) // cfg.batch_size)
+
+    def checkpoint(tag):
+        model = models.LinearAutoencoder(input_dim=400, latent=96, seed=0)
+        models.train(model, None, Windows(view, np.arange(len(view))), cfg)
+        save_checkpoint(tmp_path / tag, model.params)
+        return (tmp_path / tag).read_bytes()
+
+    untraced = checkpoint("untraced.bin")
+    tr = Tracer()
+    tr.install()
+    try:
+        traced = checkpoint("traced.bin")
+    finally:
+        tr.uninstall()
+    assert tr.calls["models.adam"] == tr.calls["models.backward"] == batches
+    assert tr._stack == []
+    assert traced == untraced
