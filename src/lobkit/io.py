@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -152,10 +153,13 @@ def read_flow(path) -> FlowStream:
 
 # ------------------------------------------------------------------- tensors
 
-def _unpack(fmt: str, raw: bytes, pos: int, field: str) -> tuple:
-    """struct.unpack_from that reports a short buffer as a FormatError."""
+def _read(f, size: int, fmt: str, field: str) -> tuple:
+    """The struct fields of fmt at the position of f, a file of size bytes;
+    a short file is a FormatError at that position."""
+    pos = f.tell()
     try:
-        return struct.unpack_from(fmt, raw, pos)
+        return struct.unpack(fmt, f.read(min(struct.calcsize(fmt),
+                                             size - pos)))
     except struct.error as exc:
         raise FormatError(f"unreadable header: {exc}", offset=pos,
                           field=field) from None
@@ -171,23 +175,29 @@ def save_tensor(path, array: np.ndarray):
 
 
 def load_tensor(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != TENSOR_MAGIC:
-        raise FormatError("bad tensor magic", offset=0, field="magic")
-    version, ndim = _unpack("<II", raw, 4, "version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4,
-                          field="version")
-    dims = _unpack(f"<{ndim}I", raw, 12, "dims")
-    start = 12 + 4 * ndim
-    expected = math.prod(dims) * 8
-    if len(raw) - start != expected:
-        raise FormatError(
-            f"payload is {len(raw) - start} bytes, expected {expected}",
-            offset=start, field="data",
-        )
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(4) != TENSOR_MAGIC:
+            raise FormatError("bad tensor magic", offset=0, field="magic")
+        version, ndim = _read(f, size, "<II", "version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4,
+                              field="version")
+        dims = _read(f, size, f"<{ndim}I", "dims")
+        start = 12 + 4 * ndim
+        expected = math.prod(dims) * 8
+        if size - start != expected:
+            raise FormatError(
+                f"payload is {size - start} bytes, expected {expected}",
+                offset=start, field="data",
+            )
+        payload = f.read()
     try:
-        return np.frombuffer(raw[start:], dtype="<f8").reshape(dims).copy()
+        # the payload is copied out of one transient buffer: read straight
+        # into a fresh array, the split that training reads left glibc's
+        # heap so laid out that a prediction walk's peak RSS rose 6-7 MB
+        # (perfbench predict-walk, 2 vCPUs)
+        return np.frombuffer(payload, "<f8").reshape(dims).copy()
     except ValueError as exc:  # e.g. over 64 dims
         raise FormatError(f"bad shape: {exc}", offset=12,
                           field="dims") from None
@@ -259,44 +269,52 @@ def save_checkpoint(path, arrays: dict):
 
 
 def load_checkpoint(path) -> dict:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic", offset=0, field="magic")
-    version, count = _unpack("<II", raw, 4, "version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4,
-                          field="version")
-    pos = 12
-    arrays = {}
-    for _ in range(count):
-        (namelen,) = _unpack("<H", raw, pos, "name")
-        pos += 2
-        try:
-            name = raw[pos : pos + namelen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("array name is not UTF-8", offset=pos,
-                              field="name") from None
-        pos += namelen
-        (ndim,) = _unpack("<B", raw, pos, "ndim")
-        pos += 1
-        dims = _unpack(f"<{ndim}I", raw, pos, "dims")
-        pos += 4 * ndim
-        n = math.prod(dims)
-        if pos + 8 * n > len(raw):
-            raise FormatError(
-                f"payload of {name!r} is {len(raw) - pos} bytes, "
-                f"expected {8 * n}", offset=pos, field="data",
-            )
-        try:
-            arrays[name] = np.frombuffer(raw, "<f8", n, pos).reshape(dims).copy()
-        except ValueError as exc:  # e.g. over 64 dims, or a size overflow
-            raise FormatError(f"bad shape of {name!r}: {exc}",
-                              offset=pos - 4 * ndim, field="dims") from None
-        pos += 8 * n
-    if pos != len(raw):
+    """The named arrays of a checkpoint, each read straight from the file
+    into its own array, so the file's bytes are never held twice."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(4) != CHECKPOINT_MAGIC:
+            raise FormatError("bad checkpoint magic", offset=0, field="magic")
+        version, count = _read(f, size, "<II", "version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4,
+                              field="version")
+        arrays = {}
+        for _ in range(count):
+            (namelen,) = _read(f, size, "<H", "name")
+            pos = f.tell()
+            try:
+                name = f.read(namelen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("array name is not UTF-8", offset=pos,
+                                  field="name") from None
+            (ndim,) = _read(f, size, "<B", "ndim")
+            dims = _read(f, size, f"<{ndim}I", "dims")
+            pos = f.tell()
+            n = math.prod(dims)
+            if pos + 8 * n > size:
+                raise FormatError(
+                    f"payload of {name!r} is {size - pos} bytes, "
+                    f"expected {8 * n}", offset=pos, field="data",
+                )
+            try:
+                arrays[name] = np.empty(dims, "<f8")
+            except ValueError as exc:  # e.g. over 64 dims, or a size overflow
+                raise FormatError(f"bad shape of {name!r}: {exc}",
+                                  offset=pos - 4 * ndim,
+                                  field="dims") from None
+            f.readinto(arrays[name])
+        pos = f.tell()
+    if pos != size:
         raise FormatError("trailing bytes", offset=pos, field="data")
     return arrays
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read in blocks: a checkpoint is hashed while the
+    model loaded from it is alive."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()

@@ -5,17 +5,18 @@ a 256-dimensional latent, so every gradient is hand-derivable and checkable
 against finite differences. Adam and the backward pass are implemented here
 directly; training is bit-deterministic per seed.
 
-A training step runs on two lanes: the caller and one daemon helper thread,
-started on first use. The helper takes half of Adam's blocks and, in the
-backward pass, the output layer's gradient products, while the caller does
-the rest; NumPy releases the GIL inside these ufuncs and matmuls. Each
-element is computed by the same operations in the same order on either lane,
-so the outputs do not depend on the CPU count.
+A training step runs on two lanes: the caller and a helper, a one-worker
+``ThreadPoolExecutor`` started on first use and again in a forked child. The
+helper takes half of Adam's blocks and, in the backward pass, the output
+layer's gradient products, while the caller does the rest; NumPy releases
+the GIL inside these ufuncs and matmuls. Concurrent callers queue on the one
+helper. Each element is computed by the same operations in the same order
+on either lane, so the outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
-import threading
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,63 +140,28 @@ ADAM_CHUNK = 1 << 14  # float64 per block: six blocks stay in L2
 REPORT_BLOCK = 64  # windows per block when a model is scored
 
 
-class _Helper:
-    """A daemon thread that runs one job at a time for the caller."""
-
-    def __init__(self):
-        self._job = self._result = None
-        self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self.thread = threading.Thread(target=self._serve, daemon=True,
-                                       name="lobkit-helper")
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            job, self._job = self._job, None
-            try:
-                self._result = job(), None
-            except BaseException as exc:  # handed back to the caller
-                self._result = None, exc
-            del job  # its closure holds the step's arrays
-            self._done.release()
-
-    def start(self, job):
-        self._job = job
-        self._go.release()
-
-    def wait(self):
-        """The job's (result, exception), once it has finished."""
-        self._done.acquire()
-        result, self._result = self._result, None
-        return result
-
-
-_HELPER: _Helper | None = None
-_LANE = threading.Lock()  # held by the caller whose job the helper runs
+_HELPER = None  # (pid that made it, its one-worker executor)
 
 
 def _two_lanes(theirs, mine):
-    """(theirs(), mine()), with theirs run on the helper thread while the
-    caller runs mine. Both run inline when another caller holds the helper.
-    The helper never calls a module-level name that a tracer may wrap."""
+    """(theirs(), mine()), with theirs run on the helper, a one-worker
+    executor started on first use and again in a forked child, while the
+    caller runs mine. Concurrent callers queue on the helper. An error
+    raised by either lane reaches the caller only after theirs has finished.
+    A helper job never calls _two_lanes, which would wait on itself, nor a
+    module-level name that a tracer may wrap."""
     global _HELPER
-    if not _LANE.acquire(blocking=False):
-        return theirs(), mine()
+    if _HELPER is None or _HELPER[0] != os.getpid():
+        # imported here: it pulls in logging, too slow for every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+        _HELPER = os.getpid(), ThreadPoolExecutor(
+            1, thread_name_prefix="lobkit-helper")
+    job = _HELPER[1].submit(theirs)
     try:
-        if _HELPER is None or not _HELPER.thread.is_alive():
-            _HELPER = _Helper()  # first use, or a forked child without it
-        _HELPER.start(theirs)
-        try:
-            own = mine()
-        finally:
-            other, exc = _HELPER.wait()
+        own = mine()
     finally:
-        _LANE.release()
-    if exc is not None:
-        raise exc
-    return other, own
+        job.exception()  # waits, so no step returns while the helper writes
+    return job.result(), own
 
 
 def _adam_blocks(blocks, s1, s2, c1, c2, b1t, b2t, lr, eps):
@@ -230,12 +196,14 @@ class AdamState:
 
     `update` cuts each parameter's flat view into ADAM_CHUNK-sized blocks
     and writes every step into two scratch blocks or in place, so a step
-    allocates nothing the size of a parameter. The helper thread takes the
-    first half of the blocks, with its own scratch blocks, unless the step
-    has no more than one block's worth of elements. Per element it
-    applies the same ufuncs to the same operands, in the same order, as
-    ``m += (1-b1)*(g-m); v += (1-b2)*(g*g-v);
-    p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)``, so the result is bit-identical.
+    allocates nothing the size of a parameter. The helper of _two_lanes, a
+    one-worker executor started on first use and again in a forked child,
+    takes the first half of the blocks, with its own scratch blocks, unless
+    the step has no more than one block's worth of elements; concurrent
+    callers queue on it. Per element either lane applies the same ufuncs to
+    the same operands, in the same order, as ``m += (1-b1)*(g-m);
+    v += (1-b2)*(g*g-v); p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)``, so the
+    result is bit-identical whatever the CPU count.
     """
 
     lr: float = 1e-3

@@ -308,6 +308,36 @@ def test_checkpoint_undecodable_name_reports_offset(tmp_path):
     assert (exc.value.offset, exc.value.field) == (14, "name")
 
 
+@pytest.mark.parametrize("kind, bound", [("tensor", 2.25),
+                                         ("checkpoint", 1.25)])
+def test_binary_load_holds_few_copies_of_the_file(tmp_path, kind, bound):
+    """A checkpoint's arrays are read straight into their own memory, so
+    loading one peaks near the file's size; a tensor is copied out of one
+    transient buffer. Every array is a writable, aligned, C-contiguous copy
+    of what was saved."""
+    import tracemalloc
+
+    w = np.random.default_rng(2).normal(size=(1000, 256))
+    path = tmp_path / f"{kind}.bin"
+    if kind == "tensor":
+        lio.save_tensor(path, w)
+        load = lio.load_tensor
+    else:
+        lio.save_checkpoint(path, {"w": w, "meta.T": np.array(100.0)})
+        load = lio.load_checkpoint
+    tracemalloc.start()
+    try:
+        back = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * path.stat().st_size
+    back = back if kind == "tensor" else back["w"]
+    assert back.tobytes() == w.tobytes()
+    assert back.flags.writeable and back.flags.aligned
+    assert back.flags.c_contiguous
+
+
 def header_offsets(raw: bytes) -> list[int]:
     """Offsets of every header byte of a tensor or checkpoint file: the file
     header, and for a checkpoint each array's name, ndim and dims."""
@@ -364,8 +394,25 @@ def test_header_bit_flip_loads_or_reports_offset(real_binaries, kind, pick,
 
 
 def test_file_sha256_matches_hashlib(tmp_path):
+    """Empty, one block, and several blocks with a short last one."""
     import hashlib
 
     path = tmp_path / "x.bin"
-    path.write_bytes(b"abc123")
-    assert lio.file_sha256(path) == hashlib.sha256(b"abc123").hexdigest()
+    for data in (b"", b"abc123", np.random.default_rng(0).bytes(3 << 20 | 5)):
+        path.write_bytes(data)
+        assert lio.file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_file_sha256_never_holds_the_whole_file(tmp_path):
+    """A checkpoint is hashed while the model loaded from it is alive."""
+    import tracemalloc
+
+    path = tmp_path / "x.bin"
+    path.write_bytes(bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        lio.file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2

@@ -3,6 +3,7 @@ optimizer behavior, freeze invariant, determinism, predicted labels."""
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -508,10 +509,52 @@ def test_the_helper_keeps_nothing_of_a_finished_step():
     assert ref() is None
 
 
+def test_a_callers_own_error_waits_for_the_helper():
+    """An error raised on the caller's lane reaches the caller only once the
+    helper's job has finished, so no step returns while the helper still
+    writes its arrays."""
+    started, finished = threading.Event(), threading.Event()
+
+    def theirs():
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    def mine():
+        assert started.wait(timeout=60)
+        raise KeyError("mine")
+
+    with pytest.raises(KeyError, match="mine"):
+        _two_lanes(theirs, mine)
+    assert finished.is_set()
+
+
+def _one_adam_step():
+    """One Adam step over three blocks, which runs on both lanes."""
+    AdamState().update({"w": np.zeros(3 * ADAM_CHUNK)},
+                       {"w": np.ones(3 * ADAM_CHUNK)})
+
+
+def test_a_forked_child_still_trains():
+    """The helper is started again in a forked child, which inherits the
+    parent's executor but not its thread."""
+    import multiprocessing
+
+    _one_adam_step()  # the parent's helper now exists
+    child = multiprocessing.get_context("fork").Process(target=_one_adam_step)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
 def test_concurrent_callers_share_the_helper_without_lost_updates():
     """More callers than CPUs, switching threads every few microseconds:
-    a caller that finds the helper busy runs both halves itself, and every
-    caller's Adam steps equal the reference update."""
+    the callers queue on the one helper, every caller's Adam steps equal
+    the reference update, and once they finish at most one helper thread
+    is alive."""
     rng = np.random.default_rng(5)
     shape = (3 * ADAM_CHUNK + 7,)
     grads = [rng.normal(size=shape) for _ in range(6)]
@@ -538,6 +581,9 @@ def test_concurrent_callers_share_the_helper_without_lost_updates():
     assert not any(t.is_alive() for t in threads)
     for params in got:
         assert params.tobytes() == want.tobytes()
+    helpers = [t for t in threading.enumerate()
+               if t.name.startswith("lobkit-helper")]
+    assert len(helpers) <= 1
 
 
 # ----------------------------------------------------------------- training
