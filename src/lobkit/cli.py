@@ -10,6 +10,7 @@ failure, 3 I/O failure, 4 numeric abort.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -413,13 +414,13 @@ def cmd_transfer(args) -> int:
     latents = encode_windows(model, usable)
     before = predict_labels(head, latents)
 
-    encoder_before = {k: model.params[k].copy()
+    encoder_sha256 = {k: hashlib.sha256(model.params[k]).digest()
                       for k in ("enc.W", "enc.b")}
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       lr=args.lr, seed=args.seed)
     finetune_frozen(model, head, data, cfg, budget=args.budget)
-    for k, v in encoder_before.items():
-        if not np.array_equal(model.params[k], v):
+    for k, digest in encoder_sha256.items():
+        if hashlib.sha256(model.params[k]).digest() != digest:
             raise RuntimeError(f"frozen fine-tune changed {k}")
 
     after = predict_labels(head, latents)

@@ -225,12 +225,19 @@ def read_kv(path) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise FormatError(f"repeated section [{current}]",
+                                  offset=offset)
             sections[current] = {}
         elif "=" in line:
             if current is None:
                 raise FormatError("entry before any section", offset=offset)
             key, _, val = line.partition("=")
-            sections[current][key.strip()] = val.strip()
+            key = key.strip()
+            if key in sections[current]:
+                raise FormatError(f"repeated key {key!r} in [{current}]",
+                                  offset=offset)
+            sections[current][key] = val.strip()
         else:
             raise FormatError(f"unparseable line {line!r}", offset=offset)
     return sections
@@ -288,6 +295,9 @@ def load_checkpoint(path) -> dict:
             except UnicodeDecodeError:
                 raise FormatError("array name is not UTF-8", offset=pos,
                                   field="name") from None
+            if name in arrays:
+                raise FormatError(f"repeated array {name!r}", offset=pos,
+                                  field="name")
             (ndim,) = _read(f, size, "<B", "ndim")
             dims = _read(f, size, f"<{ndim}I", "dims")
             pos = f.tell()

@@ -360,8 +360,8 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
     deterministic per cfg.seed. Model and head are updated in place.
 
     Given `latents`, the encoder's fixed (len(data), latent) output for
-    `data`, only the head is fitted: a batch gathers its rows of `latents`
-    and never runs or updates the encoder.
+    `data`, only the head is fitted: every batch, one window or more,
+    gathers its rows of `latents` and never runs or updates the encoder.
     """
     if not data:
         raise ValueError("no training data")
@@ -388,15 +388,13 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
                 return trace
             idx = order[start : start + cfg.batch_size]
             batch = data.take(idx)
-            # rows of `latents` were encoded in blocks, and a row encoded
-            # alone rounds differently, so a one-window batch is encoded
-            # alone; a prediction loss reads no window, so none is gathered
-            fixed = latents is not None and len(idx) > 1
-            X = None if fixed and task == PREDICTION else batch.data()
+            # a prediction loss reads no window, so none is gathered
+            X = (None if latents is not None and task == PREDICTION
+                 else batch.data())
             # divergence is detected from the loss, so let overflow propagate
             # to inf/nan silently instead of spamming warnings first
             with np.errstate(over="ignore", invalid="ignore"):
-                if fixed:
+                if latents is not None:
                     R = latents[idx]
                     Y, cache = head.forward(R), (None, R)
                 else:
@@ -449,7 +447,8 @@ def encode_windows(model: LinearAutoencoder, windows: Windows) -> np.ndarray:
 def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                     cfg: TrainConfig, budget: int):
     """Fit only the head, for at most `budget` optimizer steps, on the
-    encoder's fixed representations of `data`, each computed once."""
+    encoder's fixed representations of `data`: each computed once, before
+    the fit, and read by every batch that holds its window."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0:

@@ -130,6 +130,28 @@ def test_transfer_writes_head_delta_and_recalls(pipeline, tmp_path):
     assert "head.W" in delta and "enc.W" not in delta
 
 
+def test_transfer_holds_no_copy_of_the_encoder(pipeline, tmp_path):
+    """transfer checks the frozen encoder against digests, so at the
+    default width (enc.W is half the checkpoint) its peak stays near the
+    checkpoint's size; one copy of the encoder would lift it by half."""
+    import tracemalloc
+
+    data = str(pipeline / "data")
+    run = tmp_path / "pred"
+    assert main(["train", "--data", data, "--task", "prediction",
+                 "--out", str(run), "--epochs", "1", "--step", "50"]) == 0
+    ckpt = run / "checkpoint.bin"
+    tracemalloc.start()
+    try:
+        assert main(["transfer", "--checkpoint", str(ckpt), "--data", data,
+                     "--budget", "5", "--step", "50",
+                     "--out", str(tmp_path / "xfer")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ckpt.stat().st_size
+
+
 def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
     """evaluate's report.txt for the test split at --step 1, computed the
     reference way: one encode and one decode (or head) pass over the whole

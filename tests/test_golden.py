@@ -5,8 +5,9 @@ engine, sampling or preprocessing change that alters any flow, series or
 normalized tensor fails here. The hashes are tied to NumPy 2.4.6's Generator
 streams (``default_rng`` draws feed the synthetic flow); another NumPy that
 changes a stream changes every hash. Checkpoints and reports are not pinned
-because their bytes go through BLAS; compare those between two commits with
-the ``.perfbench/<workload>/digests.txt`` that ``perfbench/run.py`` writes.
+by bytes, because those go through BLAS: test_golden_values.py pins their
+values, and the ``.perfbench/<workload>/digests.txt`` that
+``perfbench/run.py`` writes compares their bytes between two commits.
 """
 
 import pytest

@@ -255,6 +255,19 @@ def test_kv_unparseable_line_raises(tmp_path):
     assert str(exc.value) == "unparseable line 'not an entry' at byte 12"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[s]\na = 1\n a=2\n", "repeated key 'a' in [s] at byte 10"),
+    ("[s]\na = 1\n\n[t]\n[s]\n", "repeated section [s] at byte 15"),
+])
+def test_kv_repeated_name_raises(tmp_path, text, message):
+    """A later key or [section] would silently replace the earlier one."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_kv(path)
+    assert str(exc.value) == message
+
+
 # -------------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -306,6 +319,18 @@ def test_checkpoint_undecodable_name_reports_offset(tmp_path):
     with pytest.raises(lio.FormatError) as exc:
         lio.load_checkpoint(path)
     assert (exc.value.offset, exc.value.field) == (14, "name")
+
+
+def test_checkpoint_repeated_name_reports_offset(tmp_path):
+    """A later array of the same name would silently replace the first."""
+    entry = struct.pack("<H", 1) + b"x" + struct.pack("<BId", 1, 1, 0.0)
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(lio.CHECKPOINT_MAGIC + struct.pack("<II", 1, 2)
+                     + entry + entry)
+    with pytest.raises(lio.FormatError) as exc:
+        lio.load_checkpoint(path)
+    assert (exc.value.offset, exc.value.field) == (12 + len(entry) + 2,
+                                                   "name")
 
 
 @pytest.mark.parametrize("kind, bound", [("tensor", 2.25),

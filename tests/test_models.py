@@ -656,6 +656,25 @@ def test_finetune_frozen_never_touches_encoder():
         assert np.array_equal(model.params[k], v)  # byte-for-byte equal
 
 
+def test_finetune_frozen_encodes_each_window_once():
+    """Every batch reads its rows of the one representation, a lone
+    window at the end of each epoch included: the encoder never runs on
+    a batch."""
+    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
+    head = TaskHead(PREDICTION, latent=4, seed=1)
+    encode, calls = model.encode, []
+
+    def spy(X):
+        calls.append(len(X))
+        return encode(X)
+
+    model.encode = spy
+    trace = finetune_frozen(model, head, tiny_windows(21, seed=6, labeled=True),
+                            tiny_cfg(batch_size=4), budget=100)
+    assert len(trace) == 3  # three epochs, each ending on one window
+    assert sum(calls) == 21 and 1 not in calls
+
+
 def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
     """The caller's config reaches train as it is; freezing comes from the
     fixed latents passed beside it."""
@@ -676,10 +695,13 @@ def test_finetune_frozen_keeps_every_caller_config_field(monkeypatch):
 
 
 def frozen_oracle(model, head, data, cfg, budget):
-    """The per-batch frozen fit that finetune_frozen replaced, kept as its
-    byte-equality oracle: every batch runs the encoder on its own windows,
-    and only the head's gradients reach Adam."""
+    """The frozen fit written out as a byte-equality oracle for
+    finetune_frozen: the whole set is encoded in one call before the first
+    epoch, every batch reads its rows of that representation, and only the
+    head's gradients reach Adam."""
     task = head.kind
+    with np.errstate(over="ignore", invalid="ignore"):
+        latents = model.encode(model_inputs(task, data))
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     trace, batch_id = [], 0
@@ -696,18 +718,18 @@ def frozen_oracle(model, head, data, cfg, budget):
         for start in range(0, len(data), cfg.batch_size):
             if batch_id >= budget:
                 return trace
-            batch = data.take(order[start : start + cfg.batch_size])
-            X = batch.data()
+            idx = order[start : start + cfg.batch_size]
+            batch = data.take(idx)
+            R = latents[idx]
             with np.errstate(over="ignore", invalid="ignore"):
-                Y, cache = _batch_forward(model, head,
-                                          model_inputs(task, batch))
-                loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
+                Y = head.forward(R)
+                loss, GY = _task_loss_grad(task, Y, batch.data(), batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
                     norm = float(np.sqrt(sum(
                         float((p * p).sum()) for p in all_params.values())))
                 raise NumericError(batch_id, norm)
-            grads = {"head.W": cache[1].T @ GY, "head.b": GY.sum(axis=0)}
+            grads = {"head.W": R.T @ GY, "head.b": GY.sum(axis=0)}
             if cfg.clip_norm is not None:
                 _clip(grads, cfg.clip_norm)
             adam.update(all_params, grads)
@@ -769,8 +791,8 @@ def run_both(kind, relu, n, cfg, budget, poison=None, **shape):
         "mid-epoch-budget", "cosine-warmup-clip"])
 def test_finetune_frozen_matches_per_batch_oracle(kind, relu, n, cfg,
                                                   budget):
-    """Fitting the head on latents encoded once gives the bytes of the fit
-    that re-encoded every batch."""
+    """Fitting the head on latents encoded block by block gives the bytes
+    of the fit on one whole-set encoding, lone batches included."""
     got, want = run_both(kind, relu, n, cfg, budget)
     assert got == want and len(got) == min(cfg.epochs,
                                            budget // -(-n // cfg.batch_size))
