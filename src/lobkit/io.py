@@ -224,7 +224,7 @@ def read_kv(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
+            current = line[1:-1].strip()
             if current in sections:
                 raise FormatError(f"repeated section [{current}]",
                                   offset=offset)
@@ -290,8 +290,12 @@ def load_checkpoint(path) -> dict:
         for _ in range(count):
             (namelen,) = _read(f, size, "<H", "name")
             pos = f.tell()
+            raw = f.read(namelen)
+            if len(raw) < namelen:
+                raise FormatError(f"array name is {len(raw)} bytes, expected "
+                                  f"{namelen}", offset=pos, field="name")
             try:
-                name = f.read(namelen).decode("utf-8")
+                name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError("array name is not UTF-8", offset=pos,
                                   field="name") from None

@@ -12,6 +12,14 @@ layer's gradient products, while the caller does the rest; NumPy releases
 the GIL inside these ufuncs and matmuls. Concurrent callers queue on the one
 helper. Each element is computed by the same operations in the same order
 on either lane, so the outputs do not depend on the CPU count.
+
+A training step whose model has no ReLU and whose head is narrower than the
+latent (a prediction head) contracts its linear chain: the forward computes
+X @ (E @ W) rather than (X @ E) @ W, and the backward forms every gradient
+from one Z = X.T @ GY, on the caller. Its values equal the encode-then-head
+products to rounding, not bit for bit. Reconstruction, imputation, a ReLU
+latent and the frozen fit keep the encode-then-head path, and scoring
+(evaluate, transfer) still reads block encodings.
 """
 
 from __future__ import annotations
@@ -136,7 +144,7 @@ class TaskHead:
         return r @ self.params["head.W"] + self.params["head.b"]
 
 
-ADAM_CHUNK = 1 << 14  # float64 per block: six blocks stay in L2
+ADAM_CHUNK = 1 << 15  # float64 per block: six 256 KB blocks stay in L2
 REPORT_BLOCK = 64  # windows per block when a model is scored
 
 
@@ -282,17 +290,38 @@ class TrainConfig:
 
 
 def _batch_forward(model, head, X):
-    """The model's own forward, caching (X, R) for the backward pass."""
+    """The model's own forward, caching (X, R) for the backward pass. With
+    no ReLU and a head narrower than the latent, the chain X·E·W is cheaper
+    as X·(E·W): it computes X @ (E @ W) + (b @ W + hb) and caches
+    (X, None)."""
+    if head is not None and not model.relu and head.out_dim < model.latent:
+        W = head.params["head.W"]
+        Y = X @ (model.params["enc.W"] @ W) + (
+            model.params["enc.b"] @ W + head.params["head.b"])
+        return Y, (X, None)
     R = model.encode(X)
     Y = model.decode(R) if head is None else head.forward(R)
     return Y, (X, R)
 
 
 def _batch_backward(model, head, cache, GY, frozen: bool):
-    """Gradients of the output layer, and of the encoder unless frozen (the
-    cache's X is then not read). Unfrozen, the output layer's products run
-    on the helper thread while the caller forms the encoder's."""
+    """Gradients of the output layer, and of the encoder unless frozen.
+    After an encode-then-head forward, a frozen backward reads no X, and
+    an unfrozen one runs the output layer's products on the helper thread
+    while the caller forms the encoder's. After a chained forward (R is
+    None) every gradient follows from one Z = X.T @ GY, on the caller: head.W = E.T @ Z + outer(b, ΣGY),
+    head.b = ΣGY, enc.W = Z @ W.T and enc.b = ΣGY @ W.T."""
     X, R = cache
+    if R is None:
+        E, b = model.params["enc.W"], model.params["enc.b"]
+        W = head.params["head.W"]
+        ZT = GY.T @ X  # Z's transpose: E.T @ Z runs faster as (ZT @ E).T
+        gb = GY.sum(axis=0)
+        grads = {"head.W": (ZT @ E).T + np.outer(b, gb), "head.b": gb}
+        if not frozen:
+            grads["enc.W"] = ZT.T @ W.T
+            grads["enc.b"] = gb @ W.T
+        return grads
     owner, name = (model, "dec") if head is None else (head, "head")
     # allocated by the caller, so the helper's malloc arena holds no copy
     gW = np.empty((R.shape[1], GY.shape[1]))
@@ -412,6 +441,8 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
             if cfg.clip_norm is not None:
                 _clip(grads, cfg.clip_norm)
             adam.update(all_params, grads)
+            # freed now, so the next step's arrays are never made beside them
+            del grads, GY, Y, cache
             epoch_loss += loss
             n_batches += 1
             batch_id += 1

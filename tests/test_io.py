@@ -268,6 +268,17 @@ def test_kv_repeated_name_raises(tmp_path, text, message):
     assert str(exc.value) == message
 
 
+def test_kv_section_names_are_stripped(tmp_path):
+    """[ s ] and [s] name one section, so a padded header repeats it."""
+    path = tmp_path / "kv.txt"
+    path.write_text("[ s ]\na = 1\n")
+    assert lio.read_kv(path) == {"s": {"a": "1"}}
+    path.write_text("[s]\na = 1\n[ s\t]\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_kv(path)
+    assert str(exc.value) == "repeated section [s] at byte 10"
+
+
 # -------------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -319,6 +330,19 @@ def test_checkpoint_undecodable_name_reports_offset(tmp_path):
     with pytest.raises(lio.FormatError) as exc:
         lio.load_checkpoint(path)
     assert (exc.value.offset, exc.value.field) == (14, "name")
+
+
+@pytest.mark.parametrize("present", range(5))
+def test_checkpoint_cut_inside_a_name_reports_the_name(tmp_path, present):
+    """A file that ends inside an array's name is a fault in that name, at
+    its first byte, not in the field after it."""
+    path = tmp_path / "ckpt.bin"
+    lio.save_checkpoint(path, {"enc.W": np.zeros(2)})
+    path.write_bytes(path.read_bytes()[:14 + present])  # 12 + namelen's 2
+    with pytest.raises(lio.FormatError) as exc:
+        lio.load_checkpoint(path)
+    assert (exc.value.offset, exc.value.field) == (14, "name")
+    assert f"is {present} bytes, expected 5" in str(exc.value)
 
 
 def test_checkpoint_repeated_name_reports_offset(tmp_path):

@@ -151,12 +151,21 @@ def whole_model_loss(model, head, windows, task, cfg):
 
 @pytest.mark.parametrize("task", [RECONSTRUCTION, PREDICTION, IMPUTATION])
 def test_full_backward_pass_matches_finite_differences(task):
+    assert_gradients_match_finite_differences(task, latent=3)
+
+
+def test_chained_backward_matches_finite_differences():
+    """A 3-logit head under a 5-wide linear latent takes the chained path."""
+    assert_gradients_match_finite_differences(PREDICTION, latent=5)
+
+
+def assert_gradients_match_finite_differences(task, latent):
     cfg = tiny_cfg()
-    model = LinearAutoencoder(input_dim=8, latent=3, seed=1)
+    model = LinearAutoencoder(input_dim=8, latent=latent, seed=1)
     if task == PREDICTION:
-        head = TaskHead(PREDICTION, latent=3, seed=2)
+        head = TaskHead(PREDICTION, latent=latent, seed=2)
     elif task == IMPUTATION:
-        head = TaskHead(IMPUTATION, latent=3, out_dim=8, seed=2)
+        head = TaskHead(IMPUTATION, latent=latent, out_dim=8, seed=2)
     else:
         head = None
     windows = tiny_windows(3, seed=3, labeled=task == PREDICTION,
@@ -164,6 +173,7 @@ def test_full_backward_pass_matches_finite_differences(task):
 
     # analytic gradients via the training internals
     Y, cache = _batch_forward(model, head, model_inputs(task, windows))
+    assert (cache[1] is None) == (head is not None and head.out_dim < latent)
     _, GY = _task_loss_grad(task, Y, windows.data(), windows, cfg)
     grads = _batch_backward(model, head, cache, GY, False)
 
@@ -230,8 +240,21 @@ def test_batched_loss_grad_equals_per_window_loop(task, day_windows):
 def serial_backward(model, head, cache, GY, frozen):
     """The backward pass as serial products on the calling thread: the
     oracle for _batch_backward, which runs the output layer's on the
-    helper thread."""
+    helper thread. After a chained forward (a linear model under a head
+    narrower than its latent; R is None) the gradients are the chained
+    products of Z = X.T @ GY, formed as its transpose."""
     X, R = cache
+    if R is None:
+        W = head.params["head.W"]
+        ZT = GY.T @ X
+        grads = {"head.W": ((ZT @ model.params["enc.W"]).T
+                            + np.outer(model.params["enc.b"],
+                                       GY.sum(axis=0))),
+                 "head.b": GY.sum(axis=0)}
+        if not frozen:
+            grads["enc.W"] = ZT.T @ W.T
+            grads["enc.b"] = GY.sum(axis=0) @ W.T
+        return grads
     owner, name = (model, "dec") if head is None else (head, "head")
     grads = {f"{name}.W": R.T @ GY, f"{name}.b": GY.sum(axis=0)}
     if frozen:
@@ -256,11 +279,47 @@ def test_two_lane_backward_equals_serial_products(task, relu, frozen,
     Y, cache = _batch_forward(model, head, _model_input(X, (
         day_windows.masks if task == IMPUTATION else None)))
     _, GY = _task_loss_grad(task, Y, X, day_windows, TrainConfig())
+    assert (cache[1] is None) == (task == PREDICTION and not relu)
     got = _batch_backward(model, head, cache, GY, frozen)
     want = serial_backward(model, head, cache, GY, frozen)
     assert list(got) == list(want)
     for k in want:
         assert got[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_chained_prediction_step_equals_encode_then_head(frozen,
+                                                         day_windows):
+    """At the default model size, the chained logits and every gradient,
+    in the same key order, equal the products of encoding first and then
+    applying the head, within rtol 1e-12 of each array's largest magnitude.
+    (Re-associated, an element that cancels to near zero can differ by
+    more than that relative to itself: about 2e-4 of enc.W's elements do,
+    by up to about 1e-9.)"""
+    model = LinearAutoencoder(seed=1)
+    head = TaskHead(PREDICTION, seed=2)
+    for p in (model.params["enc.b"], head.params["head.b"]):
+        p[:] = np.random.default_rng(3).normal(size=p.shape)
+    X = _model_input(day_windows.data(), None)
+    Y, cache = _batch_forward(model, head, X)
+    assert cache[1] is None
+    R = model.encode(X)
+    assert_close_in_scale(Y, head.forward(R), "Y")
+
+    _, GY = _task_loss_grad(PREDICTION, Y, None, day_windows, TrainConfig())
+    got = _batch_backward(model, head, cache, GY, frozen)
+    GR = GY @ head.params["head.W"].T
+    want = {"head.W": R.T @ GY, "head.b": GY.sum(axis=0)}
+    if not frozen:
+        want.update({"enc.W": X.T @ GR, "enc.b": GR.sum(axis=0)})
+    assert list(got) == list(want)
+    for k in want:
+        assert_close_in_scale(got[k], want[k], k)
+
+
+def assert_close_in_scale(got, want, name, rtol=1e-12):
+    assert got.shape == want.shape, name
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), name
 
 
 def in_blocks(X, Xh, masks=None):
@@ -628,7 +687,7 @@ def test_train_takes_the_task_from_the_head():
     head = TaskHead(PREDICTION, latent=4, seed=1)
     trace = train(model, head, tiny_windows(12, seed=9, labeled=True),
                   TrainConfig(epochs=3, batch_size=4))
-    assert trace == [0.9906763320480807, 0.9852701036396502,
+    assert trace == [0.9906763320480808, 0.9852701036396502,
                      0.9810191778236588]
 
 
