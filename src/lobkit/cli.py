@@ -31,6 +31,7 @@ from .models import (
     IMPUTATION,
     PREDICTION,
     RECONSTRUCTION,
+    ConfigError,
     LinearAutoencoder,
     NumericError,
     TaskHead,
@@ -221,7 +222,8 @@ def _load_split(data_dir: Path, split: str, T: int, step: int, labeled=False):
         row = int(bad[0])
         raise lio.FormatError(
             f"{split}_labels.bin: row {row} holds {float(labels[row])!r}, "
-            "not a trend label -1, 0, 1 or NaN", offset=16 + 8 * row)
+            "not a trend label -1, 0, 1 or NaN",
+            offset=lio.element_offset(labels.ndim, row))
     if len(series) < T:
         raise PreprocessError(f"{split} split has {len(series)} rows, fewer "
                               f"than the window T={T}")
@@ -544,7 +546,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (lio.FormatError, PreprocessError, BookError, MetricError,
-            SamplingError, ValueError, KeyError) as exc:
+            SamplingError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,12 +5,14 @@
   fields where a column does not apply; ``#`` lines carry metadata (an int
   ``seed``, a finite ``tick_size`` > 0). Timestamps never decrease and every
   order id, cancels' included, is unique within a flow.
-* Tensors (day series, window datasets): versioned binary with a
-  self-describing header (magic, version, dims) and row-major little-endian
-  float64 payload.
 * Configs / sidecars: plain-text ``key = value`` lines under ``[section]``
   headers, order-preserving so canonical files round-trip byte-identically.
-* Checkpoints: versioned binary of named arrays (model and Adam state).
+* Tensors (day series, labels): magic, ``<I`` version, one array.
+* Checkpoints (model, head, metadata): magic, ``<I`` version, ``<I`` count,
+  then per array a ``<H`` name length, the UTF-8 name and the array.
+
+An array is its ndim (``<I`` in a tensor, ``<B`` in a checkpoint), ndim
+``<u4`` dims and its row-major ``<f8`` payload.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +154,7 @@ def read_flow(path) -> FlowStream:
                       tick_size=tick)
 
 
-# ------------------------------------------------------------------- tensors
+# ------------------------------------------------------------- binary arrays
 
 def _read(f, size: int, fmt: str, field: str) -> tuple:
     """The struct fields of fmt at the position of f, a file of size bytes;
@@ -165,42 +168,66 @@ def _read(f, size: int, fmt: str, field: str) -> tuple:
                           field=field) from None
 
 
-def save_tensor(path, array: np.ndarray):
+def _write_array(f, array, ndim_fmt: str):
+    """The array at the position of f, its ndim packed as ndim_fmt and its
+    payload written from its own buffer."""
     array = np.ascontiguousarray(array, dtype="<f8")
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, array.ndim))
-        f.write(struct.pack(f"<{array.ndim}I", *array.shape))
-        f.write(array.tobytes())
+    f.write(struct.pack(f"{ndim_fmt}{array.ndim}I", array.ndim,
+                        *array.shape))
+    f.write(array)
 
 
-def load_tensor(path) -> np.ndarray:
+def _read_array(f, size: int, ndim_fmt: str, of: str = "") -> np.ndarray:
+    """The array at the position of f, a file of size bytes, its payload
+    read straight into it; a short payload, or a shape NumPy cannot build,
+    is a FormatError at its offset. of names the array in the message."""
+    (ndim,) = _read(f, size, ndim_fmt, "ndim")
+    dims = _read(f, size, f"<{ndim}I", "dims")
+    pos, n = f.tell(), math.prod(dims)
+    if pos + 8 * n > size:
+        raise FormatError(f"payload{of} is {size - pos} bytes, expected "
+                          f"{8 * n}", offset=pos, field="data")
+    try:
+        array = np.empty(dims, "<f8")
+    except ValueError as exc:  # e.g. over 64 dims
+        raise FormatError(f"bad shape{of}: {exc}", offset=pos - 4 * ndim,
+                          field="dims") from None
+    f.readinto(array)
+    return array
+
+
+@contextmanager
+def _open_binary(path, magic: bytes, kind: str):
+    """The open file and its size, read past its magic and version; a byte
+    left unread on leaving is a FormatError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if f.read(4) != TENSOR_MAGIC:
-            raise FormatError("bad tensor magic", offset=0, field="magic")
-        version, ndim = _read(f, size, "<II", "version")
+        if f.read(4) != magic:
+            raise FormatError(f"bad {kind} magic", offset=0, field="magic")
+        (version,) = _read(f, size, "<I", "version")
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported version {version}", offset=4,
                               field="version")
-        dims = _read(f, size, f"<{ndim}I", "dims")
-        start = 12 + 4 * ndim
-        expected = math.prod(dims) * 8
-        if size - start != expected:
-            raise FormatError(
-                f"payload is {size - start} bytes, expected {expected}",
-                offset=start, field="data",
-            )
-        payload = f.read()
-    try:
-        # the payload is copied out of one transient buffer: read straight
-        # into a fresh array, the split that training reads left glibc's
-        # heap so laid out that a prediction walk's peak RSS rose 6-7 MB
-        # (perfbench predict-walk, 2 vCPUs)
-        return np.frombuffer(payload, "<f8").reshape(dims).copy()
-    except ValueError as exc:  # e.g. over 64 dims
-        raise FormatError(f"bad shape: {exc}", offset=12,
-                          field="dims") from None
+        yield f, size
+        if f.tell() != size:
+            raise FormatError("trailing bytes", offset=f.tell(),
+                              field="data")
+
+
+def element_offset(ndim: int, i: int) -> int:
+    """Byte offset of row-major element i in a tensor file of ndim dims."""
+    return 12 + 4 * ndim + 8 * i
+
+
+def save_tensor(path, array: np.ndarray):
+    with open(path, "wb") as f:
+        f.write(TENSOR_MAGIC + struct.pack("<I", FORMAT_VERSION))
+        _write_array(f, array, "<I")
+
+
+def load_tensor(path) -> np.ndarray:
+    with _open_binary(path, TENSOR_MAGIC, "tensor") as (f, size):
+        return _read_array(f, size, "<I")
 
 
 # --------------------------------------------------------------- key / value
@@ -262,35 +289,23 @@ def save_norm_stats(path, stats: NormStats):
 def save_checkpoint(path, arrays: dict):
     """Named float64 arrays -> versioned binary, names sorted for stability."""
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(arrays)))
+        f.write(CHECKPOINT_MAGIC
+                + struct.pack("<II", FORMAT_VERSION, len(arrays)))
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            f.write(struct.pack("<H", len(encoded)) + encoded)
+            _write_array(f, arrays[name], "<B")
 
 
 def load_checkpoint(path) -> dict:
     """The named arrays of a checkpoint, each read straight from the file
     into its own array, so the file's bytes are never held twice."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise FormatError("bad checkpoint magic", offset=0, field="magic")
-        version, count = _read(f, size, "<II", "version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported version {version}", offset=4,
-                              field="version")
+    with _open_binary(path, CHECKPOINT_MAGIC, "checkpoint") as (f, size):
+        (count,) = _read(f, size, "<I", "count")
         arrays = {}
         for _ in range(count):
             (namelen,) = _read(f, size, "<H", "name")
-            pos = f.tell()
-            raw = f.read(namelen)
+            pos, raw = f.tell(), f.read(namelen)
             if len(raw) < namelen:
                 raise FormatError(f"array name is {len(raw)} bytes, expected "
                                   f"{namelen}", offset=pos, field="name")
@@ -302,25 +317,7 @@ def load_checkpoint(path) -> dict:
             if name in arrays:
                 raise FormatError(f"repeated array {name!r}", offset=pos,
                                   field="name")
-            (ndim,) = _read(f, size, "<B", "ndim")
-            dims = _read(f, size, f"<{ndim}I", "dims")
-            pos = f.tell()
-            n = math.prod(dims)
-            if pos + 8 * n > size:
-                raise FormatError(
-                    f"payload of {name!r} is {size - pos} bytes, "
-                    f"expected {8 * n}", offset=pos, field="data",
-                )
-            try:
-                arrays[name] = np.empty(dims, "<f8")
-            except ValueError as exc:  # e.g. over 64 dims, or a size overflow
-                raise FormatError(f"bad shape of {name!r}: {exc}",
-                                  offset=pos - 4 * ndim,
-                                  field="dims") from None
-            f.readinto(arrays[name])
-        pos = f.tell()
-    if pos != size:
-        raise FormatError("trailing bytes", offset=pos, field="data")
+            arrays[name] = _read_array(f, size, "<B", f" of {name!r}")
     return arrays
 
 

@@ -47,6 +47,10 @@ IMPUTATION = "imputation"
 LR_SCHEDULES = ("constant", "cosine")
 
 
+class ConfigError(ValueError):
+    """A model size, training setting or fine-tune budget out of range."""
+
+
 class NumericError(Exception):
     """Training hit a non-finite loss; carries batch id and parameter norm."""
 
@@ -70,7 +74,7 @@ class LinearAutoencoder:
                  relu: bool = False, seed: int = 0):
         for name, v in (("input_dim", input_dim), ("latent", latent)):
             if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+                raise ConfigError(f"{name} must be >= 1, got {v}")
         rng = np.random.default_rng(seed)
         self.input_dim = input_dim
         self.latent = latent
@@ -269,24 +273,24 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
-            raise ValueError(
+            raise ConfigError(
                 f"clip_norm must be finite and > 0, got {self.clip_norm}")
         if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}, "
-                             f"got {self.lr_schedule!r}")
+            raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, "
+                              f"got {self.lr_schedule!r}")
         if self.warmup_epochs < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         for name in ("beta1", "beta2"):
             beta = getattr(self, name)
             if not 0 <= beta < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
 
 
 def _batch_forward(model, head, X):
@@ -481,7 +485,7 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
     encoder's fixed representations of `data`: each computed once, before
     the fit, and read by every batch that holds its window."""
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+        raise ConfigError(f"budget must be >= 0, got {budget}")
     if budget == 0:
         return []
     return train(model, head, data, cfg, max_batches=budget,

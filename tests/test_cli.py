@@ -529,6 +529,20 @@ def test_training_flags_out_of_range_exit_2_naming_them(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_a_builtin_error_inside_a_command_escapes_main(tmp_path, monkeypatch,
+                                                       error):
+    """Exit 2 is for lobkit's own errors: a builtin one raised inside a
+    command is a bug, and shows as a traceback."""
+    def broken(*args):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, "generate_day", broken)
+    with pytest.raises(error, match="a bug"):
+        main(["generate", "--profile", "sz000001",
+              "--out", str(tmp_path / "flow.csv")])
+
+
 def _actions(command):
     """The command's flags by option string, in parser order."""
     sub = next(a for a in build_parser()._actions
@@ -1039,3 +1053,48 @@ def test_truncated_binaries_exit_2_with_byte_offset(pipeline, tmp_path, capsys):
         assert main(["evaluate", "--data", data, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 2, cut
         assert "at byte" in capsys.readouterr().err, cut
+
+
+@pytest.fixture(scope="module")
+def corruptible(pipeline, tiny_prediction_checkpoint, tmp_path_factory):
+    """A directory for corrupted inputs, and the pristine bytes of a short
+    flow (the pipeline's first 300 lines), its series.bin and the tiny
+    prediction checkpoint."""
+    root = tmp_path_factory.mktemp("corrupt")
+    shutil.copy(pipeline / "series.meta.txt", root / "series.meta.txt")
+    flow = (pipeline / "flow.csv").read_bytes().splitlines(True)
+    return root, {
+        "flow.csv": b"".join(flow[:300]),
+        "series.bin": (pipeline / "series.bin").read_bytes(),
+        "checkpoint.bin": tiny_prediction_checkpoint.read_bytes(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["flow.csv", "series.bin", "checkpoint.bin"]),
+       at=st.integers(0, 63) | st.integers(min_value=0),
+       flip=st.integers(0, 255))
+def test_corrupted_input_exits_0_2_or_3(corruptible, pipeline, name, at,
+                                        flip):
+    """A short flow, a day series or a checkpoint with one byte flipped
+    (flip > 0) or cut off from that byte on (flip 0), read by build,
+    preprocess or evaluate: the command exits 0, 2 or 3 and lets no other
+    exception escape."""
+    root, pristine = corruptible
+    raw = bytearray(pristine[name])
+    at %= len(raw)
+    if flip:
+        raw[at] ^= flip
+    else:
+        del raw[at:]
+    path, out = root / name, str(root / "out")
+    path.write_bytes(bytes(raw))
+    argv = {
+        "flow.csv": ["build", "--flow", str(path),
+                     "--out", str(root / "out" / "series.bin")],
+        "series.bin": ["preprocess", "--series", str(path), "--out", out],
+        "checkpoint.bin": ["evaluate", "--data", str(pipeline / "data"),
+                           "--checkpoint", str(path), "--step", "10",
+                           "--out", out],
+    }[name]
+    assert main(argv) in (0, 2, 3)
