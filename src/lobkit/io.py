@@ -86,9 +86,12 @@ def _lines(path):
                 # character appended to the text before the byte would end
                 head = (block[:exc.start].decode() + "x").splitlines(True)
                 text, bad = "".join(head[:-1]), block[exc.start]
-            for line, kept in zip(text.splitlines(), text.splitlines(True)):
+            kept = text.splitlines(True)
+            sizes = (map(len, kept) if block.isascii()
+                     else (len(k.encode()) for k in kept))
+            for line, size in zip(text.splitlines(), sizes):
                 yield offset, line
-                offset += len(kept.encode())
+                offset += size
             if bad is not None:
                 raise FormatError(f"byte 0x{bad:02x} is not UTF-8",
                                   offset=offset)
@@ -113,6 +116,7 @@ def read_flow(path) -> FlowStream:
     profile, seed, tick = "", 0, 0.01
     orders = []
     seen_ids = set()
+    previous = -math.inf  # the last order's timestamp
     for offset, line in _lines(path):
         if line.startswith("#"):
             if "=" in line:
@@ -129,26 +133,25 @@ def read_flow(path) -> FlowStream:
         if len(parts) != 7:
             raise FormatError(f"expected 7 fields, got {len(parts)}",
                               offset=offset)
+        ts, oid, side, kind, price, volume, target_id = parts
         try:
-            order = Order(
-                timestamp=int(parts[0]),
-                id=int(parts[1]),
-                side=parts[2],
-                kind=parts[3],
-                price=int(parts[4]) if parts[4] else None,
-                volume=int(parts[5]) if parts[5] else None,
-                target_id=int(parts[6]) if parts[6] else None,
-            )
+            timestamp = int(ts)
+            order = Order(int(oid), side, kind, timestamp,
+                          int(price) if price else None,
+                          int(volume) if volume else None,
+                          int(target_id) if target_id else None)
         except (ValueError, BookError) as exc:
             raise FormatError(str(exc), offset=offset) from exc
-        if orders and order.timestamp < orders[-1].timestamp:
-            raise FormatError(f"timestamp {order.timestamp} precedes the "
-                              f"previous order's {orders[-1].timestamp}",
+        if timestamp < previous:
+            raise FormatError(f"timestamp {timestamp} precedes the "
+                              f"previous order's {previous}",
                               offset=offset, field="timestamp")
-        if order.id in seen_ids:
+        n_ids = len(seen_ids)
+        seen_ids.add(order.id)
+        if len(seen_ids) == n_ids:
             raise FormatError(f"order id {order.id} is reused",
                               offset=offset, field="id")
-        seen_ids.add(order.id)
+        previous = timestamp
         orders.append(order)
     return FlowStream(profile=profile, seed=seed, orders=orders,
                       tick_size=tick)

@@ -13,7 +13,9 @@ invented, only the headline price/volume statistics are calibrated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -53,6 +55,9 @@ class FlowProfile:
     order_volume_divisor: int = 20  # per-order volume = side mean / divisor
 
     def __post_init__(self):
+        if len(self.mix) != 3 or not all(0 <= m < np.inf for m in self.mix):
+            raise ValueError("mix must be three finite, non-negative "
+                             "probabilities")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError("mix probabilities must sum to 1")
         if min(self.mid_std, self.bid_volume_mean, self.ask_volume_mean,
@@ -90,22 +95,42 @@ def _refill_ladder(book: BookState, p: FlowProfile, anchor: int, t: int,
     """Rest the profile's side volume mean at each of the seed_levels prices
     on either side of anchor that has no level, bid before ask per distance;
     submit and append each order, and return the next free id."""
+    bids, asks = book.bids, book.asks
+    bid_volume, ask_volume = p.bid_volume_mean, p.ask_volume_mean
     for i in range(1, p.seed_levels + 1):
         bid_px = anchor - i
-        if bid_px >= 1 and bid_px not in book.bids:
-            o = Order(next_id, BID, LIMIT, t, price=bid_px,
-                      volume=p.bid_volume_mean)
+        if bid_px >= 1 and bid_px not in bids:
+            o = Order(next_id, BID, LIMIT, t, bid_px, bid_volume)
             next_id += 1
             submit(book, o)
             orders.append(o)
         ask_px = anchor + i
-        if ask_px not in book.asks:
-            o = Order(next_id, ASK, LIMIT, t, price=ask_px,
-                      volume=p.ask_volume_mean)
+        if ask_px not in asks:
+            o = Order(next_id, ASK, LIMIT, t, ask_px, ask_volume)
             next_id += 1
             submit(book, o)
             orders.append(o)
     return next_id
+
+
+def _kind_cdf(mix) -> list:
+    """The cumulative mix as Generator.choice builds it, so that
+    bisect_right(cdf, rng.random()) draws what rng.choice(3, p=mix) draws,
+    from the same one random()."""
+    cdf = np.cumsum(mix, dtype=np.double)
+    return (cdf / cdf[-1]).tolist()
+
+
+def _cancel_target(live: dict, seed_ids: set, rng) -> int | None:
+    """A uniformly drawn live id that is not a seed, or None (drawing
+    nothing) if only seeds rest. Ids rest in increasing order, so live's
+    insertion order is id order and the live seeds, the smallest ids, come
+    first: the k-th cancellable id sits at position live_seeds + k."""
+    live_seeds = sum(oid in live for oid in seed_ids)
+    n = len(live) - live_seeds
+    if not n:
+        return None
+    return next(islice(live, live_seeds + int(rng.integers(n)), None))
 
 
 def generate_day(
@@ -128,9 +153,10 @@ def generate_day(
     t0 = calendar.intervals[0][0] - 60 * NS_PER_SEC  # pre-open seeding
     next_id = _refill_ladder(book, p, mid, t0, 1, orders)
     seed_ids = set(book.live)
+    cdf = _kind_cdf(p.mix)
     drift = 0.0
     target = float(mid)
-    for t_grid in calendar.grid():
+    for t_grid in calendar.grid().tolist():
         drift = p.momentum * drift + rng.normal(0.0, step_std)
         target += drift
         if not lo + p.seed_levels < target < hi - p.seed_levels:
@@ -140,28 +166,25 @@ def generate_day(
         n_orders = rng.poisson(p.arrival_rate * calendar.period / NS_PER_SEC)
         if n_orders == 0:
             continue
-        times = np.sort(rng.integers(
+        times = sorted(rng.integers(
             t_grid - calendar.period + 1, t_grid, size=n_orders, endpoint=True
-        ))
+        ).tolist())
         for ts in times:
-            kind = rng.choice(3, p=p.mix)
+            kind = bisect_right(cdf, rng.random())
             side = BID if rng.random() < 0.5 else ASK
             vol_mean = p.bid_volume_mean if side == BID else p.ask_volume_mean
             vol_mean = max(1.0, vol_mean / p.order_volume_divisor)
             volume = int(rng.geometric(1.0 / vol_mean))
             if kind == 2:
-                cancellable = [
-                    oid for oid in book.live if oid not in seed_ids
-                ]
-                if not cancellable:
+                target_id = _cancel_target(book.live, seed_ids, rng)
+                if target_id is None:
                     continue
-                target_id = cancellable[rng.integers(len(cancellable))]
-                o = Order(next_id, side, CANCEL, int(ts), target_id=target_id)
+                o = Order(next_id, side, CANCEL, ts, None, None, target_id)
             elif kind == 1:
                 opp = book.asks if side == BID else book.bids
                 if not opp:
                     continue
-                o = Order(next_id, side, MARKET, int(ts), volume=volume)
+                o = Order(next_id, side, MARKET, ts, None, volume)
             else:
                 offset = int(rng.geometric(1.0 / p.offset_mean_ticks))
                 if rng.random() < p.cross_prob:
@@ -171,8 +194,7 @@ def generate_day(
                     else round(target) + offset
                 )
                 price = min(max(price, 1), hi + p.seed_levels)
-                o = Order(next_id, side, LIMIT, int(ts), price=price,
-                          volume=volume)
+                o = Order(next_id, side, LIMIT, ts, price, volume)
             next_id += 1
             submit(book, o)
             orders.append(o)
@@ -180,8 +202,8 @@ def generate_day(
         # on each side of the target mid so the book tracks the walk and
         # never goes one-sided. Refills that cross simply execute, which is
         # what pulls the book mid toward the target after a fast move.
-        next_id = _refill_ladder(book, p, round(target), int(t_grid),
-                                 next_id, orders)
+        next_id = _refill_ladder(book, p, round(target), t_grid, next_id,
+                                 orders)
     return FlowStream(profile=p.name, seed=seed, orders=orders,
                       tick_size=tick)
 

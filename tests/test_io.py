@@ -125,6 +125,23 @@ def test_flow_undecodable_byte_reports_its_line_offset(tmp_path):
     assert "0xff" in str(exc.value)
 
 
+def test_flow_offsets_span_ascii_and_utf8_blocks(tmp_path):
+    """A flow over one 64 KiB read: the first block is ASCII, a later one
+    holds multi-byte characters, and the malformed line after them is
+    reported at its byte offset, not its character count."""
+    path = tmp_path / "long.csv"
+    ascii_lines = "".join(f"{i},{i},bid,limit,100,5,\n"
+                          for i in range(1, 4001))
+    later = "# profile = été €\n4001,4001,ask,limit,101,5,\n"
+    head = (ascii_lines + later).encode()
+    path.write_bytes(head + b"4002,4002,bid\n")
+    assert len(ascii_lines) > 2**16 and len(head) == len(head.decode()) + 4
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert exc.value.offset == len(head)
+    assert "expected 7 fields" in str(exc.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 12),
        st.text(alphabet="ab,#\u00e9\u20ac\n\r\v\f\x1c\x1d\x1e\x85"

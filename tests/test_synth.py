@@ -1,8 +1,12 @@
 """Synthetic flow generator tests: determinism, replay validity,
 conservation, calibration plumbing."""
 
+import copy
 import dataclasses
+import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from lobkit import synth
@@ -33,10 +37,67 @@ def test_profiles_cover_the_five_reference_tickers():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        dataclasses.replace(PROFILES["sz000001"], mix=(0.5, 0.2, 0.2))
+    """A mix is exactly three finite, non-negative probabilities summing to
+    1: a fourth entry would draw as a limit order and a NaN passes the sum
+    check."""
+    for mix in [
+        (0.5, 0.2, 0.2),  # sums to 0.9
+        (0.5, 0.5),
+        (0.5, 0.2, 0.2, 0.1),
+        (1.1, -0.1, 0.0),
+        (0.5, math.nan, 0.5),
+        (0.5, 0.5, math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            dataclasses.replace(PROFILES["sz000001"], mix=mix)
     with pytest.raises(ValueError):
         dataclasses.replace(PROFILES["sz000001"], mid_std=0.0)
+
+
+MIXES = sorted({p.mix for p in PROFILES.values()}
+               | {(1, 0, 0), (0, 0, 1), (0.5, 0, 0.5)})
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_kind_draw_is_generator_choice(mix):
+    """bisect_right on the day's cdf draws what rng.choice(3, p=mix) draws,
+    from the same one random(), so the stream after it is the same."""
+    cdf = synth._kind_cdf(mix)
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(500):
+            assert bisect_right(cdf, a.random()) == b.choice(3, p=mix)
+        assert a.random() == b.random()
+
+
+def test_cancel_target_is_the_list_scan_pick(monkeypatch):
+    """On the live books of many small days, the cancel pick equals the
+    draw from the list of every live non-seed id, and draws as many
+    numbers; some picks see seeds already gone, and some find none."""
+    real = synth._cancel_target
+    seen = {"calls": 0, "seeds_gone": 0, "none": 0}
+
+    def checked(live, seed_ids, rng):
+        twin = copy.deepcopy(rng)
+        got = real(live, seed_ids, rng)
+        cancellable = [oid for oid in live if oid not in seed_ids]
+        want = (cancellable[twin.integers(len(cancellable))]
+                if cancellable else None)
+        assert got == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+        seen["calls"] += 1
+        seen["seeds_gone"] += not seed_ids <= live.keys()
+        seen["none"] += got is None
+        return got
+
+    monkeypatch.setattr(synth, "_cancel_target", checked)
+    p = small_profile(mix=(0.4, 0.2, 0.4), arrival_rate=2.0)
+    for seed in range(12):
+        generate_day(p, seed=seed, calendar=SMALL_CAL)
+    generate_day(small_profile(mix=(0.0, 0.0, 1.0)), seed=0,
+                 calendar=SMALL_CAL)
+    assert seen["calls"] > 1000
+    assert seen["seeds_gone"] > 0 and seen["none"] > 0
 
 
 def test_generation_is_deterministic_per_seed():
