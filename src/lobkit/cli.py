@@ -453,9 +453,10 @@ def _bounded(cast, ok, bound: str):
     return parse
 
 
-# --seed seeds NumPy, which takes no negative seed; --mask-ratio is checked
-# for every task, not only where masks are drawn.
-_seed = _bounded(int, lambda v: v >= 0, ">= 0")
+# --seed seeds NumPy, which takes no negative seed, and --day numbers a
+# trading day; --mask-ratio is checked for every task, not only where masks
+# are drawn.
+_nonnegative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _mask_ratio = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -475,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize one day of order flow")
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("build", help="replay flow into a sampled day series")
     p.add_argument("--flow", required=True)
     p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--day", type=int, default=0)
+    p.add_argument("--day", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--window", type=int, default=100)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--latent", type=int, default=256)
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
     _add_loss_flags(p)
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer)

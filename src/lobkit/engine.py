@@ -4,10 +4,18 @@ Limit orders match against the opposite side while they cross, at the resting
 (maker) order's price, earliest arrival first within a level; any remainder
 rests. Market orders sweep the opposite side best-first and discard whatever
 cannot fill. Cancels remove the target's full remaining volume.
+
+The engine's records (`Order`, `EngineEvent`, `PriceLevel` and its queue
+entries) hold ints, strings and a level's own queue; none refers to a book
+or to another record, so they form no reference cycle and reference
+counting frees each one. `paused_gc` lets the code that builds a day's
+records skip the cyclic collector's rescans of them.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .book import (
@@ -20,6 +28,22 @@ from .book import (
     BookState,
     Order,
 )
+
+
+@contextmanager
+def paused_gc():
+    """Run the block, or the decorated function, with the cyclic garbage
+    collector disabled, and restore the state found on entry on the way
+    out, whether the block returns or raises; nested uses keep the outer
+    state. Only for code whose objects form no reference cycle: the
+    collector is what frees a cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(slots=True)

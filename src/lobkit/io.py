@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .book import BookError, Order
+from .engine import paused_gc
 from .preprocess import NormStats
 from .synth import FlowStream
 
@@ -110,6 +111,7 @@ def _header_value(key: str, val: str, offset: int):
                       field=key)
 
 
+@paused_gc()
 def read_flow(path) -> FlowStream:
     """The flow in a file; a malformed line raises FormatError at the byte
     offset where the line starts."""

@@ -30,7 +30,7 @@ from .book import (
     invalid_rows,
     validate_snapshot,
 )
-from .engine import submit
+from .engine import paused_gc, submit
 from .sampling import NS_PER_SEC, SamplingError, SessionCalendar, sample
 
 
@@ -133,6 +133,7 @@ def _cancel_target(live: dict, seed_ids: set, rng) -> int | None:
     return next(islice(live, live_seeds + int(rng.integers(n)), None))
 
 
+@paused_gc()
 def generate_day(
     p: FlowProfile,
     seed: int,
@@ -228,6 +229,7 @@ class ConservationReport:
         )
 
 
+@paused_gc()
 def replay_check(
     stream: FlowStream,
     calendar: SessionCalendar = SessionCalendar(),

@@ -503,6 +503,7 @@ def test_loaded_checkpoint_draws_no_random_init(
     ("train", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
     ("evaluate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
     ("transfer", "--seed", "-2", "argument --seed: must be >= 0, got -2"),
+    ("build", "--day", "-5", "argument --day: must be >= 0, got -5"),
 ])
 def test_training_flags_out_of_range_exit_2_naming_them(
         pipeline, tiny_prediction_checkpoint, tmp_path, capsys,
@@ -511,6 +512,7 @@ def test_training_flags_out_of_range_exit_2_naming_them(
     out = tmp_path / "out"
     argv = {
         "generate": ["generate", "--profile", "sz000001"],
+        "build": ["build", "--flow", str(pipeline / "flow.csv")],
         "preprocess": ["preprocess", "--series", str(pipeline / "series.bin")],
         "train": ["train", "--data", data, "--task", "prediction",
                   "--epochs", "1", "--window", "10", "--step", "10",
