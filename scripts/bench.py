@@ -17,6 +17,8 @@ and end-to-end metric, every pair's values, both sides' medians and
 quartiles, the ratio of the change's median to the parent's, how many pairs
 the change won, whether that ratio is inside the metric's bound in
 ``BENCHMARK.json``, and whether the parent's own spread is too wide to tell.
+It also records whether DIR and this tree lie in the same directory
+("same_parent"), since where a checkout lies moves some readings.
 
 Usage:
     python3 scripts/bench.py --tag NAME [--against DIR]
@@ -134,6 +136,8 @@ def paired(against: str, runs: list) -> dict:
             }
     return {
         "against": against,
+        # the checkout's location moves recon-walk's peak_rss_mb readings
+        "same_parent": Path(against).resolve().parent == ROOT.parent,
         "pairs": len(runs),
         "correct": all(p["correct"] and c["correct"]
                        for _, p, c in results),

@@ -313,7 +313,8 @@ def _meta_int(arrays, name: str, key: str, lo: int, hi: float = np.inf):
 
 def _load_model(path: Path):
     """The checkpoint's model, head (or None), T and levels, its metadata
-    and array shapes checked against each other first."""
+    and array shapes checked against each other first. meta.head_kind
+    names the kind; an array that kind does not read is rejected."""
     arrays, name = lio.load_checkpoint(path), path.name
     d, k, T, levels = (_meta_int(arrays, name, key, 1) for key in
                        ("input_dim", "latent", "T", "levels"))
@@ -324,10 +325,17 @@ def _load_model(path: Path):
             f"{T * 4 * levels}", field="meta.input_dim")
     shapes = {"enc.W": (d, k), "enc.b": (k,), "dec.W": (k, d), "dec.b": (d,)}
     kind = None
-    if "head.W" in arrays:
+    if "meta.head_kind" in arrays:
         kind = HEAD_KINDS[_meta_int(arrays, name, "head_kind", 1, 2)]
         out_dim = 3 if kind == PREDICTION else d
         shapes.update({"head.W": (k, out_dim), "head.b": (out_dim,)})
+    stray = [key for key in arrays if key not in shapes and key not in (
+        "meta.input_dim", "meta.latent", "meta.T", "meta.levels",
+        "meta.relu", "meta.head_kind")]
+    if stray:
+        raise lio.FormatError(
+            f"{name}: {stray[0]} is not read by the "
+            f"{kind or RECONSTRUCTION} task", field=stray[0])
     for key, shape in shapes.items():
         got = arrays[key].shape if key in arrays else "missing"
         if got != shape:

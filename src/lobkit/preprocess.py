@@ -90,10 +90,21 @@ class Windows:
         return Windows(self.view, self.starts[idx], *rest)
 
 
-def _fit(values: np.ndarray) -> tuple[float, float]:
-    mu = float(np.mean(values))
-    sigma = max(float(np.std(values)), SIGMA_FLOOR)  # population convention
-    return mu, sigma
+def _fit(values: np.ndarray, what: str, axis=None):
+    """Mean and floored population sigma along axis. A NaN, or a value
+    whose square leaves the float range, raises naming what was fit
+    (`what`, its {} filled with the column) when it makes a mean or sigma
+    non-finite, with no NumPy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = np.mean(values, axis=axis), np.std(values, axis=axis)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma)))
+    if bad.size:
+        i = bad[0]
+        raise PreprocessError(
+            f"{what.format(i)} fit a non-finite mean or sigma: "
+            f"mu = {float(np.ravel(mu)[i])!r}, "
+            f"sigma = {float(np.ravel(sigma)[i])!r}")
+    return mu, np.maximum(sigma, SIGMA_FLOOR)
 
 
 def fit_feature_stats(data: np.ndarray, scope: str = "train") -> NormStats:
@@ -101,8 +112,7 @@ def fit_feature_stats(data: np.ndarray, scope: str = "train") -> NormStats:
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise PreprocessError("cannot fit stats on empty data")
-    mu = data.mean(axis=0)
-    sigma = np.maximum(data.std(axis=0), SIGMA_FLOOR)
+    mu, sigma = _fit(data, "column {}", axis=0)
     return NormStats(FEATURE_WISE, mu, sigma, scope, levels_of(data))
 
 
@@ -112,8 +122,8 @@ def fit_group_stats(data: np.ndarray, scope: str = "train") -> NormStats:
     if data.size == 0:
         raise PreprocessError("cannot fit stats on empty data")
     levels = levels_of(data)
-    mu_p, sig_p = _fit(data[:, price_cols(levels)])
-    mu_v, sig_v = _fit(data[:, volume_cols(levels)])
+    mu_p, sig_p = _fit(data[:, price_cols(levels)], "the price columns")
+    mu_v, sig_v = _fit(data[:, volume_cols(levels)], "the volume columns")
     return NormStats(
         GLOBAL, np.array([mu_p, mu_v]), np.array([sig_p, sig_v]),
         scope=scope, levels=levels,

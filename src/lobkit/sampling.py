@@ -7,6 +7,11 @@ Each grid point takes the latest book state at or before that instant, so
 quiet periods are forward-filled and call-auction instants are never sampled,
 both by construction. `snapshot_padded` is the one top-l book exporter: it
 writes each snapshot straight as a row of the (N, 4l) series.
+
+`sample` is the replay, the only code that sees each submit's events. It
+keeps no event list: it tallies them into a `ConservationReport` as they
+come. A trade meets the opposite side, so its volume is executed on both;
+a cancel's volume is booked to the side `book.live` names for its target.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import DEFAULT_LEVELS, BookState
+from .book import ASK, BID, CANCEL, DEFAULT_LEVELS, BookState
 from .engine import submit
 
 NS_PER_SEC = 1_000_000_000
@@ -89,36 +94,73 @@ def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:
                     + [p * tick for p in asks] + ask_vols, dtype=float)
 
 
+@dataclass
+class ConservationReport:
+    """Volume accounting per side across one replayed stream."""
+
+    submitted: dict
+    executed: dict
+    cancelled: dict
+    resting: dict
+    market_unfilled: dict
+    cancel_misses: int
+
+    def balanced(self) -> bool:
+        return all(
+            self.submitted[s]
+            == self.executed[s] + self.cancelled[s] + self.resting[s]
+            + self.market_unfilled[s]
+            for s in (BID, ASK)
+        )
+
+
+def _grid_row(book: BookState, t: int, l: int) -> np.ndarray:
+    if not book.bids or not book.asks:
+        raise SamplingError(f"no book state at grid point {t}")
+    return snapshot_padded(book, l)
+
+
 def sample(
     book: BookState,
     orders,
     calendar: SessionCalendar = SessionCalendar(),
     l: int = DEFAULT_LEVELS,
-):
+) -> tuple[np.ndarray, ConservationReport]:
     """Replay orders through the engine, snapshotting at every grid point.
 
-    Each grid point reflects the latest applied state at or before it. The
-    book must be populated (e.g. by pre-open seed orders) before the first
-    grid point. Returns the (N, 4l) rows, one per grid point, and the
-    engine events.
+    Each grid point reflects the latest applied state at or before it: the
+    points earlier than an order's timestamp are taken before it is
+    submitted. The book must be populated (e.g. by pre-open seed orders)
+    before the first grid point. Returns the (N, 4l) rows, one per grid
+    point, and the volume accounting.
     """
     if l < 1:
         raise SamplingError(f"levels must be >= 1, got {l}")
-    grid = calendar.grid()
+    grid = calendar.grid().tolist()
     data = np.empty((len(grid), 4 * l))
-    events = []
-    it = iter(orders)
-    pending = next(it, None)
-    for i, t in enumerate(grid):
-        while pending is not None and pending.timestamp <= t:
-            _, ev = submit(book, pending)
-            events.extend(ev)
-            pending = next(it, None)
-        if not book.bids or not book.asks:
-            raise SamplingError(f"no book state at grid point {t}")
-        data[i] = snapshot_padded(book, l)
-    while pending is not None:
-        _, ev = submit(book, pending)
-        events.extend(ev)
-        pending = next(it, None)
-    return data, events
+    submitted, cancelled, unfilled = ({BID: 0, ASK: 0} for _ in range(3))
+    traded = misses = i = 0
+    for o in orders:
+        while i < len(grid) and grid[i] < o.timestamp:
+            data[i] = _grid_row(book, grid[i], l)
+            i += 1
+        if o.kind == CANCEL:
+            target = book.live.get(o.target_id)
+        else:
+            submitted[o.side] += o.volume
+        for ev in submit(book, o)[1]:
+            if ev.kind == "trade":
+                traded += ev.volume
+            elif ev.kind == "cancel_ok":
+                cancelled[target[0]] += ev.volume
+            elif ev.kind == "market_unfilled":
+                unfilled[o.side] += ev.volume
+            elif ev.kind == "cancel_miss":
+                misses += 1
+    for i in range(i, len(grid)):
+        data[i] = _grid_row(book, grid[i], l)
+    resting = {side: sum(lvl.total_volume
+                         for lvl in book.side_levels(side).values())
+               for side in (BID, ASK)}
+    return data, ConservationReport(submitted, {BID: traded, ASK: traded},
+                                    cancelled, resting, unfilled, misses)

@@ -31,7 +31,13 @@ from .book import (
     validate_snapshot,
 )
 from .engine import paused_gc, submit
-from .sampling import NS_PER_SEC, SamplingError, SessionCalendar, sample
+from .sampling import (
+    NS_PER_SEC,
+    ConservationReport,
+    SamplingError,
+    SessionCalendar,
+    sample,
+)
 
 
 @dataclass(frozen=True)
@@ -209,26 +215,6 @@ def generate_day(
                       tick_size=tick)
 
 
-@dataclass
-class ConservationReport:
-    """Volume accounting per side across one replayed stream."""
-
-    submitted: dict
-    executed: dict
-    cancelled: dict
-    resting: dict
-    market_unfilled: dict
-    cancel_misses: int
-
-    def balanced(self) -> bool:
-        return all(
-            self.submitted[s]
-            == self.executed[s] + self.cancelled[s] + self.resting[s]
-            + self.market_unfilled[s]
-            for s in (BID, ASK)
-        )
-
-
 @paused_gc()
 def replay_check(
     stream: FlowStream,
@@ -243,37 +229,8 @@ def replay_check(
     then SamplingError if volume is not conserved. One array check covers
     the whole series; the scalar validator only describes the first bad row.
     """
-    book = BookState(tick_size=stream.tick_size)
-    side_of = {o.id: o.side for o in stream.orders}
-    # cancelled volume belongs to the target's side, not the cancel's
-    cancel_target = {
-        o.id: o.target_id for o in stream.orders if o.kind == CANCEL
-    }
-    data, events = sample(book, stream.orders, calendar, l=l)
-    sub = {BID: 0, ASK: 0}
-    exe = {BID: 0, ASK: 0}
-    canc = {BID: 0, ASK: 0}
-    unfilled = {BID: 0, ASK: 0}
-    misses = 0
-    for o in stream.orders:
-        if o.kind in (LIMIT, MARKET):
-            sub[o.side] += o.volume
-    for ev in events:
-        if ev.kind == "trade":
-            exe[side_of[ev.order_id]] += ev.volume
-            exe[side_of[ev.maker_id]] += ev.volume
-        elif ev.kind == "cancel_ok":
-            canc[side_of[cancel_target[ev.order_id]]] += ev.volume
-        elif ev.kind == "market_unfilled":
-            unfilled[side_of[ev.order_id]] += ev.volume
-        elif ev.kind == "cancel_miss":
-            misses += 1
-    rest = {BID: 0, ASK: 0}
-    for lvl in book.bids.values():
-        rest[BID] += lvl.total_volume
-    for lvl in book.asks.values():
-        rest[ASK] += lvl.total_volume
-    report = ConservationReport(sub, exe, canc, rest, unfilled, misses)
+    data, report = sample(BookState(tick_size=stream.tick_size),
+                          stream.orders, calendar, l=l)
     bad_rows = np.flatnonzero(invalid_rows(data))
     if bad_rows.size:
         i = int(bad_rows[0])

@@ -4,6 +4,7 @@ import argparse
 import math
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -701,6 +702,31 @@ def test_preprocess_levels_that_disagree_with_the_series_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", ["global", "feature"])
+@pytest.mark.parametrize("col,value,group", [
+    (10, 1e300, "the volume columns"),  # best bid volume: its square overflows
+    (0, math.nan, "the price columns"),  # best bid price
+])
+def test_series_that_fits_a_non_finite_sigma_exits_2_naming_it(
+        pipeline, tmp_path, capsys, scheme, col, value, group):
+    """A value whose square leaves the float range, or a NaN, makes a mean
+    or sigma non-finite: preprocess exits 2 naming the group (global) or
+    the column (feature), with no NumPy warning, and writes nothing."""
+    shutil.copy(pipeline / "series.meta.txt", tmp_path / "series.meta.txt")
+    rows = lio.load_tensor(pipeline / "series.bin")
+    rows[7, col] = value
+    lio.save_tensor(tmp_path / "series.bin", rows)
+    out = tmp_path / "data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["preprocess", "--series", str(tmp_path / "series.bin"),
+                     "--scheme", scheme, "--out", str(out)]) == 2
+    name = group if scheme == "global" else f"column {col}"
+    assert capsys.readouterr().err.startswith(
+        f"error: {name} fit a non-finite mean or sigma: mu = ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("defect", ["labels", "levels"])
 @pytest.mark.parametrize("command", ["train-reconstruction",
                                      "train-prediction", "evaluate",
@@ -971,6 +997,33 @@ def test_checkpoint_with_bad_metadata_exits_2_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint.bin: ")
     assert f"(field {field})" in err
+
+
+@pytest.mark.parametrize("rename,drop,field,message", [
+    ({"head.W": "head.V"}, (), "head.V",
+     "head.V is not read by the prediction task"),
+    ({}, ("head.W", "head.b"), "head.W", "head.W is missing"),
+    ({}, ("meta.head_kind",), "head.W",
+     "head.W is not read by the reconstruction task"),
+], ids=["renamed-head", "kind-without-head", "head-without-kind"])
+def test_checkpoint_arrays_its_kind_does_not_read_exit_2(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys, rename, drop,
+        field, message):
+    """meta.head_kind decides the kind, and every array must be one that
+    kind reads: a renamed head.W, a head kind without its head, or a head
+    without its kind exit 2 naming the array, never load as another task."""
+    arrays = lio.load_checkpoint(tiny_prediction_checkpoint)
+    arrays = {rename.get(k, k): v for k, v in arrays.items() if k not in drop}
+    bad = tmp_path / "checkpoint.bin"
+    lio.save_checkpoint(bad, arrays)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", str(pipeline / "data"),
+                 "--checkpoint", str(bad), "--step", "10",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint.bin: {message}")
+    assert f"(field {field})" in err
+    assert not out.exists()
 
 
 def test_mask_ratio_that_masks_no_step_exits_2_naming_it(

@@ -18,7 +18,13 @@ from lobkit.book import (
     PriceLevel,
 )
 from lobkit.engine import EngineEvent, submit
-from lobkit.sampling import SamplingError, snapshot_padded
+from lobkit.sampling import (
+    ConservationReport,
+    SamplingError,
+    SessionCalendar,
+    sample,
+    snapshot_padded,
+)
 
 
 def seeded_book(levels=12, bid0=1000, ask0=1001, vol=50):
@@ -190,27 +196,30 @@ def replay(orders):
     return book, events
 
 
-def conservation(orders, book, events):
+def account(orders, book, events):
+    """Per-side volume account of a whole replay, event by event, booking
+    each event to a side through maps over the stream's ids: the oracle
+    for the tally `sample` keeps as it submits."""
     side_of = {o.id: o.side for o in orders}
     target_of = {o.id: o.target_id for o in orders if o.kind == CANCEL}
-    sub = {BID: 0, ASK: 0}
-    out = {BID: 0, ASK: 0}
+    rep = ConservationReport(*({BID: 0, ASK: 0} for _ in range(5)), 0)
     for o in orders:
         if o.kind in (LIMIT, MARKET):
-            sub[o.side] += o.volume
+            rep.submitted[o.side] += o.volume
     for e in events:
         if e.kind == "trade":
-            out[side_of[e.order_id]] += e.volume
-            out[side_of[e.maker_id]] += e.volume
+            rep.executed[side_of[e.order_id]] += e.volume
+            rep.executed[side_of[e.maker_id]] += e.volume
         elif e.kind == "cancel_ok":
-            out[side_of[target_of[e.order_id]]] += e.volume
+            rep.cancelled[side_of[target_of[e.order_id]]] += e.volume
         elif e.kind == "market_unfilled":
-            out[side_of[e.order_id]] += e.volume
-    for lvl in book.bids.values():
-        out[BID] += lvl.total_volume
-    for lvl in book.asks.values():
-        out[ASK] += lvl.total_volume
-    return sub, out
+            rep.market_unfilled[side_of[e.order_id]] += e.volume
+        elif e.kind == "cancel_miss":
+            rep.cancel_misses += 1
+    for side in (BID, ASK):
+        rep.resting[side] = sum(lvl.total_volume
+                                for lvl in book.side_levels(side).values())
+    return rep
 
 
 @settings(max_examples=30, deadline=None)
@@ -219,12 +228,30 @@ def test_fuzz_conservation_no_cross_determinism(seed, n):
     orders = random_stream(seed, n)
     book, events = replay(orders)
     check_invariants(book)  # includes the no-cross check
-    sub, out = conservation(orders, book, events)
-    assert sub == out
+    assert account(orders, book, events).balanced()
     # byte-for-byte determinism of a second replay
     book2, events2 = replay(orders)
     assert events == events2
     assert sorted(book.live) == sorted(book2.live)
+
+
+# a calendar whose one interval is empty: sample submits without snapshots
+NO_GRID = SessionCalendar(intervals=((0, 0),))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(50, 400))
+def test_fuzz_sample_tallies_the_per_event_account(seed, n):
+    """sample's report, tallied submit by submit, equals the per-event
+    account of the same stream, a cancel of an id never seen included."""
+    orders = random_stream(seed, n)
+    last = orders[-1]
+    orders.append(Order(last.id + 1, BID, CANCEL, last.timestamp,
+                        target_id=last.id + 2))
+    rows, rep = sample(BookState(), orders, NO_GRID)
+    assert rows.shape == (0, 40)
+    assert rep == account(orders, *replay(orders))
+    assert rep.cancel_misses >= 1
 
 
 @settings(max_examples=15, deadline=None)

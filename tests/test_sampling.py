@@ -1,6 +1,8 @@
 """Sampling-grid tests: calendar arithmetic, latest-at-or-before semantics
 (which forward-fills quiet periods), the day series as an (N, 4l) array,
-thin-book padding."""
+thin-book padding, and the volume tally kept as the replay submits."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from lobkit.sampling import (
     sample,
     snapshot_padded,
 )
+from lobkit.synth import PROFILES, generate_day, replay_check
 from tests.test_book import make_snapshot
+from tests.test_engine import account, replay
 
 
 def tiny_calendar(start=0, seconds=30, period=3):
@@ -148,3 +152,26 @@ def test_snapshot_padded_one_sided_book_raises():
     submit(book, Order(1, BID, LIMIT, 0, price=1000, volume=9))
     with pytest.raises(SamplingError):
         snapshot_padded(book, l=3)
+
+
+# ------------------------------------------------------------- replay tally
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_full_day_tally_equals_the_per_event_account(profile):
+    stream = generate_day(PROFILES[profile], 0)
+    _, rep = sample(BookState(tick_size=stream.tick_size), stream.orders)
+    assert rep == account(stream.orders, *replay(stream.orders))
+    assert rep.balanced()
+
+
+def test_replay_check_holds_no_event_list_of_a_deep_day():
+    """The replay keeps its book and its rows, not the day's 92k engine
+    events nor maps over its 62.6k order ids."""
+    stream = generate_day(PROFILES["sz000858"], 0)
+    tracemalloc.start()
+    try:
+        replay_check(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

@@ -111,6 +111,11 @@ def test_bench_pairs_each_end_to_end_metric_with_its_bound():
     section = bench.paired("../parent", runs)
     assert (section["against"], section["pairs"], section["correct"]) == (
         "../parent", 3, True)
+    # a sibling checkout shares this tree's parent directory; one inside
+    # this tree does not
+    assert bench.paired(str(bench.ROOT.parent / "parent"), runs)[
+        "same_parent"]
+    assert not bench.paired(str(bench.ROOT / "parent"), runs)["same_parent"]
     assert list(section["workloads"]) == ["deep-day"]
     deep = section["workloads"]["deep-day"]
     assert list(deep) == ["walk_cal", "peak_rss_mb"]  # BENCHMARK.json order

@@ -9,7 +9,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from lobkit import synth
+from lobkit import sampling, synth
 from lobkit.book import CANCEL, LIMIT, MARKET, mid_prices
 from lobkit.sampling import NS_PER_SEC, SamplingError, SessionCalendar
 from lobkit.synth import (
@@ -144,17 +144,26 @@ def test_replay_check_names_the_first_corrupted_grid_index(monkeypatch):
     )
 
 
-def test_replay_check_raises_when_volume_is_not_conserved():
-    """A later limit order that takes a market order's id on the other side
-    books the market order's fills to the wrong side."""
+@pytest.mark.parametrize("kind", ["trade", "cancel_ok"])
+def test_replay_check_raises_when_volume_is_not_conserved(monkeypatch, kind):
+    """One trade or one cancel that reports a unit more than it took off
+    the book breaks the tally's balance."""
+    real_submit = sampling.submit
+    misreported = []
+
+    def misreporting(book, order):
+        book, events = real_submit(book, order)
+        for ev in events:
+            if ev.kind == kind and not misreported:
+                ev.volume += 1
+                misreported.append(ev)
+        return book, events
+
+    monkeypatch.setattr(sampling, "submit", misreporting)
     stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
-    orders = stream.orders
-    i = next(i for i, o in enumerate(orders) if o.kind == MARKET)
-    j = next(j for j in range(i + 1, len(orders))
-             if orders[j].kind == LIMIT and orders[j].side != orders[i].side)
-    orders[j] = dataclasses.replace(orders[j], id=orders[i].id)
     with pytest.raises(SamplingError, match="volume conservation failed"):
         replay_check(stream, SMALL_CAL)
+    assert len(misreported) == 1
 
 
 def test_no_cancels_when_mix_disables_them():
