@@ -18,7 +18,9 @@ quartiles, the ratio of the change's median to the parent's, how many pairs
 the change won, whether that ratio is inside the metric's bound in
 ``BENCHMARK.json``, and whether the parent's own spread is too wide to tell.
 It also records whether DIR and this tree lie in the same directory
-("same_parent"), since where a checkout lies moves some readings.
+("same_parent"), since where a checkout lies moves some readings, and the
+lines of ``src/lobkit/*.py`` in both trees and their difference
+("src_lines"), so a change's net source lines are measured.
 
 Usage:
     python3 scripts/bench.py --tag NAME [--against DIR]
@@ -91,6 +93,13 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def src_lines(root) -> int:
+    """The newline count of ``src/lobkit/*.py`` under root, as ``wc -l``
+    counts it; 0 for a tree without those files."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(root).glob("src/lobkit/*.py"))
+
+
 def paired(against: str, runs: list) -> dict:
     """The "paired" section from (first side, parent stdout, change stdout)
     triples of untraced runs, one per pair.
@@ -134,10 +143,13 @@ def paired(against: str, runs: list) -> dict:
                                / parent["median"] > bound
                                and worst_change >= best_parent),
             }
+    lines = {side: src_lines(tree)
+             for side, tree in zip(SIDES, (against, ROOT))}
     return {
         "against": against,
         # the checkout's location moves recon-walk's peak_rss_mb readings
         "same_parent": Path(against).resolve().parent == ROOT.parent,
+        "src_lines": {**lines, "net": lines["change"] - lines["parent"]},
         "pairs": len(runs),
         "correct": all(p["correct"] and c["correct"]
                        for _, p, c in results),

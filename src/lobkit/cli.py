@@ -28,6 +28,7 @@ from .metrics import (
     transfer_report,
 )
 from .models import (
+    HEAD_KINDS,
     IMPUTATION,
     PREDICTION,
     RECONSTRUCTION,
@@ -58,8 +59,6 @@ from .preprocess import (
 )
 from .sampling import SamplingError, SessionCalendar
 from .synth import PROFILES, generate_day, replay_check
-
-HEAD_KINDS = (RECONSTRUCTION, PREDICTION, IMPUTATION)  # meta.head_kind order
 
 
 def _out_path(p: str) -> Path:
@@ -111,13 +110,19 @@ def _split_blocks(blocks, cut):
             [(max(a, cut) - cut, b - cut) for a, b in blocks if b > cut])
 
 
+def _first_non_finite(a: np.ndarray) -> int | None:
+    """The flat index of a's first NaN or infinity, or None."""
+    finite = np.isfinite(a)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _read_rows(path: Path, meta_path: Path, section: str, blocks_key: str,
                keys=()):
     """The rows in path, the [section] of meta_path, its levels l and the
     session blocks under blocks_key. Exits 2 naming meta_path when a key,
     one of keys too, is missing, when levels or the blocks are not whole
     numbers, when the rows are not (N, 4l), or unless the blocks a:b are
-    ordered, disjoint and 0 <= a < b <= N."""
+    ordered, disjoint and 0 <= a < b <= N; and at a non-finite row value."""
     rows, name = lio.load_tensor(path), meta_path.name
     meta = lio.read_kv(meta_path).get(section, {})
     for key in ("levels", blocks_key, *keys):
@@ -132,6 +137,13 @@ def _read_rows(path: Path, meta_path: Path, section: str, blocks_key: str,
         raise PreprocessError(
             f"{name}: levels = {levels} needs {4 * levels} columns, "
             f"but {path.name} has shape {rows.shape}")
+    i = _first_non_finite(rows)
+    if i is not None:
+        row, col = divmod(i, rows.shape[1])
+        raise lio.FormatError(
+            f"{path.name}: row {row}, column {col} holds "
+            f"{float(rows[row, col])!r}, not a finite value",
+            offset=lio.element_offset(2, i))
     value = meta[blocks_key]
     try:
         blocks = [(int(a), int(b))
@@ -258,16 +270,11 @@ def _loss_config(args) -> LossConfig:
 
 
 def _model_arrays(model, head, T, levels):
-    arrays = dict(model.params)
-    arrays["meta.relu"] = np.array(float(model.relu))
-    arrays["meta.input_dim"] = np.array(float(model.input_dim))
-    arrays["meta.latent"] = np.array(float(model.latent))
-    arrays["meta.T"] = np.array(float(T))
-    arrays["meta.levels"] = np.array(float(levels))
-    if head is not None:
-        arrays.update(head.params)
-        arrays["meta.head_kind"] = np.array(float(HEAD_KINDS.index(head.kind)))
-    return arrays
+    meta = {"relu": model.relu, "input_dim": model.input_dim,
+            "latent": model.latent, "T": T, "levels": levels,
+            "head_kind": HEAD_KINDS.index(head.kind)}
+    return {**model.params, **head.params,
+            **{f"meta.{k}": np.array(float(v)) for k, v in meta.items()}}
 
 
 def _write_record(args, items) -> Path:
@@ -312,39 +319,42 @@ def _meta_int(arrays, name: str, key: str, lo: int, hi: float = np.inf):
 
 
 def _load_model(path: Path):
-    """The checkpoint's model, head (or None), T and levels, its metadata
-    and array shapes checked against each other first. meta.head_kind
-    names the kind; an array that kind does not read is rejected."""
+    """The checkpoint's model, head, T and levels, its metadata and shapes
+    checked against each other and its values checked finite first; an
+    array that meta.head_kind's task does not read is rejected."""
     arrays, name = lio.load_checkpoint(path), path.name
     d, k, T, levels = (_meta_int(arrays, name, key, 1) for key in
                        ("input_dim", "latent", "T", "levels"))
     relu = _meta_int(arrays, name, "relu", 0, 1)
+    kind = HEAD_KINDS[_meta_int(arrays, name, "head_kind", 0, 2)]
     if d != T * 4 * levels:
         raise lio.FormatError(
             f"{name}: meta.input_dim = {d}, but meta.T * 4 * meta.levels = "
             f"{T * 4 * levels}", field="meta.input_dim")
-    shapes = {"enc.W": (d, k), "enc.b": (k,), "dec.W": (k, d), "dec.b": (d,)}
-    kind = None
-    if "meta.head_kind" in arrays:
-        kind = HEAD_KINDS[_meta_int(arrays, name, "head_kind", 1, 2)]
-        out_dim = 3 if kind == PREDICTION else d
-        shapes.update({"head.W": (k, out_dim), "head.b": (out_dim,)})
+    out_dim = 3 if kind == PREDICTION else d
+    shapes = {"enc.W": (d, k), "enc.b": (k,), "head.W": (k, out_dim),
+              "head.b": (out_dim,)}
     stray = [key for key in arrays if key not in shapes and key not in (
         "meta.input_dim", "meta.latent", "meta.T", "meta.levels",
         "meta.relu", "meta.head_kind")]
     if stray:
         raise lio.FormatError(
-            f"{name}: {stray[0]} is not read by the "
-            f"{kind or RECONSTRUCTION} task", field=stray[0])
+            f"{name}: {stray[0]} is not read by the {kind} task",
+            field=stray[0])
     for key, shape in shapes.items():
         got = arrays[key].shape if key in arrays else "missing"
         if got != shape:
             raise lio.FormatError(
                 f"{name}: {key} is {got}, but meta.input_dim = {d} and "
                 f"meta.latent = {k} need shape {shape}", field=key)
+        i = _first_non_finite(arrays[key])
+        if i is not None:
+            at = ", ".join(str(j) for j in np.unravel_index(i, shape))
+            raise lio.FormatError(
+                f"{name}: {key}[{at}] holds {float(arrays[key].flat[i])!r}, "
+                "not a finite value", field=key)
     model = LinearAutoencoder.from_params(arrays, bool(relu))
-    head = None if kind is None else TaskHead.from_params(kind, arrays)
-    return model, head, T, levels
+    return model, TaskHead.from_params(kind, arrays), T, levels
 
 
 def _check_levels(ckpt: Path, levels: int, data_dir: Path, data_levels):
@@ -363,14 +373,13 @@ def cmd_train(args) -> int:
     data = _prepare_task_data(windows, task, args.seed, args.mask_ratio)
     input_dim = args.window * 4 * levels
 
+    # one Generator: the reconstruction head (decoder) draws after enc.W
+    rng = np.random.default_rng(args.seed)
     model = LinearAutoencoder(input_dim=input_dim, latent=args.latent,
-                              relu=args.relu, seed=args.seed)
-    head = None
-    if task == PREDICTION:
-        head = TaskHead(PREDICTION, latent=args.latent, seed=args.seed + 1)
-    elif task == IMPUTATION:
-        head = TaskHead(IMPUTATION, latent=args.latent, out_dim=input_dim,
-                        seed=args.seed + 1)
+                              relu=args.relu, seed=rng)
+    head = TaskHead(task, latent=args.latent,
+                    out_dim=3 if task == PREDICTION else input_dim,
+                    seed=rng if task == RECONSTRUCTION else args.seed + 1)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         seed=args.seed, loss=_loss_config(args),
@@ -393,17 +402,17 @@ def cmd_evaluate(args) -> int:
     data_dir = _out_path(args.data)
     ckpt = _out_path(args.checkpoint)
     model, head, T, levels = _load_model(ckpt)
-    kind = RECONSTRUCTION if head is None else head.kind
     windows, data_levels = _load_split(data_dir, args.split, T, args.step,
-                                       labeled=kind == PREDICTION)
+                                       labeled=head.kind == PREDICTION)
     _check_levels(ckpt, levels, data_dir, data_levels)
     cfg = _loss_config(args)  # rejected for every task, read by report
 
-    if kind == PREDICTION:
+    if head.kind == PREDICTION:
         items = prediction_report(head.forward(encode_windows(model, windows)),
                                   windows.labels)
     else:
-        data = _prepare_task_data(windows, kind, args.seed, args.mask_ratio)
+        data = _prepare_task_data(windows, head.kind, args.seed,
+                                  args.mask_ratio)
         items = report(predict(model, head, data), cfg)
     _write_record(args, items)
     return 0
@@ -412,7 +421,7 @@ def cmd_evaluate(args) -> int:
 def cmd_transfer(args) -> int:
     ckpt = _out_path(args.checkpoint)
     model, head, T, levels = _load_model(ckpt)
-    if head is None or head.kind != PREDICTION:
+    if head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
     data_dir = _out_path(args.data)
     windows, data_levels = _load_split(data_dir, "train", T, args.step,

@@ -1,9 +1,10 @@
-"""Reference encoder/decoder models and from-scratch training loops.
+"""Reference encoder, task heads and from-scratch training loops.
 
-The model is deliberately a linear (optionally single-ReLU) autoencoder with
-a 256-dimensional latent, so every gradient is hand-derivable and checkable
-against finite differences. Adam and the backward pass are implemented here
-directly; training is bit-deterministic per seed.
+Every task trains a linear (optionally single-ReLU) encoder to a 256-wide
+latent and one affine task head, the decoder for reconstruction, so every
+gradient is hand-derivable and checkable against finite differences. Adam
+and the backward pass are implemented here directly; training is
+bit-deterministic per seed.
 
 A training step runs on two lanes: the caller and a helper, a one-worker
 ``ThreadPoolExecutor`` started on first use and again in a forked child. The
@@ -14,12 +15,12 @@ helper. Each element is computed by the same operations in the same order
 on either lane, so the outputs do not depend on the CPU count.
 
 A training step whose model has no ReLU and whose head is narrower than the
-latent (a prediction head) contracts its linear chain: the forward computes
-X @ (E @ W) rather than (X @ E) @ W, and the backward forms every gradient
-from one Z = X.T @ GY, on the caller. Its values equal the encode-then-head
-products to rounding, not bit for bit. Reconstruction, imputation, a ReLU
-latent and the frozen fit keep the encode-then-head path, and scoring
-(evaluate, transfer) still reads block encodings.
+latent (a prediction head, or any head of an overcomplete latent) contracts
+its linear chain: the forward computes X @ (E @ W) rather than (X @ E) @ W,
+and the backward forms every gradient from one Z = X.T @ GY, on the caller.
+Its values equal the encode-then-head products to rounding, not bit for
+bit. Wider heads, a ReLU latent and the frozen fit keep the encode-then-head
+path, and scoring (evaluate, transfer) still reads block encodings.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .preprocess import Windows, masked_input
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
 IMPUTATION = "imputation"
+HEAD_KINDS = (RECONSTRUCTION, PREDICTION, IMPUTATION)  # meta.head_kind order
 LR_SCHEDULES = ("constant", "cosine")
 
 
@@ -68,10 +70,10 @@ def _init(shape, fan_in: int, rng) -> np.ndarray:
 
 
 class LinearAutoencoder:
-    """Affine encoder 4000->256 and decoder 256->4000, optional ReLU latent."""
+    """Affine encoder 4000->256, optional ReLU latent; a TaskHead decodes."""
 
     def __init__(self, input_dim: int = 4000, latent: int = 256,
-                 relu: bool = False, seed: int = 0):
+                 relu: bool = False, seed: int | np.random.Generator = 0):
         for name, v in (("input_dim", input_dim), ("latent", latent)):
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
@@ -82,8 +84,6 @@ class LinearAutoencoder:
         self.params = {
             "enc.W": _init((input_dim, latent), input_dim, rng),
             "enc.b": np.zeros(latent),
-            "dec.W": _init((latent, input_dim), latent, rng),
-            "dec.b": np.zeros(input_dim),
         }
 
     @classmethod
@@ -92,8 +92,7 @@ class LinearAutoencoder:
         model = cls.__new__(cls)
         model.input_dim, model.latent = params["enc.W"].shape
         model.relu = relu
-        model.params = {k: params[k] for k in ("enc.W", "enc.b", "dec.W",
-                                               "dec.b")}
+        model.params = {k: params[k] for k in ("enc.W", "enc.b")}
         return model
 
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -103,23 +102,17 @@ class LinearAutoencoder:
         h = x @ self.params["enc.W"] + self.params["enc.b"]
         return np.maximum(h, 0.0) if self.relu else h
 
-    def decode(self, r: np.ndarray) -> np.ndarray:
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        if r.shape[1] != self.latent:
-            raise ValueError(f"expected {self.latent} latents, got {r.shape[1]}")
-        return r @ self.params["dec.W"] + self.params["dec.b"]
-
 
 class TaskHead:
-    """Single affine map from the latent to the task output.
+    """Single affine map (head.W, head.b) from the latent to the task output.
 
     Prediction: 256 -> 3 logits (classes -1, 0, +1 in index order).
-    Imputation: 256 -> input_dim. Reconstruction has no head: it decodes.
+    Reconstruction (the decoder) and imputation: 256 -> input_dim.
     """
 
     def __init__(self, kind: str, latent: int = 256, out_dim: int | None = None,
-                 seed: int = 0):
-        if kind not in (PREDICTION, IMPUTATION):
+                 seed: int | np.random.Generator = 0):
+        if kind not in HEAD_KINDS:
             raise ValueError(f"bad head kind {kind!r}")
         if out_dim is None:
             out_dim = 3 if kind == PREDICTION else 4000
@@ -298,23 +291,23 @@ def _batch_forward(model, head, X):
     no ReLU and a head narrower than the latent, the chain X·E·W is cheaper
     as X·(E·W): it computes X @ (E @ W) + (b @ W + hb) and caches
     (X, None)."""
-    if head is not None and not model.relu and head.out_dim < model.latent:
+    if not model.relu and head.out_dim < model.latent:
         W = head.params["head.W"]
         Y = X @ (model.params["enc.W"] @ W) + (
             model.params["enc.b"] @ W + head.params["head.b"])
         return Y, (X, None)
     R = model.encode(X)
-    Y = model.decode(R) if head is None else head.forward(R)
-    return Y, (X, R)
+    return head.forward(R), (X, R)
 
 
 def _batch_backward(model, head, cache, GY, frozen: bool):
-    """Gradients of the output layer, and of the encoder unless frozen.
-    After an encode-then-head forward, a frozen backward reads no X, and
-    an unfrozen one runs the output layer's products on the helper thread
-    while the caller forms the encoder's. After a chained forward (R is
-    None) every gradient follows from one Z = X.T @ GY, on the caller: head.W = E.T @ Z + outer(b, ΣGY),
-    head.b = ΣGY, enc.W = Z @ W.T and enc.b = ΣGY @ W.T."""
+    """Gradients of the head, and of the encoder unless frozen. After an
+    encode-then-head forward, a frozen backward reads no X, and an unfrozen
+    one runs the head's products on the helper thread while the caller
+    forms the encoder's. After a chained forward (R is None) every gradient
+    follows from one Z = X.T @ GY, on the caller:
+    head.W = E.T @ Z + outer(b, ΣGY), head.b = ΣGY, enc.W = Z @ W.T and
+    enc.b = ΣGY @ W.T."""
     X, R = cache
     if R is None:
         E, b = model.params["enc.W"], model.params["enc.b"]
@@ -326,7 +319,6 @@ def _batch_backward(model, head, cache, GY, frozen: bool):
             grads["enc.W"] = ZT.T @ W.T
             grads["enc.b"] = gb @ W.T
         return grads
-    owner, name = (model, "dec") if head is None else (head, "head")
     # allocated by the caller, so the helper's malloc arena holds no copy
     gW = np.empty((R.shape[1], GY.shape[1]))
 
@@ -334,15 +326,15 @@ def _batch_backward(model, head, cache, GY, frozen: bool):
         return np.matmul(R.T, GY, out=gW), GY.sum(axis=0)
 
     def encoder():
-        GR = GY @ owner.params[f"{name}.W"].T
+        GR = GY @ head.params["head.W"].T
         GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
         return X.T @ GH, GH.sum(axis=0)
 
     if frozen:
         gW, gb = output_layer()
-        return {f"{name}.W": gW, f"{name}.b": gb}
+        return {"head.W": gW, "head.b": gb}
     (gW, gb), (eW, eb) = _two_lanes(output_layer, encoder)
-    return {f"{name}.W": gW, f"{name}.b": gb, "enc.W": eW, "enc.b": eb}
+    return {"head.W": gW, "head.b": gb, "enc.W": eW, "enc.b": eb}
 
 
 def _model_input(X, masks):
@@ -381,16 +373,16 @@ def _clip(grads: dict, max_norm: float):
             g *= scale
 
 
-def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
+def train(model: LinearAutoencoder, head: TaskHead, data: Windows,
           cfg: TrainConfig, max_batches: int | None = None,
           latents: np.ndarray | None = None):
     """Mini-batch Adam over the given windows; returns per-epoch loss trace.
 
-    The task is the head's kind, reconstruction without a head. `data`
-    carries labels for prediction, masks for imputation, neither for
-    reconstruction. Each batch is gathered from its view as it is used, so
-    the split is never copied whole. Shuffling and batching are
-    deterministic per cfg.seed. Model and head are updated in place.
+    The task is the head's kind. `data` carries labels for prediction,
+    masks for imputation, neither for reconstruction. Each batch is gathered
+    from its view as it is used, so the split is never copied whole.
+    Shuffling and batching are deterministic per cfg.seed. Model and head
+    are updated in place.
 
     Given `latents`, the encoder's fixed (len(data), latent) output for
     `data`, only the head is fitted: every batch, one window or more,
@@ -398,13 +390,11 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
     """
     if not data:
         raise ValueError("no training data")
-    task = RECONSTRUCTION if head is None else head.kind
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     trace = []
     batch_id = 0
-    targets = [model.params] if head is None else [model.params, head.params]
-    all_params = {k: v for d in targets for k, v in d.items()}
+    all_params = {**model.params, **head.params}
     for epoch in range(cfg.epochs):
         if epoch < cfg.warmup_epochs:
             adam.lr = cfg.lr * (epoch + 1) / cfg.warmup_epochs
@@ -422,7 +412,7 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
             idx = order[start : start + cfg.batch_size]
             batch = data.take(idx)
             # a prediction loss reads no window, so none is gathered
-            X = (None if latents is not None and task == PREDICTION
+            X = (None if latents is not None and head.kind == PREDICTION
                  else batch.data())
             # divergence is detected from the loss, so let overflow propagate
             # to inf/nan silently instead of spamming warnings first
@@ -433,7 +423,7 @@ def train(model: LinearAutoencoder, head: TaskHead | None, data: Windows,
                 else:
                     Y, cache = _batch_forward(model, head,
                                               _model_input(X, batch.masks))
-                loss, GY = _task_loss_grad(task, Y, X, batch, cfg)
+                loss, GY = _task_loss_grad(head.kind, Y, X, batch, cfg)
             if not np.isfinite(loss):
                 with np.errstate(over="ignore", invalid="ignore"):
                     norm = float(np.sqrt(sum(
@@ -492,13 +482,11 @@ def finetune_frozen(model: LinearAutoencoder, head: TaskHead, data: Windows,
                  latents=encode_windows(model, data))
 
 
-def predict(model: LinearAutoencoder, head: TaskHead | None,
-            windows: Windows):
+def predict(model: LinearAutoencoder, head: TaskHead, windows: Windows):
     """Yield each scoring block's (X, Xh, masks): the (B, T, C) windows and
-    their decoding, or the imputation head's output, from its encodings."""
+    the reconstruction or imputation head's output from its encodings."""
     for _, X, masks, R in _encoded_blocks(model, windows):
-        Y = model.decode(R) if head is None else head.forward(R)
-        yield X, Y.reshape(X.shape), masks
+        yield X, head.forward(R).reshape(X.shape), masks
 
 
 def predict_labels(head: TaskHead, latents: np.ndarray) -> np.ndarray:

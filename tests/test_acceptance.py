@@ -58,6 +58,7 @@ from tests.test_metrics import (
     oracle_wmse,
     window_report,
 )
+from tests.test_models import autoencoder
 from tests.test_preprocess import valid_rows
 
 
@@ -215,19 +216,19 @@ def test_criterion_05_gradients_match_finite_differences():
     # full-model backward pass on a small instance, every parameter entry
     from lobkit.models import _batch_backward, _batch_forward
 
-    model = LinearAutoencoder(input_dim=8, latent=3, seed=5)
+    model, head = autoencoder(input_dim=8, latent=3, seed=5)
     w_data = rng.normal(size=(2, 4))
     tiny = LossConfig()
 
     def loss_fn():
-        Y, _ = _batch_forward(model, None, w_data.ravel()[None, :])
+        Y, _ = _batch_forward(model, head, w_data.ravel()[None, :])
         return l_all(w_data, Y[0].reshape(2, 4), tiny)
 
-    Y, cache = _batch_forward(model, None, w_data.ravel()[None, :])
+    Y, cache = _batch_forward(model, head, w_data.ravel()[None, :])
     GY = l_all_gradient(w_data, Y[0].reshape(2, 4), tiny).ravel()[None, :]
-    grads = _batch_backward(model, None, cache, GY, False)
+    grads = _batch_backward(model, head, cache, GY, False)
     h = 1e-5
-    for name, arr in model.params.items():
+    for name, arr in {**model.params, **head.params}.items():
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
@@ -286,23 +287,23 @@ def test_criterion_07_end_to_end_learnability():
     val_w = ws.data(slice(3, None, 4))  # every 4th window held out for validation
     tr_w = ws.take(np.arange(len(ws)) % 4 != 3)
 
-    model = LinearAutoencoder(seed=0)
-    train(model, None, tr_w,
+    model, decoder = autoencoder(seed=0)
+    train(model, decoder, tr_w,
           TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=0))
     mu = np.vstack(tr_w.data()).mean(axis=0)
     val = np.mean([
-        mse(w, model.decode(model.encode(w.ravel())).reshape(100, 40))
+        mse(w, decoder.forward(model.encode(w.ravel())).reshape(100, 40))
         for w in val_w
     ])
     base = np.mean([mse(w, np.tile(mu, (100, 1))) for w in val_w])
     assert val <= 0.5 * base, f"val {val:.4f} vs baseline {base:.4f}"
 
-    overfit = LinearAutoencoder(seed=0)
-    train(overfit, None, tr_w.take([0]),
+    overfit, decoder = autoencoder(seed=0)
+    train(overfit, decoder, tr_w.take([0]),
           TrainConfig(epochs=100, batch_size=1, lr=2e-3, seed=0,
                       lr_schedule="cosine", warmup_epochs=5, beta1=0.5))
     w0 = tr_w.data(0)
-    xh = overfit.decode(overfit.encode(w0.ravel())).reshape(100, 40)
+    xh = decoder.forward(overfit.encode(w0.ravel())).reshape(100, 40)
     final = l_all(w0, xh, LossConfig())
     assert final < 1e-3, f"single-sample L_All {final:.3e}"
 

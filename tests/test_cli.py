@@ -31,6 +31,7 @@ from lobkit.metrics import (
     masked_mse,
 )
 from lobkit.models import (
+    HEAD_KINDS,
     REPORT_BLOCK,
     LinearAutoencoder,
     TaskHead,
@@ -133,8 +134,8 @@ def test_transfer_writes_head_delta_and_recalls(pipeline, tmp_path):
 
 def test_transfer_holds_no_copy_of_the_encoder(pipeline, tmp_path):
     """transfer checks the frozen encoder against digests, so at the
-    default width (enc.W is half the checkpoint) its peak stays near the
-    checkpoint's size; one copy of the encoder would lift it by half."""
+    default width (enc.W is nearly all of the checkpoint) its peak stays
+    near the checkpoint's size; one copy of the encoder would double it."""
     import tracemalloc
 
     data = str(pipeline / "data")
@@ -155,11 +156,11 @@ def test_transfer_holds_no_copy_of_the_encoder(pipeline, tmp_path):
 
 def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
     """evaluate's report.txt for the test split at --step 1, computed the
-    reference way: one encode and one decode (or head) pass over the whole
-    split, then a loop over its windows."""
+    reference way: one encode and one head pass over the whole split, then
+    a loop over its windows."""
     model, head, T, _ = _load_model(ckpt)
     windows = _load_split(data, "test", T, 1)[0]
-    if head is not None and head.kind == "prediction":
+    if head.kind == "prediction":
         usable = _labeled(windows)
         X = usable.data()
         logits = head.forward(model.encode(X.reshape(len(X), -1)))
@@ -172,12 +173,11 @@ def _whole_split_report(data, ckpt, seed=0, mask_ratio=0.2):
                   for c in (-1, 0, 1) for k in ("precision", "recall")]
     else:
         X = windows.data()
-        masks = (None if head is None
+        masks = (None if head.kind == "reconstruction"
                  else mask_for_imputation(len(X), T, mask_ratio, seed))
         X_in = X if masks is None else masked_input(X, masks)
         R = model.encode(X_in.reshape(len(X), -1))
-        Xh = (model.decode(R) if head is None
-              else head.forward(R)).reshape(X.shape)
+        Xh = head.forward(R).reshape(X.shape)
         cfg = LossConfig()
         sums = dict.fromkeys(("mse", "mae", "wmse", "l_price", "l_volume",
                               "l_reg", "l_all"), 0.0)
@@ -705,13 +705,13 @@ def test_preprocess_levels_that_disagree_with_the_series_exit_2(
 @pytest.mark.parametrize("scheme", ["global", "feature"])
 @pytest.mark.parametrize("col,value,group", [
     (10, 1e300, "the volume columns"),  # best bid volume: its square overflows
-    (0, math.nan, "the price columns"),  # best bid price
+    (0, 1e300, "the price columns"),  # best bid price
 ])
 def test_series_that_fits_a_non_finite_sigma_exits_2_naming_it(
         pipeline, tmp_path, capsys, scheme, col, value, group):
-    """A value whose square leaves the float range, or a NaN, makes a mean
-    or sigma non-finite: preprocess exits 2 naming the group (global) or
-    the column (feature), with no NumPy warning, and writes nothing."""
+    """A finite value whose square leaves the float range makes a sigma
+    non-finite: preprocess exits 2 naming the group (global) or the column
+    (feature), with no NumPy warning, and writes nothing."""
     shutil.copy(pipeline / "series.meta.txt", tmp_path / "series.meta.txt")
     rows = lio.load_tensor(pipeline / "series.bin")
     rows[7, col] = value
@@ -1003,15 +1003,15 @@ def test_checkpoint_with_bad_metadata_exits_2_naming_the_field(
     ({"head.W": "head.V"}, (), "head.V",
      "head.V is not read by the prediction task"),
     ({}, ("head.W", "head.b"), "head.W", "head.W is missing"),
-    ({}, ("meta.head_kind",), "head.W",
-     "head.W is not read by the reconstruction task"),
+    ({}, ("meta.head_kind",), "meta.head_kind", "missing meta.head_kind"),
 ], ids=["renamed-head", "kind-without-head", "head-without-kind"])
 def test_checkpoint_arrays_its_kind_does_not_read_exit_2(
         pipeline, tiny_prediction_checkpoint, tmp_path, capsys, rename, drop,
         field, message):
     """meta.head_kind decides the kind, and every array must be one that
-    kind reads: a renamed head.W, a head kind without its head, or a head
-    without its kind exit 2 naming the array, never load as another task."""
+    kind reads: a renamed head.W or a head kind without its head exits 2
+    naming the array, and a head without its kind exits 2 naming
+    meta.head_kind; none loads as another task."""
     arrays = lio.load_checkpoint(tiny_prediction_checkpoint)
     arrays = {rename.get(k, k): v for k, v in arrays.items() if k not in drop}
     bad = tmp_path / "checkpoint.bin"
@@ -1023,6 +1023,121 @@ def test_checkpoint_arrays_its_kind_does_not_read_exit_2(
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint.bin: {message}")
     assert f"(field {field})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", HEAD_KINDS)
+def test_checkpoint_holds_the_encoder_and_one_head(pipeline, tmp_path, task):
+    """At the default sizes every task writes enc.*, head.* and meta.*
+    only, with its kind in meta.head_kind: a prediction checkpoint holds
+    no decoder, so it is about half a reconstruction or imputation one."""
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(pipeline / "data"), "--task", task,
+                 "--epochs", "1", "--step", "50", "--out", str(run)]) == 0
+    arrays = lio.load_checkpoint(run / "checkpoint.bin")
+    assert set(arrays) == {
+        "enc.W", "enc.b", "head.W", "head.b", "meta.relu", "meta.input_dim",
+        "meta.latent", "meta.T", "meta.levels", "meta.head_kind"}
+    assert arrays["meta.head_kind"] == HEAD_KINDS.index(task)
+    size = (run / "checkpoint.bin").stat().st_size
+    assert size < (8.3e6 if task == "prediction" else 16.5e6)
+    assert arrays["head.W"].shape == (256, 3 if task == "prediction" else 4000)
+
+
+@pytest.mark.parametrize("task, message, field", [
+    ("prediction", "dec.W is not read by the prediction task", "dec.W"),
+    ("reconstruction", "missing meta.head_kind", "meta.head_kind"),
+])
+def test_old_format_checkpoint_exits_2_naming_the_field(
+        pipeline, tmp_path, capsys, task, message, field):
+    """Checkpoints of the earlier format: a head checkpoint that carries
+    the untrained decoder dec.*, and a reconstruction one whose decoder is
+    dec.* with no meta.head_kind. Neither loads."""
+    data = str(pipeline / "data")
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--task", task, "--epochs", "1",
+                 "--window", "10", "--step", "10", "--latent", "4",
+                 "--out", str(run)]) == 0
+    arrays = lio.load_checkpoint(run / "checkpoint.bin")
+    if task == "prediction":
+        arrays.update({"dec.W": np.zeros((4, 400)), "dec.b": np.zeros(400)})
+    else:
+        del arrays["meta.head_kind"]
+        arrays["dec.W"], arrays["dec.b"] = (arrays.pop("head.W"),
+                                            arrays.pop("head.b"))
+    bad = tmp_path / "checkpoint.bin"
+    lio.save_checkpoint(bad, arrays)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", data, "--checkpoint", str(bad),
+                 "--step", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint.bin: {message}")
+    assert f"(field {field})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, row, col", [
+    ("series.bin", 4700, 3),  # a test row: --scope train fits nothing on it
+    ("train_series.bin", 9, 22),
+    ("test_series.bin", 9, 31),
+])
+def test_non_finite_series_exits_2_at_its_byte(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys, name, row,
+        col, value):
+    """A NaN or inf in a day series or in a split's series exits 2 naming
+    the file, the row and the column at the element's byte, before
+    preprocess writes, train trains or evaluate scores."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    for sidecar in ("series.bin", "series.meta.txt"):
+        shutil.copy(pipeline / sidecar, tmp_path / sidecar)
+    path = tmp_path / name if name == "series.bin" else data / name
+    rows = lio.load_tensor(path)
+    rows[row, col] = value
+    lio.save_tensor(path, rows)
+    out = tmp_path / "out"
+    argv = {
+        "series.bin": ["preprocess", "--series", str(path), "--scope",
+                       "train"],
+        "train_series.bin": ["train", "--data", str(data), "--task",
+                             "reconstruction", "--epochs", "1", "--window",
+                             "10", "--step", "10", "--latent", "4"],
+        "test_series.bin": ["evaluate", "--data", str(data), "--checkpoint",
+                            str(tiny_prediction_checkpoint), "--step", "10"],
+    }[name]
+    assert main(argv + ["--out", str(out)]) == 2
+    offset = lio.element_offset(2, row * rows.shape[1] + col)
+    assert (f"error: {name}: row {row}, column {col} holds {value!r}, not a "
+            f"finite value at byte {offset}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("enc.W", (0, 0), math.nan),
+    ("head.b", (2,), -math.inf),
+])
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+def test_non_finite_checkpoint_exits_2_naming_the_array(
+        pipeline, tiny_prediction_checkpoint, tmp_path, capsys, command, key,
+        index, value):
+    """A NaN or inf in any checkpoint array exits 2 naming the array and
+    the element, before evaluate scores or transfer fits."""
+    arrays = lio.load_checkpoint(tiny_prediction_checkpoint)
+    arrays[key][index] = value
+    bad = tmp_path / "checkpoint.bin"
+    lio.save_checkpoint(bad, arrays)
+    data = str(pipeline / "data")
+    argv = {
+        "evaluate": ["evaluate", "--data", data, "--checkpoint", str(bad)],
+        "transfer": ["transfer", "--checkpoint", str(bad), "--data", data,
+                     "--budget", "5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--step", "10", "--out", str(out)]) == 2
+    at = ", ".join(map(str, index))
+    assert (f"error: checkpoint.bin: {key}[{at}] holds {value!r}, not a "
+            f"finite value (field {key})" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1101,7 +1216,7 @@ def test_truncated_binaries_exit_2_with_byte_offset(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "run")] + FAST_TRAIN) == 0
     ckpt = (tmp_path / "run" / "checkpoint.bin").read_bytes()
     header, payload = _checkpoint_offsets(ckpt)
-    assert header[-1] < len(ckpt) and len(payload) == 12
+    assert header[-1] < len(ckpt) and len(payload) == 10
     bad = tmp_path / "checkpoint.bin"
     for cut in header + payload + [len(ckpt) - 1]:
         bad.write_bytes(ckpt[:cut])

@@ -34,6 +34,7 @@ from lobkit.models import (
     _batch_backward,
     _batch_forward,
     _clip,
+    _init,
     _model_input,
     _task_loss_grad,
     _two_lanes,
@@ -58,6 +59,14 @@ def tiny_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def autoencoder(input_dim=4000, latent=256, relu=False, seed=0):
+    """A model and its reconstruction head, the decoder, drawn as `train`
+    draws them: the head's W right after enc.W, from one generator."""
+    rng = np.random.default_rng(seed)
+    return (LinearAutoencoder(input_dim, latent, relu, seed=rng),
+            TaskHead(RECONSTRUCTION, latent, out_dim=input_dim, seed=rng))
+
+
 def tiny_windows(n, seed=0, labeled=False, masked=False):
     """n independent tiny windows; the view holds them one per row."""
     rng = np.random.default_rng(seed)
@@ -70,37 +79,50 @@ def tiny_windows(n, seed=0, labeled=False, masked=False):
 # ----------------------------------------------------------------- forward
 
 def test_autoencoder_shapes_default():
-    model = LinearAutoencoder()
+    model, head = autoencoder()
     x = np.zeros(4000)
     r = model.encode(x)
     assert r.shape == (1, 256)
-    assert model.decode(r).shape == (1, 4000)
+    assert head.forward(r).shape == (1, 4000)
     batch = model.encode(np.zeros((5, 4000)))
     assert batch.shape == (5, 256)
 
 
 def test_encode_rejects_wrong_width():
-    model = LinearAutoencoder(input_dim=8, latent=2)
+    model, head = autoencoder(input_dim=8, latent=2)
     with pytest.raises(ValueError):
         model.encode(np.zeros(7))
     with pytest.raises(ValueError):
-        model.decode(np.zeros(3))
+        head.forward(np.zeros(3))
 
 
 def test_zero_weights_give_zero_output():
-    model = LinearAutoencoder(input_dim=8, latent=2)
-    for p in model.params.values():
+    model, head = autoencoder(input_dim=8, latent=2)
+    for p in (*model.params.values(), *head.params.values()):
         p[:] = 0.0
-    assert np.all(model.decode(model.encode(np.ones(8))) == 0.0)
+    assert np.all(head.forward(model.encode(np.ones(8))) == 0.0)
 
 
 def test_head_kinds_and_output_dims():
+    assert TaskHead(RECONSTRUCTION).out_dim == 4000
     assert TaskHead(PREDICTION).out_dim == 3
     assert TaskHead(IMPUTATION).out_dim == 4000
     assert TaskHead(IMPUTATION, out_dim=8).out_dim == 8
-    for kind in ("segmentation", RECONSTRUCTION):
-        with pytest.raises(ValueError):
-            TaskHead(kind)
+    with pytest.raises(ValueError):
+        TaskHead("segmentation")
+
+
+def test_model_holds_only_the_encoder_and_the_decoder_draws_after_it():
+    """The encoder's arrays are enc.W and enc.b. A reconstruction head
+    built from the encoder's generator draws its W right after enc.W, as
+    the encoder's own decoder once did, so every value stays the same."""
+    model, head = autoencoder(input_dim=8, latent=2, seed=4)
+    assert list(model.params) == ["enc.W", "enc.b"]
+    assert list(head.params) == ["head.W", "head.b"]
+    rng = np.random.default_rng(4)
+    assert np.array_equal(model.params["enc.W"], _init((8, 2), 8, rng))
+    assert np.array_equal(head.params["head.W"], _init((2, 8), 2, rng))
+    assert not head.params["head.b"].any() and not model.params["enc.b"].any()
 
 
 def test_relu_latent_clips_negatives():
@@ -159,28 +181,28 @@ def test_chained_backward_matches_finite_differences():
     assert_gradients_match_finite_differences(PREDICTION, latent=5)
 
 
+def test_chained_overcomplete_decoder_matches_finite_differences():
+    """So does an 8-wide decoder under an overcomplete 9-wide latent."""
+    assert_gradients_match_finite_differences(RECONSTRUCTION, latent=9)
+
+
 def assert_gradients_match_finite_differences(task, latent):
     cfg = tiny_cfg()
     model = LinearAutoencoder(input_dim=8, latent=latent, seed=1)
-    if task == PREDICTION:
-        head = TaskHead(PREDICTION, latent=latent, seed=2)
-    elif task == IMPUTATION:
-        head = TaskHead(IMPUTATION, latent=latent, out_dim=8, seed=2)
-    else:
-        head = None
+    head = TaskHead(task, latent=latent,
+                    out_dim=3 if task == PREDICTION else 8, seed=2)
     windows = tiny_windows(3, seed=3, labeled=task == PREDICTION,
                            masked=task == IMPUTATION)
 
     # analytic gradients via the training internals
     Y, cache = _batch_forward(model, head, model_inputs(task, windows))
-    assert (cache[1] is None) == (head is not None and head.out_dim < latent)
+    assert (cache[1] is None) == (head.out_dim < latent)
     _, GY = _task_loss_grad(task, Y, windows.data(), windows, cfg)
     grads = _batch_backward(model, head, cache, GY, False)
 
     # numeric check of every parameter entry
     h = 1e-5
-    targets = [model.params] if head is None else [model.params, head.params]
-    for pdict in targets:
+    for pdict in (model.params, head.params):
         for name, arr in pdict.items():
             if name not in grads:
                 continue
@@ -255,11 +277,10 @@ def serial_backward(model, head, cache, GY, frozen):
             grads["enc.W"] = ZT.T @ W.T
             grads["enc.b"] = GY.sum(axis=0) @ W.T
         return grads
-    owner, name = (model, "dec") if head is None else (head, "head")
-    grads = {f"{name}.W": R.T @ GY, f"{name}.b": GY.sum(axis=0)}
+    grads = {"head.W": R.T @ GY, "head.b": GY.sum(axis=0)}
     if frozen:
         return grads
-    GR = GY @ owner.params[f"{name}.W"].T
+    GR = GY @ head.params["head.W"].T
     GH = GR * (R > 0) if model.relu else GR
     grads["enc.W"] = X.T @ GH
     grads["enc.b"] = GH.sum(axis=0)
@@ -274,7 +295,7 @@ def test_two_lane_backward_equals_serial_products(task, relu, frozen,
     """Every gradient, in the same key order, byte for byte, at the
     default model size."""
     model = LinearAutoencoder(relu=relu, seed=1)
-    head = None if task == RECONSTRUCTION else TaskHead(task, seed=2)
+    head = TaskHead(task, seed=2)
     X = day_windows.data()
     Y, cache = _batch_forward(model, head, _model_input(X, (
         day_windows.masks if task == IMPUTATION else None)))
@@ -414,10 +435,10 @@ def test_train_predict_and_encode_windows_build_one_encoder_input(masked,
     encode = LinearAutoencoder.encode
     monkeypatch.setattr(LinearAutoencoder, "encode",
                         lambda self, x: seen.append(x) or encode(self, x))
-    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
+    model, head = autoencoder(input_dim=8, latent=4)
     encode_windows(model, data)
-    list(predict(model, None, data))
-    train(model, None, data, tiny_cfg(batch_size=6, epochs=1))
+    list(predict(model, head, data))
+    train(model, head, data, tiny_cfg(batch_size=6, epochs=1))
     order = np.random.default_rng(0).permutation(6)
     assert [x.shape for x in seen] == [(6, 8)] * 3
     assert np.array_equal(seen[0], want) and np.array_equal(seen[1], want)
@@ -648,18 +669,19 @@ def test_concurrent_callers_share_the_helper_without_lost_updates():
 # ----------------------------------------------------------------- training
 
 def test_train_loss_decreases_on_tiny_problem():
-    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
-    trace = train(model, None, tiny_windows(16, seed=4),
+    model, head = autoencoder(input_dim=8, latent=4)
+    trace = train(model, head, tiny_windows(16, seed=4),
                   tiny_cfg(epochs=30, lr=1e-2))
     assert trace[-1] < trace[0]
 
 
 def test_train_is_bit_deterministic():
     def run():
-        model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
-        trace = train(model, None, tiny_windows(16, seed=4),
+        model, head = autoencoder(input_dim=8, latent=4)
+        trace = train(model, head, tiny_windows(16, seed=4),
                       tiny_cfg(epochs=5, lr=1e-2))
-        return trace, {k: v.copy() for k, v in model.params.items()}
+        return trace, {k: v.copy() for d in (model.params, head.params)
+                       for k, v in d.items()}
 
     t1, p1 = run()
     t2, p2 = run()
@@ -669,12 +691,12 @@ def test_train_is_bit_deterministic():
 
 def test_train_empty_data_raises():
     with pytest.raises(ValueError):
-        train(LinearAutoencoder(input_dim=8, latent=2), None, [], tiny_cfg())
+        train(*autoencoder(input_dim=8, latent=2), [], tiny_cfg())
 
 
 def test_train_max_batches_stops_early():
-    model = LinearAutoencoder(input_dim=8, latent=2, seed=0)
-    trace = train(model, None, tiny_windows(16, seed=5),
+    model, head = autoencoder(input_dim=8, latent=2)
+    trace = train(model, head, tiny_windows(16, seed=5),
                   tiny_cfg(epochs=10), max_batches=3)
     # 16 windows / batch 4 = 4 batches per epoch; 3 batches < 1 epoch
     assert trace == []
@@ -691,12 +713,28 @@ def test_train_takes_the_task_from_the_head():
                      0.9810191778236588]
 
 
+def test_divergence_norm_covers_the_encoder_and_its_head_only():
+    """A prediction run that meets an inf window reports the norm of
+    enc.* and head.*, the only arrays it trains: no decoder is drawn."""
+    model = LinearAutoencoder(input_dim=8, latent=4, seed=0)
+    head = TaskHead(PREDICTION, latent=4, seed=1)
+    data = tiny_windows(8, seed=3, labeled=True)
+    data.view[:] = np.inf
+    with pytest.raises(NumericError) as err:
+        train(model, head, data, tiny_cfg())
+    params = [*model.params.values(), *head.params.values()]
+    assert list(model.params) == ["enc.W", "enc.b"]
+    assert err.value.batch_id == 0
+    assert err.value.param_norm == float(np.sqrt(sum(
+        float((p * p).sum()) for p in params)))
+
+
 def test_default_train_config_trains_on_80_column_rows():
     """A plain TrainConfig on 20-level windows gives the trace that the
     20-level inverse-level weight array gave."""
     view = np.random.default_rng(7).normal(size=(6, 2, 80))
-    model = LinearAutoencoder(input_dim=160, latent=4, seed=0)
-    trace = train(model, None, Windows(view, np.arange(6)),
+    model, head = autoencoder(input_dim=160, latent=4)
+    trace = train(model, head, Windows(view, np.arange(6)),
                   TrainConfig(epochs=2, batch_size=4))
     assert trace == [1.4515584857190196, 1.4020287303419354]
 

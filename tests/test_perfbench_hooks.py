@@ -29,9 +29,10 @@ def test_tracer_finds_and_restores_every_hook(monkeypatch):
 def test_traced_training_counts_every_batch_and_keeps_the_checkpoint(
         monkeypatch, tmp_path):
     """Training runs half its work on a helper thread, which must never
-    enter a wrapped name: the tracer's span stack is not thread-safe. Traced,
-    every batch is one Adam step and one backward pass, the stack ends
-    empty, and the checkpoint is the untraced run's byte for byte."""
+    enter a wrapped name: the tracer's span stack is not thread-safe.
+    Traced, every batch of a reconstruction head is one forward pass, one
+    Adam step and one backward pass, the stack ends empty, and the
+    checkpoint is the untraced run's byte for byte."""
     import numpy as np
 
     import lobkit.models as models
@@ -46,9 +47,12 @@ def test_traced_training_counts_every_batch_and_keeps_the_checkpoint(
     batches = cfg.epochs * -(-len(view) // cfg.batch_size)
 
     def checkpoint(tag):
-        model = models.LinearAutoencoder(input_dim=400, latent=96, seed=0)
-        models.train(model, None, Windows(view, np.arange(len(view))), cfg)
-        save_checkpoint(tmp_path / tag, model.params)
+        rng = np.random.default_rng(0)
+        model = models.LinearAutoencoder(input_dim=400, latent=96, seed=rng)
+        head = models.TaskHead(models.RECONSTRUCTION, latent=96, out_dim=400,
+                               seed=rng)
+        models.train(model, head, Windows(view, np.arange(len(view))), cfg)
+        save_checkpoint(tmp_path / tag, {**model.params, **head.params})
         return (tmp_path / tag).read_bytes()
 
     untraced = checkpoint("untraced.bin")
@@ -58,6 +62,7 @@ def test_traced_training_counts_every_batch_and_keeps_the_checkpoint(
         traced = checkpoint("traced.bin")
     finally:
         tr.uninstall()
-    assert tr.calls["models.adam"] == tr.calls["models.backward"] == batches
+    assert (tr.calls["models.forward"] == tr.calls["models.adam"]
+            == tr.calls["models.backward"] == batches)
     assert tr._stack == []
     assert traced == untraced

@@ -163,3 +163,23 @@ def test_bench_paired_is_not_correct_when_a_run_fails():
                      failed=1)
     assert not bench.paired("p", [("parent", bad, good),
                                   ("change", good, good)])["correct"]
+
+
+def test_bench_paired_counts_both_trees_source_lines(tmp_path, monkeypatch):
+    """src_lines: the newlines of src/lobkit/*.py in the parent tree and in
+    this one, and the change's net; other files in src/ do not count."""
+    bench = load_bench()
+    for tree, files in (("parent", {"a.py": "x\ny\nz\n", "b.py": "q\n"}),
+                        ("change", {"a.py": "x\ny\n", "b.py": "q\nr"})):
+        pkg = tmp_path / tree / "src" / "lobkit"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+    (tmp_path / "change/src/lobkit/notes.txt").write_text("1\n2\n")
+    (tmp_path / "change/src/setup.py").write_text("1\n")
+    monkeypatch.setattr(bench, "ROOT", tmp_path / "change")
+    run = canned_run({"deep-day.walk_cal": {"value": 40.0, "unit": "cal"}})
+    section = bench.paired(str(tmp_path / "parent"),
+                           [("parent", run, run), ("change", run, run)])
+    assert section["src_lines"] == {"parent": 4, "change": 3, "net": -1}
+    assert bench.src_lines(tmp_path / "missing") == 0
