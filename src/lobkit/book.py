@@ -6,9 +6,11 @@ every ordering comparison exact.
 
 A snapshot is one row of 4*l floats in the canonical field-major layout:
 bid prices best-first, bid volumes, ask prices best-first, ask volumes. For
-l=10 that is columns 0-9 / 10-19 / 20-29 / 30-39. `validate_snapshot`
+l=10 that is columns 0-9 / 10-19 / 20-29 / 30-39. This module owns that
+layout, the default tick size and the default level count; `price_cols`,
+`volume_cols` and `ladder_cols` are its column maps. `validate_snapshot`
 checks one row (the scalar oracle); `invalid_rows` runs the same checks
-over an (N, 4l) series at once.
+over an (N, 4l) series at once. Both read l from the rows' width.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ class Order:
 
 @dataclass(slots=True)
 class PriceLevel:
-    """All resting volume at one price, queued in arrival order."""
+    """All resting volume at one price, queued in arrival order; the
+    book's dict key holds the price."""
 
-    price: int
     queue: deque = field(default_factory=deque)  # entries: [order_id, remaining]
     total_volume: int = 0
 
@@ -116,7 +118,7 @@ class BookState:
 
     def add_level(self, side: str, price: int) -> PriceLevel:
         """A new empty level at price, which must not exist on side yet."""
-        lvl = self.side_levels(side)[price] = PriceLevel(price=price)
+        lvl = self.side_levels(side)[price] = PriceLevel()
         insort(self.side_prices(side), price)
         return lvl
 
@@ -136,17 +138,17 @@ class Violation:
     magnitude: float
 
 
-def validate_snapshot(row: np.ndarray,
-                      l: int = DEFAULT_LEVELS) -> list[Violation]:
+def validate_snapshot(row: np.ndarray) -> list[Violation]:
     """Check one (4l,) row: bid/ask price monotonicity, no cross, strict
     positivity. The scalar oracle behind `invalid_rows`.
 
-    Raises ValueError only for a row whose shape is not (4l,); otherwise
-    returns one record per violated constraint, empty iff valid.
+    Raises ValueError only for a row that is not one (4l,) row with l >= 1;
+    otherwise returns one record per violated constraint, empty iff valid.
     """
     row = np.asarray(row, dtype=float)
-    if row.shape != (4 * l,):
-        raise ValueError(f"expected length {4 * l}, got shape {row.shape}")
+    if row.ndim != 1 or row.size < 4:
+        raise ValueError(f"expected one (4l,) row, got shape {row.shape}")
+    l = levels_of(row)
     out = []
     lv = row.reshape(4, l)  # rows: b_p, b_v, a_p, a_v
     b_p, a_p = lv[0], lv[2]
@@ -184,30 +186,14 @@ def levels_of(rows) -> int:
     return width // 4
 
 
-# Column index helpers for the canonical 40-column layout.
-
-def bid_price_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.arange(0, l)
-
-
-def bid_volume_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.arange(l, 2 * l)
-
-
-def ask_price_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.arange(2 * l, 3 * l)
-
-
-def ask_volume_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.arange(3 * l, 4 * l)
-
-
 def price_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.concatenate([bid_price_cols(l), ask_price_cols(l)])
+    """The bid price columns, then the ask price columns, best first."""
+    return np.concatenate([np.arange(l), np.arange(2 * l, 3 * l)])
 
 
 def volume_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
-    return np.concatenate([bid_volume_cols(l), ask_volume_cols(l)])
+    """The volume columns, each one after its price block."""
+    return price_cols(l) + l
 
 
 def mid_prices(data: np.ndarray) -> np.ndarray:
@@ -217,4 +203,4 @@ def mid_prices(data: np.ndarray) -> np.ndarray:
 
 def ladder_cols(l: int = DEFAULT_LEVELS) -> np.ndarray:
     """Price columns in expected ascending order: b_p[l..1] then a_p[1..l]."""
-    return np.concatenate([bid_price_cols(l)[::-1], ask_price_cols(l)])
+    return np.concatenate([np.arange(l - 1, -1, -1), np.arange(2 * l, 3 * l)])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as lio
-from .book import BookError, mid_prices
+from .book import DEFAULT_LEVELS, BookError, mid_prices
 from .metrics import (
     WEIGHTS,
     LossConfig,
@@ -110,12 +110,6 @@ def _split_blocks(blocks, cut):
             [(max(a, cut) - cut, b - cut) for a, b in blocks if b > cut])
 
 
-def _first_non_finite(a: np.ndarray) -> int | None:
-    """The flat index of a's first NaN or infinity, or None."""
-    finite = np.isfinite(a)
-    return None if finite.all() else int(np.argmin(finite))
-
-
 def _read_rows(path: Path, meta_path: Path, section: str, blocks_key: str,
                keys=()):
     """The rows in path, the [section] of meta_path, its levels l and the
@@ -137,7 +131,7 @@ def _read_rows(path: Path, meta_path: Path, section: str, blocks_key: str,
         raise PreprocessError(
             f"{name}: levels = {levels} needs {4 * levels} columns, "
             f"but {path.name} has shape {rows.shape}")
-    i = _first_non_finite(rows)
+    i = lio.first_non_finite(rows)
     if i is not None:
         row, col = divmod(i, rows.shape[1])
         raise lio.FormatError(
@@ -319,9 +313,10 @@ def _meta_int(arrays, name: str, key: str, lo: int, hi: float = np.inf):
 
 
 def _load_model(path: Path):
-    """The checkpoint's model, head, T and levels, its metadata and shapes
-    checked against each other and its values checked finite first; an
-    array that meta.head_kind's task does not read is rejected."""
+    """The checkpoint's model, head, T and levels, its values checked
+    finite as it loads and its metadata and shapes checked against each
+    other; an array that meta.head_kind's task does not read is
+    rejected."""
     arrays, name = lio.load_checkpoint(path), path.name
     d, k, T, levels = (_meta_int(arrays, name, key, 1) for key in
                        ("input_dim", "latent", "T", "levels"))
@@ -347,12 +342,6 @@ def _load_model(path: Path):
             raise lio.FormatError(
                 f"{name}: {key} is {got}, but meta.input_dim = {d} and "
                 f"meta.latent = {k} need shape {shape}", field=key)
-        i = _first_non_finite(arrays[key])
-        if i is not None:
-            at = ", ".join(str(j) for j in np.unravel_index(i, shape))
-            raise lio.FormatError(
-                f"{name}: {key}[{at}] holds {float(arrays[key].flat[i])!r}, "
-                "not a finite value", field=key)
     model = LinearAutoencoder.from_params(arrays, bool(relu))
     return model, TaskHead.from_params(kind, arrays), T, levels
 
@@ -499,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="replay flow into a sampled day series")
     p.add_argument("--flow", required=True)
-    p.add_argument("--levels", type=int, default=10)
+    p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
     p.add_argument("--day", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .book import BookError, Order
+from .book import DEFAULT_TICK_SIZE, BookError, Order
 from .engine import paused_gc
 from .preprocess import NormStats
 from .synth import FlowStream
@@ -115,7 +115,7 @@ def _header_value(key: str, val: str, offset: int):
 def read_flow(path) -> FlowStream:
     """The flow in a file; a malformed line raises FormatError at the byte
     offset where the line starts."""
-    profile, seed, tick = "", 0, 0.01
+    profile, seed, tick = "", 0, DEFAULT_TICK_SIZE
     orders = []
     seen_ids = set()
     previous = -math.inf  # the last order's timestamp
@@ -219,6 +219,12 @@ def _open_binary(path, magic: bytes, kind: str):
                               field="data")
 
 
+def first_non_finite(a: np.ndarray) -> int | None:
+    """The flat index of a's first NaN or infinity, or None."""
+    finite = np.isfinite(a)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def element_offset(ndim: int, i: int) -> int:
     """Byte offset of row-major element i in a tensor file of ndim dims."""
     return 12 + 4 * ndim + 8 * i
@@ -304,7 +310,9 @@ def save_checkpoint(path, arrays: dict):
 
 def load_checkpoint(path) -> dict:
     """The named arrays of a checkpoint, each read straight from the file
-    into its own array, so the file's bytes are never held twice."""
+    into its own array, so the file's bytes are never held twice. A NaN or
+    infinity raises FormatError at its byte, naming the array and the
+    element."""
     with _open_binary(path, CHECKPOINT_MAGIC, "checkpoint") as (f, size):
         (count,) = _read(f, size, "<I", "count")
         arrays = {}
@@ -322,7 +330,15 @@ def load_checkpoint(path) -> dict:
             if name in arrays:
                 raise FormatError(f"repeated array {name!r}", offset=pos,
                                   field="name")
-            arrays[name] = _read_array(f, size, "<B", f" of {name!r}")
+            arrays[name] = array = _read_array(f, size, "<B", f" of {name!r}")
+            i = first_non_finite(array)
+            if i is not None:
+                at = ", ".join(map(str, np.unravel_index(i, array.shape)))
+                element = f"{name}[{at}]" if array.ndim else name
+                raise FormatError(
+                    f"{Path(path).name}: {element} holds "
+                    f"{float(array.flat[i])!r}, not a finite value",
+                    offset=f.tell() - 8 * (array.size - i), field=name)
     return arrays
 
 

@@ -65,10 +65,6 @@ class SessionCalendar:
                                  for start, end in self.intervals]).tolist()
         return list(zip(edges[:-1], edges[1:]))
 
-    @property
-    def points_per_day(self) -> int:
-        return sum(b - a for a, b in self.blocks())
-
 
 def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:
     """Best l levels per side as one (4l,) row in real currency units.

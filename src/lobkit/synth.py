@@ -8,7 +8,8 @@ emitted stream replays without invariant violations and cancels always
 reference real live ids.
 
 This is pipeline fuel, not a market model: depth shapes and offsets are
-invented, only the headline price/volume statistics are calibrated.
+invented and the same for every ticker (the module constants below); only
+the headline price/volume statistics in a `FlowProfile` are calibrated.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .book import (
     ASK,
     BID,
     CANCEL,
+    DEFAULT_LEVELS,
+    DEFAULT_TICK_SIZE,
     LIMIT,
     MARKET,
     BookState,
@@ -40,9 +43,18 @@ from .sampling import (
 )
 
 
+# The generator's invented shape, the same for every ticker.
+OFFSET_MEAN_TICKS = 3.0  # mean limit placement distance from the target mid
+CROSS_PROB = 0.15  # chance a limit is placed through the target mid
+MOMENTUM = 0.5  # AR(1) coefficient of mid-walk steps
+SEED_LEVELS = 15  # resting levels kept on each side of the target mid
+ORDER_VOLUME_DIVISOR = 20  # per-order volume = side mean / divisor
+
+
 @dataclass(frozen=True)
 class FlowProfile:
-    """Calibration targets and knobs for one instrument-like stream."""
+    """One instrument-like stream: calibration targets, its arrival rate
+    and its order mix."""
 
     name: str
     mid_mean: float  # currency units
@@ -53,12 +65,6 @@ class FlowProfile:
     ask_volume_mean: int
     arrival_rate: float = 0.3  # orders per second
     mix: tuple = (0.70, 0.10, 0.20)  # P(limit), P(market), P(cancel)
-    offset_mean_ticks: float = 3.0  # limit placement distance from mid
-    cross_prob: float = 0.15  # chance a limit is placed to cross
-    momentum: float = 0.5  # AR(1) coefficient of mid-walk steps
-    tick_size: float = 0.01
-    seed_levels: int = 15
-    order_volume_divisor: int = 20  # per-order volume = side mean / divisor
 
     def __post_init__(self):
         if len(self.mix) != 3 or not all(0 <= m < np.inf for m in self.mix):
@@ -90,20 +96,17 @@ class FlowStream:
     profile: str
     seed: int
     orders: list = field(default_factory=list)
-    tick_size: float = 0.01
-
-    def __len__(self):
-        return len(self.orders)
+    tick_size: float = DEFAULT_TICK_SIZE
 
 
 def _refill_ladder(book: BookState, p: FlowProfile, anchor: int, t: int,
                    next_id: int, orders: list) -> int:
-    """Rest the profile's side volume mean at each of the seed_levels prices
+    """Rest the profile's side volume mean at each of the SEED_LEVELS prices
     on either side of anchor that has no level, bid before ask per distance;
     submit and append each order, and return the next free id."""
     bids, asks = book.bids, book.asks
     bid_volume, ask_volume = p.bid_volume_mean, p.ask_volume_mean
-    for i in range(1, p.seed_levels + 1):
+    for i in range(1, SEED_LEVELS + 1):
         bid_px = anchor - i
         if bid_px >= 1 and bid_px not in bids:
             o = Order(next_id, BID, LIMIT, t, bid_px, bid_volume)
@@ -147,15 +150,15 @@ def generate_day(
 ) -> FlowStream:
     """One deterministic synthetic trading day of order flow."""
     rng = np.random.default_rng(seed)
-    tick = p.tick_size
+    tick = DEFAULT_TICK_SIZE
     lo, hi = round(p.price_min / tick), round(p.price_max / tick)
     mid = round(p.mid_mean / tick)
+    grid = calendar.grid().tolist()
     # Per-3-second-step stddev in ticks, sized so a day's walk has roughly
     # the profile's daily stddev; momentum inflates variance, compensate.
-    n_steps = calendar.points_per_day
-    step_std = (p.mid_std / tick) / np.sqrt(n_steps) * (1 - p.momentum)
+    step_std = (p.mid_std / tick) / np.sqrt(len(grid)) * (1 - MOMENTUM)
 
-    book = BookState(tick_size=tick)
+    book = BookState()
     orders = []
     t0 = calendar.intervals[0][0] - 60 * NS_PER_SEC  # pre-open seeding
     next_id = _refill_ladder(book, p, mid, t0, 1, orders)
@@ -163,12 +166,12 @@ def generate_day(
     cdf = _kind_cdf(p.mix)
     drift = 0.0
     target = float(mid)
-    for t_grid in calendar.grid().tolist():
-        drift = p.momentum * drift + rng.normal(0.0, step_std)
+    for t_grid in grid:
+        drift = MOMENTUM * drift + rng.normal(0.0, step_std)
         target += drift
-        if not lo + p.seed_levels < target < hi - p.seed_levels:
-            target = float(min(max(target, lo + p.seed_levels),
-                               hi - p.seed_levels))
+        if not lo + SEED_LEVELS < target < hi - SEED_LEVELS:
+            target = float(min(max(target, lo + SEED_LEVELS),
+                               hi - SEED_LEVELS))
             drift = 0.0
         n_orders = rng.poisson(p.arrival_rate * calendar.period / NS_PER_SEC)
         if n_orders == 0:
@@ -180,7 +183,7 @@ def generate_day(
             kind = bisect_right(cdf, rng.random())
             side = BID if rng.random() < 0.5 else ASK
             vol_mean = p.bid_volume_mean if side == BID else p.ask_volume_mean
-            vol_mean = max(1.0, vol_mean / p.order_volume_divisor)
+            vol_mean = max(1.0, vol_mean / ORDER_VOLUME_DIVISOR)
             volume = int(rng.geometric(1.0 / vol_mean))
             if kind == 2:
                 target_id = _cancel_target(book.live, seed_ids, rng)
@@ -193,33 +196,32 @@ def generate_day(
                     continue
                 o = Order(next_id, side, MARKET, ts, None, volume)
             else:
-                offset = int(rng.geometric(1.0 / p.offset_mean_ticks))
-                if rng.random() < p.cross_prob:
+                offset = int(rng.geometric(1.0 / OFFSET_MEAN_TICKS))
+                if rng.random() < CROSS_PROB:
                     offset = -offset  # place through the target mid
                 price = (
                     round(target) - offset if side == BID
                     else round(target) + offset
                 )
-                price = min(max(price, 1), hi + p.seed_levels)
+                price = min(max(price, 1), hi + SEED_LEVELS)
                 o = Order(next_id, side, LIMIT, ts, price, volume)
             next_id += 1
             submit(book, o)
             orders.append(o)
-        # Liquidity maintenance: keep a ladder of seed_levels resting levels
+        # Liquidity maintenance: keep a ladder of SEED_LEVELS resting levels
         # on each side of the target mid so the book tracks the walk and
         # never goes one-sided. Refills that cross simply execute, which is
         # what pulls the book mid toward the target after a fast move.
         next_id = _refill_ladder(book, p, round(target), t_grid, next_id,
                                  orders)
-    return FlowStream(profile=p.name, seed=seed, orders=orders,
-                      tick_size=tick)
+    return FlowStream(profile=p.name, seed=seed, orders=orders)
 
 
 @paused_gc()
 def replay_check(
     stream: FlowStream,
     calendar: SessionCalendar = SessionCalendar(),
-    l: int = 10,
+    l: int = DEFAULT_LEVELS,
 ) -> tuple[np.ndarray, ConservationReport]:
     """Replay a stream end to end, asserting book invariants and conservation.
 
@@ -234,7 +236,7 @@ def replay_check(
     bad_rows = np.flatnonzero(invalid_rows(data))
     if bad_rows.size:
         i = int(bad_rows[0])
-        bad = validate_snapshot(data[i], l)
+        bad = validate_snapshot(data[i])
         raise RuntimeError(f"invariant violation at grid index {i}: {bad[0]}")
     if not report.balanced():
         raise SamplingError("volume conservation failed on replay")

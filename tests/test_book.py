@@ -14,10 +14,6 @@ from lobkit.book import (
     BookError,
     BookState,
     Order,
-    ask_price_cols,
-    ask_volume_cols,
-    bid_price_cols,
-    bid_volume_cols,
     invalid_rows,
     ladder_cols,
     mid_prices,
@@ -110,10 +106,12 @@ def test_non_positive_violation():
 
 
 def test_validate_snapshot_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        validate_snapshot(np.zeros(39), l=10)
-    with pytest.raises(ValueError):
-        validate_snapshot(make_snapshot().reshape(4, 10), l=10)
+    """l is read from the row's width: a width that is not 4l, a row that
+    is not 1-D and an empty row raise."""
+    for bad in (np.zeros(39), make_snapshot().reshape(4, 10),
+                make_snapshot().reshape(10, 4), np.zeros(0)):
+        with pytest.raises(ValueError):
+            validate_snapshot(bad)
 
 
 def test_mid_price_is_mean_of_best_quotes():
@@ -159,10 +157,8 @@ def test_snapshot_row_layout_field_major():
 
 def test_column_helpers_partition_the_40_columns():
     l = 10
-    assert np.array_equal(bid_price_cols(l), np.arange(0, 10))
-    assert np.array_equal(bid_volume_cols(l), np.arange(10, 20))
-    assert np.array_equal(ask_price_cols(l), np.arange(20, 30))
-    assert np.array_equal(ask_volume_cols(l), np.arange(30, 40))
+    assert np.array_equal(price_cols(l), np.r_[0:10, 20:30])
+    assert np.array_equal(volume_cols(l), np.r_[10:20, 30:40])
     every = np.sort(np.concatenate([price_cols(l), volume_cols(l)]))
     assert np.array_equal(every, np.arange(40))
 
@@ -193,5 +189,5 @@ def test_invalid_rows_flags_exactly_the_scalar_violations(l, n, seed):
             else:
                 row[j] = base[j] + rng.normal(0.0, 0.02)
     with np.errstate(invalid="ignore"):  # inf - inf in a magnitude
-        want = [bool(validate_snapshot(row, l)) for row in data]
+        want = [bool(validate_snapshot(row)) for row in data]
     assert invalid_rows(data).tolist() == want

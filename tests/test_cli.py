@@ -2,9 +2,14 @@
 
 import argparse
 import math
+import re
 import shutil
 import struct
+import tempfile
 import warnings
+from contextlib import redirect_stderr
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,10 +361,19 @@ def test_pipeline_reruns_are_byte_identical(pipeline, tmp_path):
 
 
 def test_lobkit_out_env_var_roots_relative_paths(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOBKIT_OUT", str(tmp_path))
+    """LOBKIT_OUT roots every relative path a command reads or writes, the
+    input --flow as well as --out, wherever the command runs from."""
+    root = tmp_path / "root"
+    monkeypatch.setenv("LOBKIT_OUT", str(root))
+    monkeypatch.chdir(tmp_path)
     assert main(["generate", "--profile", "sz300147", "--seed", "1",
                  "--out", "flow.csv"]) == 0
-    assert (tmp_path / "flow.csv").exists()
+    assert (root / "flow.csv").exists()
+    assert main(["build", "--flow", "flow.csv", "--out", "series.bin"]) == 0
+    meta = lio.read_kv(root / "series.meta.txt")["series"]
+    assert meta["flow_sha256"] == lio.file_sha256(root / "flow.csv")
+    assert lio.load_tensor(root / "series.bin").shape == (4740, 40)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["root"]
 
 
 # --------------------------------------------------------------- exit codes
@@ -1113,6 +1127,27 @@ def test_non_finite_series_exits_2_at_its_byte(
     assert not out.exists()
 
 
+def _checkpoint_element_offset(arrays: dict, key: str, i: int) -> int:
+    """The byte of element i of arrays[key] in the checkpoint that
+    save_checkpoint writes: a 12-byte header, then per array in name order
+    a <H name length, the name, a <B ndim, the <u4 dims and the payload."""
+    offset = 12
+    for name in sorted(arrays):
+        offset += 2 + len(name.encode()) + 1 + 4 * arrays[name].ndim
+        if name == key:
+            return offset + 8 * i
+        offset += 8 * arrays[name].size
+    raise KeyError(key)
+
+
+def _planted_at(path: Path, err: str, value: float) -> int:
+    """The byte offset err reports, after checking that the 8 bytes there
+    in path are value's."""
+    offset = int(re.search(r" at byte (\d+)", err).group(1))
+    assert path.read_bytes()[offset:offset + 8] == struct.pack("<d", value)
+    return offset
+
+
 @pytest.mark.parametrize("key, index, value", [
     ("enc.W", (0, 0), math.nan),
     ("head.b", (2,), -math.inf),
@@ -1121,8 +1156,8 @@ def test_non_finite_series_exits_2_at_its_byte(
 def test_non_finite_checkpoint_exits_2_naming_the_array(
         pipeline, tiny_prediction_checkpoint, tmp_path, capsys, command, key,
         index, value):
-    """A NaN or inf in any checkpoint array exits 2 naming the array and
-    the element, before evaluate scores or transfer fits."""
+    """A NaN or inf in any checkpoint array exits 2 naming the array, the
+    element and its byte, before evaluate scores or transfer fits."""
     arrays = lio.load_checkpoint(tiny_prediction_checkpoint)
     arrays[key][index] = value
     bad = tmp_path / "checkpoint.bin"
@@ -1136,9 +1171,80 @@ def test_non_finite_checkpoint_exits_2_naming_the_array(
     out = tmp_path / "out"
     assert main(argv + ["--step", "10", "--out", str(out)]) == 2
     at = ", ".join(map(str, index))
+    offset = _checkpoint_element_offset(
+        arrays, key, np.ravel_multi_index(index, arrays[key].shape))
+    err = capsys.readouterr().err
     assert (f"error: checkpoint.bin: {key}[{at}] holds {value!r}, not a "
-            f"finite value (field {key})" in capsys.readouterr().err)
+            f"finite value at byte {offset} (field {key})" in err)
+    assert _planted_at(bad, err, value) == offset
     assert not out.exists()
+
+
+def test_non_finite_default_checkpoint_element_exits_2_at_its_byte(
+        pipeline, tmp_path, capsys):
+    """At the default sizes (T=100, 10 levels, latent 256) enc.W is the
+    first array, its payload starts at byte 28, and enc.W[3, 5] is element
+    3 * 256 + 5 = 773 of it: byte 28 + 8 * 773 = 6212."""
+    model = LinearAutoencoder(input_dim=4000, latent=256, seed=0)
+    head = TaskHead("prediction", latent=256, seed=1)
+    arrays = _model_arrays(model, head, 100, 10)
+    arrays["enc.W"][3, 5] = math.nan
+    bad = tmp_path / "checkpoint.bin"
+    lio.save_checkpoint(bad, arrays)
+    assert main(["evaluate", "--data", str(pipeline / "data"),
+                 "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("error: checkpoint.bin: enc.W[3, 5] holds nan, not a finite "
+            "value at byte 6212 (field enc.W)" in err)
+    assert _planted_at(bad, err, math.nan) == 6212
+
+
+@settings(max_examples=12, deadline=None)
+@given(target=st.sampled_from(["series.bin", "train_series.bin",
+                               "test_series.bin", "checkpoint.bin"]),
+       pick=st.integers(min_value=0), element=st.integers(min_value=0),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_value_at_a_random_element_exits_2_at_its_byte(
+        pipeline, tiny_prediction_checkpoint, target, pick, element, value):
+    """NaN, inf or -inf at any element of a day series (preprocess), a
+    split's series (train, evaluate) or any checkpoint array (evaluate)
+    exits 2 at that element's byte, and the 8 bytes there are the value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data = root / "data"
+        shutil.copytree(pipeline / "data", data)
+        ckpt = root / "checkpoint.bin"
+        shutil.copy(tiny_prediction_checkpoint, ckpt)
+        for sidecar in ("series.bin", "series.meta.txt"):
+            shutil.copy(pipeline / sidecar, root / sidecar)
+        if target == "checkpoint.bin":
+            path = ckpt
+            arrays = lio.load_checkpoint(path)
+            key = sorted(arrays)[pick % len(arrays)]
+            i = element % arrays[key].size
+            arrays[key].flat[i] = value
+            lio.save_checkpoint(path, arrays)
+            offset = _checkpoint_element_offset(arrays, key, i)
+        else:
+            path = root / target if target == "series.bin" else data / target
+            rows = lio.load_tensor(path)
+            i = element % rows.size
+            rows.flat[i] = value
+            lio.save_tensor(path, rows)
+            offset = lio.element_offset(2, i)
+        argv = {
+            "series.bin": ["preprocess", "--series", str(path)],
+            "train_series.bin": ["train", "--data", str(data), "--task",
+                                 "reconstruction", "--epochs", "1",
+                                 "--window", "10", "--step", "10",
+                                 "--latent", "4"],
+        }.get(target, ["evaluate", "--data", str(data), "--checkpoint",
+                       str(ckpt), "--step", "10"])
+        with redirect_stderr(StringIO()) as err:
+            assert main(argv + ["--out", str(root / "out")]) == 2
+        assert _planted_at(path, err.getvalue(), value) == offset
+        assert not (root / "out").exists()
 
 
 def test_mask_ratio_that_masks_no_step_exits_2_naming_it(

@@ -45,7 +45,7 @@ def test_engine_records_are_slotted():
     outcome and level; a per-instance dict would double their cost."""
     for record in (Order(1, BID, LIMIT, 0, price=100, volume=10),
                    EngineEvent("rest", 1, price=100, volume=10),
-                   PriceLevel(price=100)):
+                   PriceLevel()):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
@@ -287,9 +287,9 @@ def test_fuzz_price_time_priority(seed):
 
 def check_invariants(book):
     """Raise BookError on any structural violation of a BookState: price
-    lists out of step with the levels, a crossed book, a level keyed under
-    another price, an empty level kept, or a level total that is not the
-    sum of its queue."""
+    lists out of step with the levels, a crossed book, an empty level kept,
+    or a level total that is not the sum of its queue. A level holds no
+    price of its own: its dict key is its price."""
     for name, levels, prices in (("bid", book.bids, book.bid_prices),
                                  ("ask", book.asks, book.ask_prices)):
         if prices != sorted(levels):
@@ -300,8 +300,6 @@ def check_invariants(book):
             raise BookError(f"crossed book: best bid {bb} >= best ask {ba}")
     for levels in (book.bids, book.asks):
         for price, lvl in levels.items():
-            if lvl.price != price:
-                raise BookError(f"level keyed {price} holds price {lvl.price}")
             if lvl.total_volume <= 0:
                 raise BookError(f"empty level retained at {price}")
             if lvl.total_volume != sum(v for _, v in lvl.queue):

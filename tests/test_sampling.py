@@ -53,7 +53,6 @@ def seed_orders(n_levels=12, bid0=1000, t=0):
 
 def test_default_calendar_has_4740_points():
     cal = SessionCalendar()
-    assert cal.points_per_day == 4740
     grid = cal.grid()
     assert len(grid) == 4740
     assert grid[0] == hms(9, 30)
@@ -110,7 +109,7 @@ def test_sample_snapshots_are_valid_even_when_sides_go_thin():
     orders, oid = seed_orders(n_levels=2)  # thinner than l=5 -> padding
     data, _ = sample(BookState(), orders, cal, l=5)
     for i in range(len(data)):
-        assert validate_snapshot(data[i], l=5) == []
+        assert validate_snapshot(data[i]) == []
 
 
 def test_day_series_roundtrip_and_mid_prices(tmp_path):
@@ -139,7 +138,7 @@ def test_snapshot_padded_extends_one_tick_past_worst_level():
     submit(book, Order(1, BID, LIMIT, 0, price=1000, volume=9))
     submit(book, Order(2, ASK, LIMIT, 0, price=1001, volume=9))
     s = snapshot_padded(book, l=3)
-    assert validate_snapshot(s, l=3) == []
+    assert validate_snapshot(s) == []
     assert np.allclose(s[0:3], [10.00, 9.99, 9.98])  # bid prices
     assert np.allclose(s[6:9], [10.01, 10.02, 10.03])  # ask prices
     assert np.allclose(s[4:6], 1)  # padded bid levels carry volume 1

@@ -120,7 +120,7 @@ def test_orders_are_timestamp_sorted_with_unique_ids():
 def test_replay_is_valid_and_conserves_volume():
     stream = generate_day(small_profile(), seed=2, calendar=SMALL_CAL)
     data, rep = replay_check(stream, SMALL_CAL)
-    assert len(data) == SMALL_CAL.points_per_day
+    assert len(data) == len(SMALL_CAL.grid())
     assert rep.balanced()
     assert rep.cancel_misses == 0  # cancels always target live orders
 
