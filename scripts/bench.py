@@ -20,7 +20,10 @@ the change won, whether that ratio is inside the metric's bound in
 It also records whether DIR and this tree lie in the same directory
 ("same_parent"), since where a checkout lies moves some readings, and the
 lines of ``src/lobkit/*.py`` in both trees and their difference
-("src_lines"), so a change's net source lines are measured.
+("src_lines"), so a change's net source lines are measured, and both
+trees' counts of settable values ("settable"): each parser option of
+``lobkit``, each ``TrainConfig`` field and each environment variable that
+``src/lobkit`` reads.
 
 Usage:
     python3 scripts/bench.py --tag NAME [--against DIR]
@@ -100,6 +103,39 @@ def src_lines(root) -> int:
                for path in Path(root).glob("src/lobkit/*.py"))
 
 
+# the options of lobkit's parser plus the fields of TrainConfig, printed by a
+# Python whose path starts at one tree's src
+_COUNT_SETTINGS = """
+import argparse, dataclasses
+from lobkit.cli import build_parser
+from lobkit.models import TrainConfig
+sub = next(a for a in build_parser()._actions
+           if isinstance(a, argparse._SubParsersAction))
+print(sum(a.dest != "help" for p in sub.choices.values() for a in p._actions)
+      + len(dataclasses.fields(TrainConfig)))
+"""
+
+# os.environ["X"], os.environ.get("X") or os.getenv("X"): the name X
+_ENV_READ = r"os\.(?:environ\[|environ\.get\(|getenv\()\s*[\"'](\w+)"
+
+
+def settable(root) -> int:
+    """The settable values of the tree at root: its parser's options and
+    TrainConfig's fields, counted by that tree's own code in a subprocess,
+    plus the distinct ``os.environ`` names its ``src/lobkit/*.py`` read;
+    0 for a tree without ``src/lobkit/cli.py``."""
+    src = Path(root) / "src"
+    if not (src / "lobkit" / "cli.py").is_file():
+        return 0
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r})\n" + _COUNT_SETTINGS],
+        capture_output=True, text=True, check=True)
+    names = {name for path in src.glob("lobkit/*.py")
+             for name in re.findall(_ENV_READ, path.read_text())}
+    return int(proc.stdout) + len(names)
+
+
 def paired(against: str, runs: list) -> dict:
     """The "paired" section from (first side, parent stdout, change stdout)
     triples of untraced runs, one per pair.
@@ -145,11 +181,14 @@ def paired(against: str, runs: list) -> dict:
             }
     lines = {side: src_lines(tree)
              for side, tree in zip(SIDES, (against, ROOT))}
+    values = {side: settable(tree)
+              for side, tree in zip(SIDES, (against, ROOT))}
     return {
         "against": against,
         # the checkout's location moves recon-walk's peak_rss_mb readings
         "same_parent": Path(against).resolve().parent == ROOT.parent,
         "src_lines": {**lines, "net": lines["change"] - lines["parent"]},
+        "settable": {**values, "net": values["change"] - values["parent"]},
         "pairs": len(runs),
         "correct": all(p["correct"] and c["correct"]
                        for _, p, c in results),

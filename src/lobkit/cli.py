@@ -62,6 +62,7 @@ from .synth import PROFILES, generate_day, replay_check
 
 
 def _out_path(p: str) -> Path:
+    """The argparse type of every path flag: rooted under LOBKIT_OUT."""
     root = os.environ.get("LOBKIT_OUT")
     path = Path(p)
     if root and not path.is_absolute():
@@ -76,30 +77,26 @@ def _blocks_str(blocks) -> str:
 # ----------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
-    profile = PROFILES[args.profile]
-    stream = generate_day(profile, args.seed)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lio.write_flow(stream, out)
+    stream = generate_day(PROFILES[args.profile], args.seed)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    lio.write_flow(stream, args.out)
     return 0
 
 
 def cmd_build(args) -> int:
-    flow = _out_path(args.flow)
-    stream = lio.read_flow(flow)
+    stream = lio.read_flow(args.flow)
     calendar = SessionCalendar()
     data, _ = replay_check(stream, calendar, l=args.levels)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lio.save_tensor(out, data)
-    lio.write_kv(out.with_suffix(".meta.txt"), {"series": {
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    lio.save_tensor(args.out, data)
+    lio.write_kv(args.out.with_suffix(".meta.txt"), {"series": {
         "instrument": stream.profile,
         "day": args.day,
         "levels": args.levels,
         "snapshots": len(data),
         "blocks": _blocks_str(calendar.blocks()),
-        "flow_file": flow.name,
-        "flow_sha256": lio.file_sha256(flow),
+        "flow_file": args.flow.name,
+        "flow_sha256": lio.file_sha256(args.flow),
     }})
     return 0
 
@@ -166,33 +163,36 @@ def _block_labels(series_raw, blocks, label_cfg):
 
 
 def cmd_preprocess(args) -> int:
-    series_path = _out_path(args.series)
     raw, meta, levels, blocks = _read_rows(
-        series_path, series_path.with_suffix(".meta.txt"), "series",
+        args.series, args.series.with_suffix(".meta.txt"), "series",
         "blocks", keys=("instrument", "day"))
     train_raw, test_raw = split_train_test(raw)
     cut = train_raw.shape[0]
     train_blocks, test_blocks = _split_blocks(blocks, cut)
 
     fit = fit_group_stats if args.scheme == "global" else fit_feature_stats
-    fit_data = train_raw if args.scope == "train" else raw
-    stats = fit(fit_data, scope=args.scope)
+    stats = fit(train_raw if args.scope == "train" else raw)
 
     label_cfg = LabelConfig(horizon=args.horizon, delta=args.delta)
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lio.save_tensor(out / "train_series.bin", normalize(train_raw, stats))
-    lio.save_tensor(out / "test_series.bin", normalize(test_raw, stats))
+    args.out.mkdir(parents=True, exist_ok=True)
+    lio.save_tensor(args.out / "train_series.bin", normalize(train_raw, stats))
+    lio.save_tensor(args.out / "test_series.bin", normalize(test_raw, stats))
     lio.save_tensor(
-        out / "train_labels.bin",
+        args.out / "train_labels.bin",
         _block_labels(train_raw, train_blocks, label_cfg),
     )
     lio.save_tensor(
-        out / "test_labels.bin",
+        args.out / "test_labels.bin",
         _block_labels(test_raw, test_blocks, label_cfg),
     )
-    lio.save_norm_stats(out / "norm_stats.txt", stats)
-    lio.write_kv(out / "meta.txt", {"preprocess": {
+    lio.write_kv(args.out / "norm_stats.txt", {"norm": {
+        "scheme": stats.scheme,
+        "scope": args.scope,
+        "levels": stats.levels,
+        "mu": ",".join(map(repr, stats.mu.tolist())),
+        "sigma": ",".join(map(repr, stats.sigma.tolist())),
+    }})
+    lio.write_kv(args.out / "meta.txt", {"preprocess": {
         "scheme": args.scheme,
         "scope": args.scope,
         "levels": levels,
@@ -204,8 +204,8 @@ def cmd_preprocess(args) -> int:
         "test_snapshots": test_raw.shape[0],
         "train_blocks": _blocks_str(train_blocks),
         "test_blocks": _blocks_str(test_blocks),
-        "series_file": series_path.name,
-        "series_sha256": lio.file_sha256(series_path),
+        "series_file": args.series.name,
+        "series_sha256": lio.file_sha256(args.series),
     }})
     return 0
 
@@ -249,7 +249,7 @@ def _labeled(windows: Windows) -> Windows:
                    windows.labels[keep].astype(int))
 
 
-def _prepare_task_data(windows: Windows, task, seed, mask_ratio=0.2):
+def _prepare_task_data(windows: Windows, task, seed, mask_ratio):
     if task == PREDICTION:
         return windows.take(balance_classes(windows.labels, seed))
     if task == IMPUTATION:
@@ -271,18 +271,16 @@ def _model_arrays(model, head, T, levels):
             **{f"meta.{k}": np.array(float(v)) for k, v in meta.items()}}
 
 
-def _write_record(args, items) -> Path:
+def _write_record(args, items):
     """report.txt, the (name, value) items as key=repr(value), and
-    config.txt, in --out; returns that directory."""
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    Path(out / "report.txt").write_text(
+    config.txt, in --out."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "report.txt").write_text(
         " ".join(f"{k}={v!r}" for k, v in items) + "\n")
-    _write_config(out, args)
-    return out
+    _write_config(args)
 
 
-def _write_config(out: Path, args):
+def _write_config(args):
     """config.txt: every parsed flag but --out, in parser order, floats by
     repr and input paths by file name; a checkpoint read adds its sha256."""
     entries = {}
@@ -290,12 +288,11 @@ def _write_config(out: Path, args):
         if key in ("command", "func", "out"):
             continue
         if key in ("data", "checkpoint"):
-            val = Path(val).name
+            val = val.name
         entries[key] = repr(val) if isinstance(val, float) else val
     if "checkpoint" in entries:
-        entries["checkpoint_sha256"] = lio.file_sha256(
-            _out_path(args.checkpoint))
-    lio.write_kv(out / "config.txt", {args.command: entries})
+        entries["checkpoint_sha256"] = lio.file_sha256(args.checkpoint)
+    lio.write_kv(args.out / "config.txt", {args.command: entries})
 
 
 def _meta_int(arrays, name: str, key: str, lo: int, hi: float = np.inf):
@@ -346,18 +343,17 @@ def _load_model(path: Path):
     return model, TaskHead.from_params(kind, arrays), T, levels
 
 
-def _check_levels(ckpt: Path, levels: int, data_dir: Path, data_levels):
+def _check_levels(args, levels: int, data_levels):
     """Reject a checkpoint trained on rows of another level count."""
     if levels != data_levels:
         raise PreprocessError(
-            f"{ckpt.name} has meta.levels = {levels}, but "
-            f"{data_dir.name}/meta.txt has levels = {data_levels}")
+            f"{args.checkpoint.name} has meta.levels = {levels}, but "
+            f"{args.data.name}/meta.txt has levels = {data_levels}")
 
 
 def cmd_train(args) -> int:
-    data_dir = _out_path(args.data)
     task = args.task
-    windows, levels = _load_split(data_dir, "train", args.window, args.step,
+    windows, levels = _load_split(args.data, "train", args.window, args.step,
                                   labeled=task == PREDICTION)
     data = _prepare_task_data(windows, task, args.seed, args.mask_ratio)
     input_dim = args.window * 4 * levels
@@ -376,24 +372,21 @@ def cmd_train(args) -> int:
     )
     trace = train(model, head, data, cfg)
 
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lio.save_checkpoint(out / "checkpoint.bin",
+    args.out.mkdir(parents=True, exist_ok=True)
+    lio.save_checkpoint(args.out / "checkpoint.bin",
                         _model_arrays(model, head, args.window, levels))
-    Path(out / "trace.txt").write_text(
+    (args.out / "trace.txt").write_text(
         "".join(f"epoch={i} loss={v!r}\n" for i, v in enumerate(trace))
     )
-    _write_config(out, args)
+    _write_config(args)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    data_dir = _out_path(args.data)
-    ckpt = _out_path(args.checkpoint)
-    model, head, T, levels = _load_model(ckpt)
-    windows, data_levels = _load_split(data_dir, args.split, T, args.step,
+    model, head, T, levels = _load_model(args.checkpoint)
+    windows, data_levels = _load_split(args.data, args.split, T, args.step,
                                        labeled=head.kind == PREDICTION)
-    _check_levels(ckpt, levels, data_dir, data_levels)
+    _check_levels(args, levels, data_levels)
     cfg = _loss_config(args)  # rejected for every task, read by report
 
     if head.kind == PREDICTION:
@@ -408,17 +401,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    ckpt = _out_path(args.checkpoint)
-    model, head, T, levels = _load_model(ckpt)
+    model, head, T, levels = _load_model(args.checkpoint)
     if head.kind != PREDICTION:
         raise PreprocessError("transfer requires a prediction checkpoint")
-    data_dir = _out_path(args.data)
-    windows, data_levels = _load_split(data_dir, "train", T, args.step,
+    windows, data_levels = _load_split(args.data, "train", T, args.step,
                                        labeled=True)
-    _check_levels(ckpt, levels, data_dir, data_levels)
-    data = _prepare_task_data(windows, PREDICTION, args.seed)
+    _check_levels(args, levels, data_levels)
+    data = windows.take(balance_classes(windows.labels, args.seed))
 
-    usable = _load_split(data_dir, "test", T, args.step, labeled=True)[0]
+    usable = _load_split(args.data, "test", T, args.step, labeled=True)[0]
     latents = encode_windows(model, usable)
     before = predict_labels(head, latents)
 
@@ -432,11 +423,11 @@ def cmd_transfer(args) -> int:
             raise RuntimeError(f"frozen fine-tune changed {k}")
 
     after = predict_labels(head, latents)
-    out = _write_record(args, [("budget", args.budget),
-                               *transfer_report(usable.labels, before, after)])
+    _write_record(args, [("budget", args.budget),
+                         *transfer_report(usable.labels, before, after)])
     # head-only delta checkpoint
     arrays = _model_arrays(model, head, T, levels)
-    lio.save_checkpoint(out / "head_delta.bin", {
+    lio.save_checkpoint(args.out / "head_delta.bin", {
         k: arrays[k]
         for k in ("head.W", "head.b", "meta.head_kind", "meta.latent")})
     return 0
@@ -466,10 +457,17 @@ _nonnegative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _mask_ratio = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
+def _add_fit_flags(p):
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=_nonnegative_int, default=TrainConfig.seed)
+
+
 def _add_loss_flags(p):
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--weights", choices=WEIGHTS, default="inverse-level")
+    p.add_argument("--alpha", type=float, default=LossConfig.alpha)
+    p.add_argument("--lam", type=float, default=LossConfig.lam)
+    p.add_argument("--weights", choices=WEIGHTS, default=LossConfig.weights)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,66 +481,60 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize one day of order flow")
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("build", help="replay flow into a sampled day series")
-    p.add_argument("--flow", required=True)
+    p.add_argument("--flow", type=_out_path, required=True)
     p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
     p.add_argument("--day", type=_nonnegative_int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("preprocess",
                        help="split, normalize and label a day series")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", type=_out_path, required=True)
     p.add_argument("--scheme", choices=["global", "feature"],
                    default="global")
     p.add_argument("--scope", choices=["train", "all"], default="train")
-    p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--delta", type=float, default=0.001)
-    p.add_argument("--out", required=True)
+    p.add_argument("--horizon", type=int, default=LabelConfig.horizon)
+    p.add_argument("--delta", type=float, default=LabelConfig.delta)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a reference model")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=_out_path, required=True)
     p.add_argument("--task", choices=sorted(HEAD_KINDS), required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    _add_fit_flags(p)
     p.add_argument("--window", type=int, default=100)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--latent", type=int, default=256)
     p.add_argument("--relu", action="store_true")
     p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
     _add_loss_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="write metric records for a checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--data", type=_out_path, required=True)
+    p.add_argument("--checkpoint", type=_out_path, required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--mask-ratio", type=_mask_ratio, default=0.2)
     _add_loss_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("transfer",
                        help="frozen-encoder fine-tune on a target dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--checkpoint", type=_out_path, required=True)
+    p.add_argument("--data", type=_out_path, required=True)
     p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    _add_fit_flags(p)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_transfer)
 
     return ap

@@ -28,9 +28,9 @@ import numpy as np
 
 from .book import DEFAULT_TICK_SIZE, BookError, Order
 from .engine import paused_gc
-from .preprocess import NormStats
 from .synth import FlowStream
 
+_MAX_FINITE = int(np.finfo(float).max)  # the largest int with a finite float
 TENSOR_MAGIC = b"LOBT"
 CHECKPOINT_MAGIC = b"LOBC"
 FORMAT_VERSION = 1
@@ -98,6 +98,12 @@ def _lines(path):
                                   offset=offset)
 
 
+def _max_ticks(tick: float) -> int:
+    """The largest price in ticks whose price * tick is a finite float (one
+    ulp under max / tick, so that the product cannot round up past max)."""
+    return int(math.nextafter(_MAX_FINITE / tick, 0))
+
+
 def _header_value(key: str, val: str, offset: int):
     """A header's seed as an int or tick_size as a finite float > 0."""
     try:
@@ -116,6 +122,7 @@ def read_flow(path) -> FlowStream:
     """The flow in a file; a malformed line raises FormatError at the byte
     offset where the line starts."""
     profile, seed, tick = "", 0, DEFAULT_TICK_SIZE
+    max_ticks = _max_ticks(tick)
     orders = []
     seen_ids = set()
     previous = -math.inf  # the last order's timestamp
@@ -130,6 +137,7 @@ def read_flow(path) -> FlowStream:
                     seed = _header_value(key, val, offset)
                 elif key == "tick_size":
                     tick = _header_value(key, val, offset)
+                    max_ticks = _max_ticks(tick)
             continue
         parts = line.split(",")
         if len(parts) != 7:
@@ -144,6 +152,13 @@ def read_flow(path) -> FlowStream:
                           int(target_id) if target_id else None)
         except (ValueError, BookError) as exc:
             raise FormatError(str(exc), offset=offset) from exc
+        if (order.price or 0) > max_ticks:
+            raise FormatError(f"price_ticks * tick_size {tick!r} has no "
+                              "finite float", offset=offset,
+                              field="price_ticks")
+        if (order.volume or 0) > _MAX_FINITE:
+            raise FormatError("volume has no finite float", offset=offset,
+                              field="volume")
         if timestamp < previous:
             raise FormatError(f"timestamp {timestamp} precedes the "
                               f"previous order's {previous}",
@@ -279,20 +294,6 @@ def read_kv(path) -> dict:
         else:
             raise FormatError(f"unparseable line {line!r}", offset=offset)
     return sections
-
-
-def _floats(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def save_norm_stats(path, stats: NormStats):
-    write_kv(path, {"norm": {
-        "scheme": stats.scheme,
-        "scope": stats.scope,
-        "levels": stats.levels,
-        "mu": _floats(stats.mu),
-        "sigma": _floats(stats.sigma),
-    }})
 
 
 # --------------------------------------------------------------- checkpoints

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import DEFAULT_LEVELS, levels_of, price_cols, volume_cols
+from .book import levels_of, price_cols, volume_cols
 
 FEATURE_WISE = "feature-wise"
 GLOBAL = "global"
@@ -32,13 +32,12 @@ class PreprocessError(Exception):
 
 @dataclass
 class NormStats:
-    """Fitted normalization parameters plus the scope they came from."""
+    """Fitted normalization parameters."""
 
     scheme: str
     mu: np.ndarray  # feature-wise: (40,); global: [mu_price, mu_volume]
     sigma: np.ndarray  # same shape; floored at SIGMA_FLOOR
-    scope: str = "train"
-    levels: int = DEFAULT_LEVELS
+    levels: int
 
     def column_mu_sigma(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-column (mu, sigma) vectors regardless of scheme."""
@@ -107,16 +106,16 @@ def _fit(values: np.ndarray, what: str, axis=None):
     return mu, np.maximum(sigma, SIGMA_FLOOR)
 
 
-def fit_feature_stats(data: np.ndarray, scope: str = "train") -> NormStats:
-    """Per-column mean/std over the fit scope."""
+def fit_feature_stats(data: np.ndarray) -> NormStats:
+    """Per-column mean/std of the data."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise PreprocessError("cannot fit stats on empty data")
     mu, sigma = _fit(data, "column {}", axis=0)
-    return NormStats(FEATURE_WISE, mu, sigma, scope, levels_of(data))
+    return NormStats(FEATURE_WISE, mu, sigma, levels_of(data))
 
 
-def fit_group_stats(data: np.ndarray, scope: str = "train") -> NormStats:
+def fit_group_stats(data: np.ndarray) -> NormStats:
     """Pooled (mu, sigma) over all price columns and over all volume columns."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -124,10 +123,8 @@ def fit_group_stats(data: np.ndarray, scope: str = "train") -> NormStats:
     levels = levels_of(data)
     mu_p, sig_p = _fit(data[:, price_cols(levels)], "the price columns")
     mu_v, sig_v = _fit(data[:, volume_cols(levels)], "the volume columns")
-    return NormStats(
-        GLOBAL, np.array([mu_p, mu_v]), np.array([sig_p, sig_v]),
-        scope=scope, levels=levels,
-    )
+    return NormStats(GLOBAL, np.array([mu_p, mu_v]),
+                     np.array([sig_p, sig_v]), levels)
 
 
 def normalize(data: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -86,6 +86,9 @@ def snapshot_padded(book: BookState, l: int = DEFAULT_LEVELS) -> np.ndarray:
     if bids[-1] <= 0:
         raise SamplingError("bid padding reached non-positive prices")
     tick = book.tick_size
+    if asks[-1] * tick == np.inf:  # the row's highest price
+        raise SamplingError(f"ask price {asks[-1]} * tick_size {tick!r} "
+                            "has no finite float")
     return np.array([p * tick for p in bids] + bid_vols
                     + [p * tick for p in asks] + ask_vols, dtype=float)
 
@@ -113,7 +116,11 @@ class ConservationReport:
 def _grid_row(book: BookState, t: int, l: int) -> np.ndarray:
     if not book.bids or not book.asks:
         raise SamplingError(f"no book state at grid point {t}")
-    return snapshot_padded(book, l)
+    try:
+        return snapshot_padded(book, l)
+    except OverflowError:  # a level's summed volume
+        raise SamplingError(f"a volume at grid point {t} has no finite "
+                            "float") from None
 
 
 def sample(

@@ -361,8 +361,9 @@ def test_pipeline_reruns_are_byte_identical(pipeline, tmp_path):
 
 
 def test_lobkit_out_env_var_roots_relative_paths(tmp_path, monkeypatch):
-    """LOBKIT_OUT roots every relative path a command reads or writes, the
-    input --flow as well as --out, wherever the command runs from."""
+    """LOBKIT_OUT roots every relative path a command reads or writes, each
+    input (--flow, --series, --data, --checkpoint) as well as --out,
+    wherever the command runs from."""
     root = tmp_path / "root"
     monkeypatch.setenv("LOBKIT_OUT", str(root))
     monkeypatch.chdir(tmp_path)
@@ -373,6 +374,29 @@ def test_lobkit_out_env_var_roots_relative_paths(tmp_path, monkeypatch):
     meta = lio.read_kv(root / "series.meta.txt")["series"]
     assert meta["flow_sha256"] == lio.file_sha256(root / "flow.csv")
     assert lio.load_tensor(root / "series.bin").shape == (4740, 40)
+    assert main(["preprocess", "--series", "series.bin",
+                 "--out", "data"]) == 0
+    assert lio.read_kv(root / "data/meta.txt")["preprocess"][
+        "series_sha256"] == lio.file_sha256(root / "series.bin")
+    small = ["--epochs", "1", "--step", "10"]
+    assert main(["train", "--data", "data", "--task", "prediction",
+                 "--window", "10", "--latent", "4", *small,
+                 "--out", "run"]) == 0
+    assert main(["evaluate", "--data", "data", "--checkpoint",
+                 "run/checkpoint.bin", "--step", "10", "--out", "eval"]) == 0
+    assert main(["transfer", "--checkpoint", "run/checkpoint.bin",
+                 "--data", "data", "--budget", "5", *small,
+                 "--out", "xfer"]) == 0
+    assert (root / "xfer/head_delta.bin").is_file()
+    # config.txt records the input paths by file name only
+    ckpt_sha256 = lio.file_sha256(root / "run/checkpoint.bin")
+    for command, run in (("train", "run"), ("evaluate", "eval"),
+                         ("transfer", "xfer")):
+        config = lio.read_kv(root / run / "config.txt")[command]
+        assert config["data"] == "data", command
+        if command != "train":
+            assert config["checkpoint"] == "checkpoint.bin"
+            assert config["checkpoint_sha256"] == ckpt_sha256
     assert sorted(p.name for p in tmp_path.iterdir()) == ["root"]
 
 
@@ -440,6 +464,55 @@ def test_build_reused_order_id_exits_2_at_the_line(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "series.bin")]) == 2
     err = capsys.readouterr().err
     assert f"at byte {len(''.join(lines[:j]))} (field id)" in err
+
+
+def _limit_flow(path, tick, orders):
+    """A flow of limit orders, all before 09:30; each order is (side,
+    "price_ticks,volume"). Returns the byte offset of each order's line."""
+    lines = [f"# profile = sz000001\n# tick_size = {tick}\n"]
+    lines += [f"34140000000000,{i},{side},limit,{pv},\n"
+              for i, (side, pv) in enumerate(orders, 1)]
+    path.write_text("".join(lines))
+    return np.cumsum([len(x) for x in lines])[:-1].tolist()
+
+
+@pytest.mark.parametrize("tick, bid, ask, bad, field", [
+    ("1e307", "100,5", "200,5", 0, "price_ticks"),  # 100 * 1e307
+    ("0.01", "100,5", f"{10**400},5", 1, "price_ticks"),
+    ("0.01", f"100,{10**400}", "200,5", 0, "volume"),
+], ids=["tick_size", "price_ticks", "volume"])
+def test_build_value_with_no_finite_float_exits_2_at_its_line(
+        tmp_path, capsys, tick, bid, ask, bad, field):
+    """The bad value is on line bad of a two-order flow: bid, then ask."""
+    flow = tmp_path / "flow.csv"
+    offsets = _limit_flow(flow, tick, [("bid", bid), ("ask", ask)])
+    assert main(["build", "--flow", str(flow),
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has no finite float" in err
+    assert f"at byte {offsets[bad]} (field {field})" in err
+
+
+_MAX_VOLUME = int(np.finfo(float).max)  # the largest a flow line may carry
+
+
+@pytest.mark.parametrize("tick, orders, message", [
+    # two bids of the largest volume share a level: their sum has no float
+    ("0.01", [("bid", f"100,{_MAX_VOLUME}"), ("bid", f"100,{_MAX_VOLUME}"),
+              ("ask", "200,5")],
+     "a volume at grid point 34200000000000 has no finite float"),
+    # the ask side padded to 10 levels, one tick at a time, past 17 ticks
+    ("1e307", [("bid", "16,5"), ("ask", "17,5")],
+     "ask price 26 * tick_size 1e+307 has no finite float"),
+], ids=["summed_volume", "ask_padding"])
+def test_build_row_value_with_no_finite_float_exits_2(tmp_path, capsys, tick,
+                                                      orders, message):
+    """Each line is in range; only a value of the snapshot row is not."""
+    flow = tmp_path / "flow.csv"
+    _limit_flow(flow, tick, orders)
+    assert main(["build", "--flow", str(flow),
+                 "--out", str(tmp_path / "series.bin")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("levels", ["0", "-3"])
@@ -576,6 +649,45 @@ def _recorded(path):
                     if line.startswith("# "))
     (section,) = lio.read_kv(path).values()
     return section
+
+
+# every subcommand's options in parser order (config.txt's key order), each
+# with its default; None where the option is required
+PARSER_OPTIONS = {
+    "generate": [("--profile", None), ("--seed", 0), ("--out", None)],
+    "build": [("--flow", None), ("--levels", 10), ("--day", 0),
+              ("--out", None)],
+    "preprocess": [("--series", None), ("--scheme", "global"),
+                   ("--scope", "train"), ("--horizon", 5),
+                   ("--delta", 0.001), ("--out", None)],
+    "train": [("--data", None), ("--task", None), ("--epochs", 100),
+              ("--batch-size", 64), ("--lr", 0.001), ("--seed", 0),
+              ("--window", 100), ("--step", 1), ("--latent", 256),
+              ("--relu", False), ("--mask-ratio", 0.2),
+              ("--clip-norm", None), ("--alpha", 0.5), ("--lam", 1.0),
+              ("--weights", "inverse-level"), ("--out", None)],
+    "evaluate": [("--data", None), ("--checkpoint", None),
+                 ("--split", "test"), ("--seed", 0), ("--step", 1),
+                 ("--mask-ratio", 0.2), ("--alpha", 0.5), ("--lam", 1.0),
+                 ("--weights", "inverse-level"), ("--out", None)],
+    "transfer": [("--checkpoint", None), ("--data", None),
+                 ("--budget", 100), ("--epochs", 100), ("--batch-size", 64),
+                 ("--lr", 0.001), ("--seed", 0), ("--step", 1),
+                 ("--out", None)],
+}
+
+
+def test_parser_options_and_defaults_are_pinned():
+    """A new, moved or removed option, or a changed default (including one
+    read from TrainConfig, LossConfig or LabelConfig), fails here."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_OPTIONS)
+    for command, options in PARSER_OPTIONS.items():
+        got = [(flag, a.default) for flag, a in _actions(command).items()]
+        # repr tells 100 from 100.0 and 0.001 from 0.0010000000000000002
+        assert list(map(repr, got)) == list(map(repr, options)), command
+    assert sum(map(len, PARSER_OPTIONS.values())) == 48
 
 
 def test_every_flag_is_recorded(pipeline, tmp_path):

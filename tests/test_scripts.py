@@ -183,3 +183,16 @@ def test_bench_paired_counts_both_trees_source_lines(tmp_path, monkeypatch):
                            [("parent", run, run), ("change", run, run)])
     assert section["src_lines"] == {"parent": 4, "change": 3, "net": -1}
     assert bench.src_lines(tmp_path / "missing") == 0
+
+
+def test_bench_paired_counts_both_trees_settable_values(tmp_path):
+    """settable: the parser options (48), TrainConfig fields (10) and
+    environment variables read under src/lobkit (LOBKIT_OUT) of this tree,
+    counted by its own code; 0 for a tree without src/lobkit."""
+    bench = load_bench()
+    assert bench.settable(ROOT) == 59
+    assert bench.settable(tmp_path) == 0
+    run = canned_run({"deep-day.walk_cal": {"value": 40.0, "unit": "cal"}})
+    section = bench.paired(str(tmp_path), [("parent", run, run),
+                                           ("change", run, run)])
+    assert section["settable"] == {"parent": 0, "change": 59, "net": 59}
