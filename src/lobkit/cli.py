@@ -282,13 +282,15 @@ def _write_record(args, items):
 
 def _write_config(args):
     """config.txt: every parsed flag but --out, in parser order, floats by
-    repr and input paths by file name; a checkpoint read adds its sha256."""
+    repr and input paths by the last name of their absolute path (symlinks
+    kept), so `--data .` records the directory's name; a checkpoint read
+    adds its sha256."""
     entries = {}
     for key, val in vars(args).items():
         if key in ("command", "func", "out"):
             continue
         if key in ("data", "checkpoint"):
-            val = val.name
+            val = os.path.basename(os.path.abspath(val))
         entries[key] = repr(val) if isinstance(val, float) else val
     if "checkpoint" in entries:
         entries["checkpoint_sha256"] = lio.file_sha256(args.checkpoint)

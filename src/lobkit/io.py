@@ -3,8 +3,9 @@
 * Order flow: delimited text, one order per line,
   ``timestamp_ns,id,side,kind,price_ticks,volume,target_id`` with empty
   fields where a column does not apply; ``#`` lines carry metadata (an int
-  ``seed``, a finite ``tick_size`` > 0). Timestamps never decrease and every
-  order id, cancels' included, is unique within a flow.
+  ``seed``, a finite ``tick_size`` > 0, given before the first order).
+  Timestamps never decrease and every order id, cancels' included, is
+  unique within a flow.
 * Configs / sidecars: plain-text ``key = value`` lines under ``[section]``
   headers, order-preserving so canonical files round-trip byte-identically.
 * Tensors (day series, labels): magic, ``<I`` version, one array.
@@ -136,6 +137,10 @@ def read_flow(path) -> FlowStream:
                 elif key == "seed":
                     seed = _header_value(key, val, offset)
                 elif key == "tick_size":
+                    if orders:  # it would reprice the orders before it
+                        raise FormatError("tick_size must come before the "
+                                          "first order", offset=offset,
+                                          field=key)
                     tick = _header_value(key, val, offset)
                     max_ticks = _max_ticks(tick)
             continue

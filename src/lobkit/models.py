@@ -7,12 +7,20 @@ and the backward pass are implemented here directly; training is
 bit-deterministic per seed.
 
 A training step runs on two lanes: the caller and a helper, a one-worker
-``ThreadPoolExecutor`` started on first use and again in a forked child. The
-helper takes half of Adam's blocks and, in the backward pass, the output
-layer's gradient products, while the caller does the rest; NumPy releases
-the GIL inside these ufuncs and matmuls. Concurrent callers queue on the one
-helper. Each element is computed by the same operations in the same order
-on either lane, so the outputs do not depend on the CPU count.
+``ThreadPoolExecutor`` started on first use and again in a forked child.
+NumPy releases the GIL inside these ufuncs and matmuls. The helper takes
+half of Adam's blocks; in the backward pass, the output layer's gradient
+products while the caller forms the latent's gradient, then the first rows
+of the encoder's weight gradient. The encoder's product and the head's
+(``_affine``, which scoring runs too) split their rows the same way when
+the weight is larger than one Adam block and there are at least 64 rows:
+the helper takes the first len // 64 * 32. A split at a multiple of 32
+leaves every row to the BLAS kernel that the whole product gives it, so at
+one BLAS thread the halves equal the whole product byte for byte. Smaller
+products, the 3-logit head's included, stay on the caller: a hand-off would
+cost more than it saves. Concurrent callers queue on the one helper. Each
+element is computed by the same operations in the same order on either
+lane, so the outputs do not depend on the CPU count.
 
 A training step whose model has no ReLU and whose head is narrower than the
 latent (a prediction head, or any head of an overcomplete latent) contracts
@@ -25,6 +33,7 @@ path, and scoring (evaluate, transfer) still reads block encodings.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from dataclasses import dataclass, field
 
@@ -99,8 +108,8 @@ class LinearAutoencoder:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} inputs, got {x.shape[1]}")
-        h = x @ self.params["enc.W"] + self.params["enc.b"]
-        return np.maximum(h, 0.0) if self.relu else h
+        h = _affine(x, self.params["enc.W"], self.params["enc.b"])
+        return np.maximum(h, 0.0, out=h) if self.relu else h
 
 
 class TaskHead:
@@ -138,7 +147,7 @@ class TaskHead:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         if r.shape[1] != self.latent:
             raise ValueError(f"expected {self.latent} latents, got {r.shape[1]}")
-        return r @ self.params["head.W"] + self.params["head.b"]
+        return _affine(r, self.params["head.W"], self.params["head.b"])
 
 
 ADAM_CHUNK = 1 << 15  # float64 per block: six 256 KB blocks stay in L2
@@ -151,8 +160,9 @@ _HELPER = None  # (pid that made it, its one-worker executor)
 def _two_lanes(theirs, mine):
     """(theirs(), mine()), with theirs run on the helper, a one-worker
     executor started on first use and again in a forked child, while the
-    caller runs mine. Concurrent callers queue on the helper. An error
-    raised by either lane reaches the caller only after theirs has finished.
+    caller runs mine; theirs runs under the caller's NumPy error state.
+    Concurrent callers queue on the helper. An error raised by either lane
+    reaches the caller only after theirs has finished.
     A helper job never calls _two_lanes, which would wait on itself, nor a
     module-level name that a tracer may wrap."""
     global _HELPER
@@ -161,12 +171,38 @@ def _two_lanes(theirs, mine):
         from concurrent.futures import ThreadPoolExecutor
         _HELPER = os.getpid(), ThreadPoolExecutor(
             1, thread_name_prefix="lobkit-helper")
-    job = _HELPER[1].submit(theirs)
+    job = _HELPER[1].submit(contextvars.copy_context().run, theirs)
     try:
         own = mine()
     finally:
         job.exception()  # waits, so no step returns while the helper writes
     return job.result(), own
+
+
+def _by_halves(job, n: int):
+    """job(rows) for the rows of an n-row product, on both lanes: the helper
+    takes the first n // 64 * 32 and the caller the rest. A split at a
+    multiple of 32 leaves each row to the kernel that computes it in the
+    whole product."""
+    h = n // 64 * 32
+    _two_lanes(lambda: job(slice(0, h)), lambda: job(slice(h, n)))
+
+
+def _affine(A, W, b):
+    """A @ W + b in one new array. With at least 64 rows and W larger than
+    one Adam block, the helper computes the first rows while the caller
+    computes the rest; each half is np.matmul then np.add in place."""
+    out = np.empty((len(A), W.shape[1]))
+
+    def rows(s):
+        np.matmul(A[s], W, out=out[s])
+        np.add(out[s], b, out=out[s])
+
+    if len(A) < 64 or W.size <= ADAM_CHUNK:
+        rows(slice(None))
+    else:
+        _by_halves(rows, len(A))
+    return out
 
 
 def _adam_blocks(blocks, s1, s2, c1, c2, b1t, b2t, lr, eps):
@@ -303,9 +339,11 @@ def _batch_forward(model, head, X):
 def _batch_backward(model, head, cache, GY, frozen: bool):
     """Gradients of the head, and of the encoder unless frozen. After an
     encode-then-head forward, a frozen backward reads no X, and an unfrozen
-    one runs the head's products on the helper thread while the caller
-    forms the encoder's. After a chained forward (R is None) every gradient
-    follows from one Z = X.T @ GY, on the caller:
+    one hands off twice: the helper forms the head's gradients while the
+    caller forms the latent's, GH; then the two form the rows of X.T @ GH
+    split as _affine splits them, and the caller ΣGH.
+    After a chained forward (R is None) every gradient follows from one
+    Z = X.T @ GY, on the caller:
     head.W = E.T @ Z + outer(b, ΣGY), head.b = ΣGY, enc.W = Z @ W.T and
     enc.b = ΣGY @ W.T."""
     X, R = cache
@@ -325,16 +363,19 @@ def _batch_backward(model, head, cache, GY, frozen: bool):
     def output_layer():
         return np.matmul(R.T, GY, out=gW), GY.sum(axis=0)
 
-    def encoder():
+    def latent():
         GR = GY @ head.params["head.W"].T
-        GH = GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
-        return X.T @ GH, GH.sum(axis=0)
+        return GR * (R > 0) if model.relu else GR  # R > 0 iff H > 0
 
     if frozen:
         gW, gb = output_layer()
         return {"head.W": gW, "head.b": gb}
-    (gW, gb), (eW, eb) = _two_lanes(output_layer, encoder)
-    return {"head.W": gW, "head.b": gb, "enc.W": eW, "enc.b": eb}
+    (gW, gb), GH = _two_lanes(output_layer, latent)
+    XT = X.T
+    eW = np.empty((len(XT), GH.shape[1]))
+    _by_halves(lambda s: np.matmul(XT[s], GH, out=eW[s]), len(XT))
+    return {"head.W": gW, "head.b": gb, "enc.W": eW,
+            "enc.b": GH.sum(axis=0)}
 
 
 def _model_input(X, masks):

@@ -360,6 +360,18 @@ def test_pipeline_reruns_are_byte_identical(pipeline, tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_config_names_a_data_dir_given_as_dot(pipeline, tmp_path,
+                                             monkeypatch):
+    """config.txt names an input by its absolute path, so `--data .` run
+    inside the data directory records that directory's name."""
+    monkeypatch.chdir(pipeline / "data")
+    assert main(["train", "--data", ".", "--task", "prediction",
+                 "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--step", "50", "--latent", "4"]) == 0
+    config = lio.read_kv(tmp_path / "run/config.txt")["train"]
+    assert config["data"] == "data"
+
+
 def test_lobkit_out_env_var_roots_relative_paths(tmp_path, monkeypatch):
     """LOBKIT_OUT roots every relative path a command reads or writes, each
     input (--flow, --series, --data, --checkpoint) as well as --out,

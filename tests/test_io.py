@@ -95,6 +95,18 @@ def test_flow_reused_order_id_reports_offset(tmp_path):
     assert exc.value.field == "id"
 
 
+@pytest.mark.parametrize("tick", ["0.02", "1e307"])
+def test_flow_tick_size_after_an_order_reports_offset(tmp_path, tick):
+    """A tick_size header would reprice the orders above it, so it must
+    come before the first order."""
+    path = tmp_path / "late.csv"
+    orders = "0,1,bid,limit,100,5,\n1,2,ask,limit,200,5,\n"
+    path.write_text(f"{orders}# tick_size = {tick}\n")
+    with pytest.raises(lio.FormatError) as exc:
+        lio.read_flow(path)
+    assert (exc.value.offset, exc.value.field) == (len(orders), "tick_size")
+
+
 def test_flow_offsets_count_crlf_line_ends_as_two_bytes(tmp_path):
     path = tmp_path / "crlf.csv"
     head = (b"# profile = x\r\n10,1,bid,limit,100,5,\r\n"

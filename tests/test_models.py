@@ -338,6 +338,68 @@ def test_chained_prediction_step_equals_encode_then_head(frozen,
         assert_close_in_scale(got[k], want[k], k)
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 63, 64, 65, 100, 948])
+def test_two_lane_affine_equals_serial_product(n):
+    """The encoder's product, with and without ReLU, and the reconstruction
+    head's equal the serial A @ W + b byte for byte at the default sizes,
+    whether or not the rows split: a split falls at a multiple of 32."""
+    rng = np.random.default_rng(n)
+    model, head = autoencoder(seed=4)
+    model.params["enc.b"][:] = rng.normal(size=model.latent)
+    head.params["head.b"][:] = rng.normal(size=head.out_dim)
+    X = rng.normal(size=(n, model.input_dim))
+    for relu in (False, True):
+        model.relu = relu
+        H = X @ model.params["enc.W"] + model.params["enc.b"]
+        R = np.maximum(H, 0.0) if relu else H
+        assert model.encode(X).tobytes() == R.tobytes(), relu
+        want = R @ head.params["head.W"] + head.params["head.b"]
+        assert head.forward(R).tobytes() == want.tobytes(), relu
+
+
+def test_two_lane_hand_offs_per_step(monkeypatch, day_windows):
+    """A hand-off costs more than a small product saves: a prediction
+    head's forward, the frozen fit's head batches and a chained prediction
+    step run on the caller alone. An unfrozen reconstruction step of 64
+    windows at the default sizes hands off twice in the forward, twice in
+    the backward and once in Adam; encoding a block of 64 windows, once."""
+    import lobkit.models as models
+
+    calls = []
+    two_lanes = models._two_lanes
+    monkeypatch.setattr(models, "_two_lanes", lambda theirs, mine: (
+        calls.append(1) or two_lanes(theirs, mine)))
+
+    def hand_offs(fn, *args):
+        calls.clear()
+        return fn(*args), len(calls)
+
+    X = _model_input(day_windows.data(), None)
+    model = LinearAutoencoder(seed=1)
+    head = TaskHead(PREDICTION, seed=2)
+    assert hand_offs(head.forward, np.ones((948, model.latent)))[1] == 0
+    latents, n = hand_offs(encode_windows, model, day_windows)
+    assert n == 1
+    assert hand_offs(train, model, head, day_windows, TrainConfig(
+        epochs=2, batch_size=32), None, latents)[1] == 0
+    (Y, cache), n = hand_offs(_batch_forward, model, head, X)
+    assert cache[1] is None and n == 0
+    _, GY = _task_loss_grad(PREDICTION, Y, None, day_windows, TrainConfig())
+    assert hand_offs(_batch_backward, model, head, cache, GY, False)[1] == 0
+
+    model, head = autoencoder()
+    (Y, cache), n = hand_offs(_batch_forward, model, head, X)
+    assert n == 2
+    _, GY = _task_loss_grad(RECONSTRUCTION, Y, day_windows.data(),
+                            day_windows, TrainConfig())
+    grads, n = hand_offs(_batch_backward, model, head, cache, GY, False)
+    assert n == 2
+    params = {**model.params, **head.params}
+    assert hand_offs(AdamState().update, params, grads)[1] == 1
+    assert hand_offs(train, model, head, day_windows,
+                     TrainConfig(epochs=1))[1] == 5
+
+
 def assert_close_in_scale(got, want, name, rtol=1e-12):
     assert got.shape == want.shape, name
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), name
@@ -566,6 +628,17 @@ def test_a_helper_job_that_raises_reaches_the_caller():
     with pytest.raises(ZeroDivisionError):
         _two_lanes(lambda: 1 / 0, lambda: "mine")
     assert _two_lanes(lambda: "theirs", lambda: "mine") == ("theirs", "mine")
+
+
+def test_a_helper_job_runs_under_the_callers_error_state():
+    """An overflow on the helper's lane is ignored or raised as the caller's
+    np.errstate says, as it would be on the caller's own lane."""
+    big = np.full(4, 1e300)
+    with np.errstate(over="ignore"):
+        theirs, _ = _two_lanes(lambda: big * big, lambda: None)
+    assert np.isinf(theirs).all()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _two_lanes(lambda: big * big, lambda: None)
 
 
 def test_the_helper_keeps_nothing_of_a_finished_step():
